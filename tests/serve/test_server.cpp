@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,34 +56,123 @@ TEST(ProgramServerTest, EvaluatesSigmoidCloseToReference) {
 }
 
 TEST(ProgramServerTest, RawCoefficientsMatchDirectEngineRun) {
-  ProgramServer server(fast_options());
-  const std::string line = server.handle_json(
-      R"({"coefficients": [0.2, 0.9, 0.4], "xs": [0.3, 0.6],
-          "stream_lengths": [1024], "repeats": 3, "seed": 42})");
-  const JsonValue doc = json_parse(line);
-  ASSERT_TRUE(doc.find("ok")->as_bool()) << line;
-
   // The serving path must be bit-identical to driving the engine by hand
-  // with the same seed at the same (fallback order-2) design point.
-  const stochastic::BernsteinPoly poly({0.2, 0.9, 0.4});
-  engine::BatchRequest req;
-  req.polynomials = {poly};
-  req.xs = {0.3, 0.6};
-  req.stream_lengths = {1024};
-  req.repeats = 3;
-  req.seed = 42;
-  const engine::BatchRunner runner(
-      optsc::OpticalScCircuit(optsc::paper_defaults(2)));
-  const engine::BatchSummary expected = runner.run(req, /*threads=*/1);
+  // through the legacy spellings, with the same seed, programs elevated
+  // exactly as resolve elevates them, and the same kernel (the fallback
+  // order engine for raw programs, the compiled program's own otherwise).
+  namespace sc = oscs::stochastic;
+  const auto fallback = [](std::size_t order) {
+    return optsc::OpticalScCircuit(optsc::paper_defaults(order));
+  };
+  struct Case {
+    const char* name;
+    std::string line;
+    std::function<engine::BatchSummary(ProgramServer&)> direct;
+  };
+  const std::vector<Case> cases = {
+      {"raw 1D",
+       R"({"coefficients": [0.2, 0.9, 0.4], "xs": [0.3, 0.6],
+           "stream_lengths": [1024], "repeats": 3, "seed": 42})",
+       [&](ProgramServer&) {
+         engine::BatchRequest req;
+         req.polynomials = {sc::BernsteinPoly({0.2, 0.9, 0.4})};
+         req.xs = {0.3, 0.6};
+         req.stream_lengths = {1024};
+         req.repeats = 3;
+         req.seed = 42;
+         return engine::BatchRunner(fallback(2)).run(req, /*threads=*/1);
+       }},
+      {"raw 2D grid",
+       R"({"coefficients": [[0.1, 0.6], [0.8, 0.3], [0.5, 0.9]],
+           "xs": [0.2, 0.7], "ys": [0.4, 0.9],
+           "stream_lengths": [512, 1024], "repeats": 3, "seed": 7})",
+       [&](ProgramServer&) {
+         engine::BatchRequest req;
+         req.polynomials2 = {
+             sc::BernsteinPoly2({{0.1, 0.6}, {0.8, 0.3}, {0.5, 0.9}})};
+         req.xs = {0.2, 0.7};
+         req.ys = {0.4, 0.9};
+         req.stream_lengths = {512, 1024};
+         req.repeats = 3;
+         req.seed = 7;
+         return engine::BatchRunner(fallback(2), 2, 1).run(req, 1);
+       }},
+      {"fused 1D raw, mixed degrees",
+       R"({"programs": [{"coefficients": [0.2, 0.9, 0.4]},
+                        {"coefficients": [0.3, 0.7]},
+                        {"coefficients": [0.6]}],
+           "xs": [0.25, 0.75], "stream_lengths": [1024], "repeats": 4,
+           "seed": 11})",
+       [&](ProgramServer&) {
+         engine::BatchRequest req;
+         req.polynomials = {
+             sc::BernsteinPoly({0.2, 0.9, 0.4}),
+             sc::BernsteinPoly({0.3, 0.7}).elevated(1),
+             // Degree 0 first meets the order-1 circuit minimum.
+             sc::BernsteinPoly({0.6}).elevated().elevated(1)};
+         req.xs = {0.25, 0.75};
+         req.stream_lengths = {1024};
+         req.repeats = 4;
+         req.seed = 11;
+         return engine::BatchRunner(fallback(2)).run_fused(req, 1);
+       }},
+      {"fused 2D, registry + raw grid",
+       R"({"programs": [{"function": "mul"},
+                        {"coefficients": [[0.1, 0.5, 0.9], [0.3, 0.7, 0.2],
+                                          [0.8, 0.4, 0.6]]}],
+           "xs": [0.3, 0.6], "ys": [0.5, 0.2], "stream_lengths": [1024],
+           "repeats": 3, "seed": 5})",
+       [&](ProgramServer& server) {
+         const sc::BernsteinPoly2 mul =
+             server.compiler().compile2("mul")->poly2();
+         EXPECT_LT(mul.deg_x(), 2u);
+         EXPECT_LT(mul.deg_y(), 2u);
+         engine::BatchRequest req;
+         req.polynomials2 = {
+             mul.elevated(2 - mul.deg_x(), 2 - mul.deg_y()),
+             sc::BernsteinPoly2(
+                 {{0.1, 0.5, 0.9}, {0.3, 0.7, 0.2}, {0.8, 0.4, 0.6}})};
+         req.xs = {0.3, 0.6};
+         req.ys = {0.5, 0.2};
+         req.stream_lengths = {1024};
+         req.repeats = 3;
+         req.seed = 5;
+         return engine::BatchRunner(fallback(2), 2, 2).run_fused(req, 1);
+       }},
+      {"3-input rgb_luma",
+       R"({"function": "rgb_luma",
+           "inputs": [[0.2, 0.6], [0.5, 0.3], [0.8, 0.1]],
+           "stream_lengths": [1024], "repeats": 3, "seed": 3})",
+       [&](ProgramServer& server) {
+         const auto program = server.compiler().compile_nd("rgb_luma");
+         engine::BatchRequest req;
+         req.programs_nd = {program->program_nd()};
+         req.inputs = {{0.2, 0.6}, {0.5, 0.3}, {0.8, 0.1}};
+         req.stream_lengths = {1024};
+         req.repeats = 3;
+         req.seed = 3;
+         return engine::BatchRunner(program->kernel(), program->design_point())
+             .run_nd(req, 1);
+       }},
+  };
 
-  const auto& cells = doc.find("cells")->items();
-  ASSERT_EQ(cells.size(), expected.cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].find("optical_mean")->as_number(),
-              expected.cells[i].optical_mean)
-        << "cell " << i;
-    EXPECT_EQ(cells[i].find("expected")->as_number(),
-              expected.cells[i].expected);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ProgramServer server(fast_options());
+    const std::string line = server.handle_json(c.line);
+    const JsonValue doc = json_parse(line);
+    ASSERT_TRUE(doc.find("ok")->as_bool()) << line;
+    const engine::BatchSummary expected = c.direct(server);
+    const auto& cells = doc.find("cells")->items();
+    ASSERT_EQ(cells.size(), expected.cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(cells[i].find("optical_mean")->as_number(),
+                expected.cells[i].optical_mean)
+          << "cell " << i;
+      EXPECT_EQ(cells[i].find("expected")->as_number(),
+                expected.cells[i].expected)
+          << "cell " << i;
+    }
   }
 }
 
