@@ -56,20 +56,67 @@ void GridCertificationOptions::validate() const {
   }
 }
 
-Certification certify_at(const CompiledProgram& program,
-                         const std::function<double(double)>& reference,
-                         const oscs::OperatingPoint& op,
-                         const CertificationOptions& options) {
+namespace {
+
+/// Visit every point of the per_axis^arity lattice, last axis fastest;
+/// axis index i maps to coordinate coord(i).
+template <typename Coord, typename Visit>
+void for_each_lattice_point(std::size_t arity, std::size_t per_axis,
+                            Coord&& coord, Visit&& visit) {
+  std::size_t total = 1;
+  for (std::size_t j = 0; j < arity; ++j) total *= per_axis;
+  std::vector<double> point(arity, 0.0);
+  for (std::size_t g = 0; g < total; ++g) {
+    std::size_t rest = g;
+    for (std::size_t j = arity; j-- > 0;) {
+      point[j] = coord(rest % per_axis);
+      rest /= per_axis;
+    }
+    visit(point);
+  }
+}
+
+void require(bool holds, const char* message) {
+  if (!holds) throw std::invalid_argument(message);
+}
+
+/// Point-form views of the dense-arity references; they borrow `f`.
+PointReference point_form(const std::function<double(double)>& f) {
+  return [&f](const std::vector<double>& p) { return f(p[0]); };
+}
+
+PointReference point_form(const std::function<double(double, double)>& f) {
+  return [&f](const std::vector<double>& p) { return f(p[0], p[1]); };
+}
+
+}  // namespace
+
+Certification certify_program_at(const CompiledProgram& program,
+                                 const PointReference& reference,
+                                 const oscs::OperatingPoint& op,
+                                 const CertificationOptions& options) {
   options.validate();
   op.validate();
+  const stochastic::SeparableProgram& run = program.program_nd();
+  const std::size_t arity = run.arity();
 
+  // The engine evaluates coordinate tuples, not cross products, so the
+  // lattice is enumerated explicitly as one column per axis.
   eng::BatchRequest request;
-  request.polynomials.push_back(program.poly());
-  request.xs.reserve(options.grid_points);
-  for (std::size_t i = 1; i <= options.grid_points; ++i) {
-    request.xs.push_back(static_cast<double>(i) /
-                         static_cast<double>(options.grid_points + 1));
-  }
+  request.programs_nd.push_back(run);
+  request.inputs.assign(arity, {});
+  const double grid_denominator =
+      static_cast<double>(options.grid_points + 1);
+  for_each_lattice_point(
+      arity, options.grid_points,
+      [grid_denominator](std::size_t i) {
+        return static_cast<double>(i + 1) / grid_denominator;
+      },
+      [&request](const std::vector<double>& point) {
+        for (std::size_t j = 0; j < point.size(); ++j) {
+          request.inputs[j].push_back(point[j]);
+        }
+      });
   request.stream_lengths = {op.stream_length};
   request.repeats = options.repeats;
   request.seed = options.seed;
@@ -81,7 +128,7 @@ Certification certify_at(const CompiledProgram& program,
   // invariant (transmissions scale linearly), so one kernel serves every
   // operating point; only the BER inside `op` changes.
   const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run(request, options.threads);
+  const eng::BatchSummary summary = runner.run_nd(request, options.threads);
 
   Certification cert;
   cert.op = op;
@@ -95,8 +142,7 @@ Certification certify_at(const CompiledProgram& program,
   // per-cell estimates: CI(mean of means) = sqrt(sum ci_i^2) / N.
   double ci_sq_sum = 0.0;
   for (const eng::BatchCell& cell : summary.cells) {
-    const double ref = reference(cell.x);
-    const double err = std::abs(cell.optical_mean - ref);
+    const double err = std::abs(cell.optical_mean - reference(cell.point));
     cert.mc_mae += err;
     cert.mc_worst = std::max(cert.mc_worst, err);
     ci_sq_sum += cell.optical_ci * cell.optical_ci;
@@ -107,192 +153,78 @@ Certification certify_at(const CompiledProgram& program,
   cert.electronic_mae = summary.electronic_mae;
 
   // Deterministic pipeline error (projection + quantization), sampled on a
-  // dense grid - the floor the MC estimate converges to as streams grow.
-  constexpr std::size_t kDenseSamples = 512;
-  for (std::size_t s = 0; s <= kDenseSamples; ++s) {
-    const double x = static_cast<double>(s) / kDenseSamples;
-    cert.approx_max_error = std::max(
-        cert.approx_max_error, std::abs(program.poly()(x) - reference(x)));
-  }
+  // dense lattice - the floor the MC estimate converges to as streams
+  // grow. Coarser per axis for the wider forms: the tuple count is
+  // exponential in the arity.
+  const std::size_t dense_steps =
+      program.is_nd() ? 24 : (program.is_bivariate() ? 128 : 512);
+  for_each_lattice_point(
+      arity, dense_steps + 1,
+      [dense_steps](std::size_t s) {
+        return static_cast<double>(s) / static_cast<double>(dense_steps);
+      },
+      [&](const std::vector<double>& point) {
+        cert.approx_max_error = std::max(
+            cert.approx_max_error, std::abs(run(point) - reference(point)));
+      });
   return cert;
 }
 
-Certification certify2_at(const CompiledProgram& program,
-                          const std::function<double(double, double)>& reference,
-                          const oscs::OperatingPoint& op,
-                          const CertificationOptions& options) {
-  options.validate();
-  op.validate();
-  if (!program.is_bivariate()) {
-    throw std::invalid_argument("certify2_at: univariate program");
-  }
-
-  // The MC grid is the tensor of `grid_points` interior points per axis:
-  // the batch request enumerates every (x, y) pair explicitly since the
-  // bivariate engine evaluates pairs, not cross products.
-  eng::BatchRequest request;
-  request.polynomials2.push_back(program.poly2());
-  request.xs.reserve(options.grid_points * options.grid_points);
-  request.ys.reserve(options.grid_points * options.grid_points);
-  for (std::size_t i = 1; i <= options.grid_points; ++i) {
-    const double x = static_cast<double>(i) /
-                     static_cast<double>(options.grid_points + 1);
-    for (std::size_t j = 1; j <= options.grid_points; ++j) {
-      request.xs.push_back(x);
-      request.ys.push_back(static_cast<double>(j) /
-                           static_cast<double>(options.grid_points + 1));
-    }
-  }
-  request.stream_lengths = {op.stream_length};
-  request.repeats = options.repeats;
-  request.seed = options.seed;
-  request.source_kind = options.source_kind;
-  request.op = op;
-
-  const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run(request, options.threads);
-
-  Certification cert;
-  cert.op = op;
-  cert.stream_length = op.stream_length;
-  cert.repeats = options.repeats;
-  cert.grid_points = options.grid_points;
-  cert.noise_enabled = op.noisy();
-
-  double ci_sq_sum = 0.0;
-  for (const eng::BatchCell& cell : summary.cells) {
-    const double ref = reference(cell.x, cell.y);
-    const double err = std::abs(cell.optical_mean - ref);
-    cert.mc_mae += err;
-    cert.mc_worst = std::max(cert.mc_worst, err);
-    ci_sq_sum += cell.optical_ci * cell.optical_ci;
-  }
-  const auto n = static_cast<double>(summary.cells.size());
-  cert.mc_mae /= n;
-  cert.mc_mae_ci = std::sqrt(ci_sq_sum) / n;
-  cert.electronic_mae = summary.electronic_mae;
-
-  // Deterministic pipeline error on a dense (x, y) grid.
-  constexpr std::size_t kDenseSamples = 128;
-  for (std::size_t sx = 0; sx <= kDenseSamples; ++sx) {
-    const double x = static_cast<double>(sx) / kDenseSamples;
-    for (std::size_t sy = 0; sy <= kDenseSamples; ++sy) {
-      const double y = static_cast<double>(sy) / kDenseSamples;
-      cert.approx_max_error =
-          std::max(cert.approx_max_error,
-                   std::abs(program.poly2()(x, y) - reference(x, y)));
-    }
-  }
-  return cert;
-}
-
-Certification certify_nd_at(
-    const CompiledProgram& program,
-    const std::function<double(const std::vector<double>&)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options) {
-  options.validate();
-  op.validate();
-  if (!program.is_nd()) {
-    throw std::invalid_argument("certify_nd_at: dense program");
-  }
-  const std::size_t arity = program.arity();
-
-  // The MC grid is the tensor of `grid_points` interior points per axis,
-  // enumerated as explicit coordinate tuples (one column per axis) since
-  // the engine evaluates tuples, not cross products.
-  eng::BatchRequest request;
-  request.programs_nd.push_back(program.program_nd());
-  std::size_t tuples = 1;
-  for (std::size_t j = 0; j < arity; ++j) tuples *= options.grid_points;
-  request.inputs.assign(arity, {});
-  for (std::vector<double>& axis : request.inputs) axis.reserve(tuples);
-  for (std::size_t g = 0; g < tuples; ++g) {
-    std::size_t rest = g;
-    for (std::size_t j = arity; j-- > 0;) {
-      const std::size_t i = rest % options.grid_points;
-      rest /= options.grid_points;
-      request.inputs[j].push_back(static_cast<double>(i + 1) /
-                                  static_cast<double>(options.grid_points + 1));
-    }
-  }
-  request.stream_lengths = {op.stream_length};
-  request.repeats = options.repeats;
-  request.seed = options.seed;
-  request.source_kind = options.source_kind;
-  request.op = op;
-
-  const eng::BatchRunner runner(program.kernel(), program.design_point());
-  const eng::BatchSummary summary = runner.run_nd(request, options.threads);
-
-  Certification cert;
-  cert.op = op;
-  cert.stream_length = op.stream_length;
-  cert.repeats = options.repeats;
-  cert.grid_points = options.grid_points;
-  cert.noise_enabled = op.noisy();
-
-  double ci_sq_sum = 0.0;
-  for (const eng::BatchCell& cell : summary.cells) {
-    const double ref = reference(cell.point);
-    const double err = std::abs(cell.optical_mean - ref);
-    cert.mc_mae += err;
-    cert.mc_worst = std::max(cert.mc_worst, err);
-    ci_sq_sum += cell.optical_ci * cell.optical_ci;
-  }
-  const auto n = static_cast<double>(summary.cells.size());
-  cert.mc_mae /= n;
-  cert.mc_mae_ci = std::sqrt(ci_sq_sum) / n;
-  cert.electronic_mae = summary.electronic_mae;
-
-  // Deterministic pipeline error on a dense per-axis grid (coarser than
-  // the dense-arity paths: the tuple count is exponential in arity).
-  constexpr std::size_t kDenseSamples = 24;
-  std::size_t dense_tuples = 1;
-  for (std::size_t j = 0; j < arity; ++j) dense_tuples *= kDenseSamples + 1;
-  std::vector<double> point(arity, 0.0);
-  for (std::size_t g = 0; g < dense_tuples; ++g) {
-    std::size_t rest = g;
-    for (std::size_t j = arity; j-- > 0;) {
-      point[j] = static_cast<double>(rest % (kDenseSamples + 1)) /
-                 static_cast<double>(kDenseSamples);
-      rest /= kDenseSamples + 1;
-    }
-    cert.approx_max_error =
-        std::max(cert.approx_max_error,
-                 std::abs(program.program_nd()(point) - reference(point)));
-  }
-  return cert;
-}
-
-Certification certify_nd(
-    const CompiledProgram& program,
-    const std::function<double(const std::vector<double>&)>& reference,
-    const CertificationOptions& options) {
+Certification certify_program(const CompiledProgram& program,
+                              const PointReference& reference,
+                              const CertificationOptions& options) {
   options.validate();
   oscs::OperatingPoint op =
       program.design_point().with_stream_length(options.stream_length);
   if (!options.noise_enabled) op = op.noiseless();
-  return certify_nd_at(program, reference, op, options);
+  return certify_program_at(program, reference, op, options);
 }
 
-Certification certify2(const CompiledProgram& program,
-                       const std::function<double(double, double)>& reference,
-                       const CertificationOptions& options) {
-  options.validate();
-  oscs::OperatingPoint op =
-      program.design_point().with_stream_length(options.stream_length);
-  if (!options.noise_enabled) op = op.noiseless();
-  return certify2_at(program, reference, op, options);
+Certification certify_at(const CompiledProgram& program,
+                         const std::function<double(double)>& reference,
+                         const oscs::OperatingPoint& op,
+                         const CertificationOptions& options) {
+  require(program.program_nd().has_dense1(),
+          "certify_at: program is not univariate");
+  return certify_program_at(program, point_form(reference), op, options);
 }
 
 Certification certify(const CompiledProgram& program,
                       const std::function<double(double)>& reference,
                       const CertificationOptions& options) {
-  options.validate();
-  oscs::OperatingPoint op =
-      program.design_point().with_stream_length(options.stream_length);
-  if (!options.noise_enabled) op = op.noiseless();
-  return certify_at(program, reference, op, options);
+  require(program.program_nd().has_dense1(),
+          "certify: program is not univariate");
+  return certify_program(program, point_form(reference), options);
+}
+
+Certification certify2_at(
+    const CompiledProgram& program,
+    const std::function<double(double, double)>& reference,
+    const oscs::OperatingPoint& op, const CertificationOptions& options) {
+  require(program.is_bivariate(), "certify2_at: univariate program");
+  return certify_program_at(program, point_form(reference), op, options);
+}
+
+Certification certify2(const CompiledProgram& program,
+                       const std::function<double(double, double)>& reference,
+                       const CertificationOptions& options) {
+  require(program.is_bivariate(), "certify2: univariate program");
+  return certify_program(program, point_form(reference), options);
+}
+
+Certification certify_nd_at(const CompiledProgram& program,
+                            const PointReference& reference,
+                            const oscs::OperatingPoint& op,
+                            const CertificationOptions& options) {
+  require(program.is_nd(), "certify_nd_at: dense program");
+  return certify_program_at(program, reference, op, options);
+}
+
+Certification certify_nd(const CompiledProgram& program,
+                         const PointReference& reference,
+                         const CertificationOptions& options) {
+  require(program.is_nd(), "certify_nd: dense program");
+  return certify_program(program, reference, options);
 }
 
 GridCertification certify_grid(const CompiledProgram& program,

@@ -6,9 +6,13 @@
 ///        function - an MAE with a 95% confidence interval over an x grid,
 ///        plus the deterministic approximation-error component.
 ///
-/// Three entry points, all on the same machinery:
-///   * certify()      - at the program's design operating point
-///   * certify_at()   - at an explicit `oscs::OperatingPoint`
+/// One body serves every arity: certify_program_at() runs the program's
+/// separable form over the grid^arity lattice. The entry points on it:
+///   * certify_program() / certify_program_at() - any program, reference
+///                      over coordinate tuples;
+///   * certify() / certify2() / certify_nd() - per-arity wrappers at the
+///                      program's design operating point, and their
+///                      `_at` forms at an explicit `oscs::OperatingPoint`;
 ///   * certify_grid() - an MAE/CI surface across a grid of probe powers
 ///                      and stream lengths (the link budget maps each
 ///                      probe power to its BER; ROADMAP "noise-aware
@@ -40,6 +44,29 @@ struct CertificationOptions {
   void validate() const;
 };
 
+/// Reference function over a coordinate tuple (point.size() == arity):
+/// the one signature that covers every program arity.
+using PointReference = std::function<double(const std::vector<double>&)>;
+
+/// The certification body every arity shares. The MC grid is the tensor
+/// of options.grid_points interior points i/(grid_points+1) per axis -
+/// grid_points^arity coordinate tuples, last axis fastest - evaluated
+/// through BatchRunner::run_nd on the program's prebuilt kernel (BER,
+/// stream length and SNG width all come from `op`). The deterministic
+/// approximation error samples a dense lattice of 512 (univariate), 128
+/// (bivariate) or 24 (N-ary separable) steps per axis.
+/// \throws std::invalid_argument on invalid options or operating point.
+[[nodiscard]] Certification certify_program_at(
+    const CompiledProgram& program, const PointReference& reference,
+    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
+
+/// certify_program_at() at the program's design operating point, with
+/// options.stream_length and options.noise_enabled applied on top.
+/// \throws std::invalid_argument on invalid options.
+[[nodiscard]] Certification certify_program(
+    const CompiledProgram& program, const PointReference& reference,
+    const CertificationOptions& options = {});
+
 /// Certify `program` against `reference` (the original double(double)
 /// function) at its design operating point, with options.stream_length
 /// and options.noise_enabled applied on top. Deterministic for a fixed
@@ -52,9 +79,9 @@ struct CertificationOptions {
 
 /// Certify at an explicit operating point (BER, stream length and SNG
 /// width all come from `op`; options.stream_length / noise_enabled are
-/// ignored). This is the building block certify() and certify_grid()
-/// share.
-/// \throws std::invalid_argument on invalid options or operating point.
+/// ignored). The building block certify_grid() uses.
+/// \throws std::invalid_argument on invalid options or operating point,
+///         or a bivariate / N-ary program.
 [[nodiscard]] Certification certify_at(
     const CompiledProgram& program,
     const std::function<double(double)>& reference,
@@ -72,8 +99,7 @@ struct CertificationOptions {
     const CertificationOptions& options = {});
 
 /// Bivariate certification at an explicit operating point (BER, stream
-/// length and SNG width all come from `op`). The building block
-/// certify2() and auto_tune2() share.
+/// length and SNG width all come from `op`).
 /// \throws std::invalid_argument on invalid options, an invalid operating
 ///         point or a univariate program.
 [[nodiscard]] Certification certify2_at(
@@ -94,8 +120,7 @@ struct CertificationOptions {
     const CertificationOptions& options = {});
 
 /// N-ary certification at an explicit operating point (BER, stream length
-/// and SNG width all come from `op`). The building block certify_nd()
-/// wraps.
+/// and SNG width all come from `op`).
 /// \throws std::invalid_argument on invalid options, an invalid operating
 ///         point or a dense (uni/bivariate) program.
 [[nodiscard]] Certification certify_nd_at(

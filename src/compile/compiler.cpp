@@ -55,6 +55,29 @@ void certification_digest(Fnv1a& digest, const CompileOptions& options) {
   }
 }
 
+/// The pipeline frame every arity shares: `build` runs projection,
+/// quantization and codegen under the "compile" span; the program is then
+/// certified against `reference` under its own span, and both stage
+/// histograms record.
+template <typename Build>
+std::shared_ptr<const CompiledProgram> run_pipeline(
+    const CompileOptions& options, const PointReference& reference,
+    Build&& build) {
+  const auto t0 = std::chrono::steady_clock::now();
+  obs::Span span(obs::current_trace(), "compile");
+  std::shared_ptr<CompiledProgram> program = build();
+  if (options.certify) {
+    obs::Span certify_span(obs::current_trace(), "certify");
+    const auto t_certify = std::chrono::steady_clock::now();
+    program->attach_certification(
+        certify_program(*program, reference, options.certification));
+    certify_histogram().record(
+        us_between(t_certify, std::chrono::steady_clock::now()));
+  }
+  cold_histogram().record(us_between(t0, std::chrono::steady_clock::now()));
+  return program;
+}
+
 }  // namespace
 
 ProgramKey make_program_key(const std::string& function_id,
@@ -109,23 +132,15 @@ ProgramKey make_program_key_nd(const std::string& function_id,
 std::shared_ptr<const CompiledProgram> compile_function(
     const std::string& function_id, const std::function<double(double)>& f,
     const CompileOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
-  obs::Span span(obs::current_trace(), "compile");
-  ProjectionResult projection = project(f, options.projection);
-  QuantizationResult quantized =
-      quantize(projection.poly, options.sng_width);
-  ProgramKey key = make_program_key(function_id, options);
-  auto program = std::make_shared<CompiledProgram>(
-      std::move(key), std::move(projection), std::move(quantized));
-  if (options.certify) {
-    obs::Span certify_span(obs::current_trace(), "certify");
-    const auto t_certify = std::chrono::steady_clock::now();
-    program->attach_certification(certify(*program, f, options.certification));
-    certify_histogram().record(
-        us_between(t_certify, std::chrono::steady_clock::now()));
-  }
-  cold_histogram().record(us_between(t0, std::chrono::steady_clock::now()));
-  return program;
+  return run_pipeline(
+      options, [&](const std::vector<double>& p) { return f(p[0]); }, [&] {
+        ProjectionResult projection = project(f, options.projection);
+        QuantizationResult quantized =
+            quantize(projection.poly, options.sng_width);
+        return std::make_shared<CompiledProgram>(
+            make_program_key(function_id, options), std::move(projection),
+            std::move(quantized));
+      });
 }
 
 Compiler::Compiler(CompileOptions defaults, std::size_t cache_capacity)
@@ -168,24 +183,16 @@ std::shared_ptr<const CompiledProgram> compile_function2(
     const std::string& function_id,
     const std::function<double(double, double)>& f,
     const CompileOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
-  obs::Span span(obs::current_trace(), "compile");
-  ProjectionResult2 projection = project2(f, options.projection2);
-  QuantizationResult2 quantized =
-      quantize2(projection.poly, options.sng_width);
-  ProgramKey key = make_program_key2(function_id, options);
-  auto program = std::make_shared<CompiledProgram>(
-      std::move(key), std::move(projection), std::move(quantized));
-  if (options.certify) {
-    obs::Span certify_span(obs::current_trace(), "certify");
-    const auto t_certify = std::chrono::steady_clock::now();
-    program->attach_certification(
-        certify2(*program, f, options.certification));
-    certify_histogram().record(
-        us_between(t_certify, std::chrono::steady_clock::now()));
-  }
-  cold_histogram().record(us_between(t0, std::chrono::steady_clock::now()));
-  return program;
+  return run_pipeline(
+      options,
+      [&](const std::vector<double>& p) { return f(p[0], p[1]); }, [&] {
+        ProjectionResult2 projection = project2(f, options.projection2);
+        QuantizationResult2 quantized =
+            quantize2(projection.poly, options.sng_width);
+        return std::make_shared<CompiledProgram>(
+            make_program_key2(function_id, options), std::move(projection),
+            std::move(quantized));
+      });
 }
 
 std::shared_ptr<const CompiledProgram> Compiler::compile2(
@@ -226,44 +233,32 @@ std::shared_ptr<const CompiledProgram> compile_function_nd(
     const std::string& function_id, std::size_t arity,
     const std::function<double(const std::vector<double>&)>& f,
     const CompileOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
-  obs::Span span(obs::current_trace(), "compile");
-  ProjectionResultN projection = project_nd(f, arity, options.projection_nd);
+  return run_pipeline(options, f, [&] {
+    ProjectionResultN projection = project_nd(f, arity, options.projection_nd);
 
-  // Per-factor quantization onto the shared SNG comparator grid, then the
-  // program is rebuilt from the quantized factors (weights fold
-  // arithmetically in the engine and stay unquantized).
-  std::vector<QuantizationResult> factor_quant;
-  std::vector<stochastic::SeparableTerm> quantized_terms;
-  quantized_terms.reserve(projection.program.term_count());
-  for (const stochastic::SeparableTerm& term : projection.program.terms()) {
-    stochastic::SeparableTerm quantized_term;
-    quantized_term.weight = term.weight;
-    quantized_term.factors.reserve(term.factors.size());
-    for (const stochastic::SeparableFactor& factor : term.factors) {
-      QuantizationResult q = quantize(factor.poly, options.sng_width);
-      quantized_term.factors.push_back(
-          stochastic::SeparableFactor{factor.axis, q.poly});
-      factor_quant.push_back(std::move(q));
+    // Per-factor quantization onto the shared SNG comparator grid, then the
+    // program is rebuilt from the quantized factors (weights fold
+    // arithmetically in the engine and stay unquantized).
+    std::vector<QuantizationResult> factor_quant;
+    std::vector<stochastic::SeparableTerm> quantized_terms;
+    quantized_terms.reserve(projection.program.term_count());
+    for (const stochastic::SeparableTerm& term : projection.program.terms()) {
+      stochastic::SeparableTerm quantized_term;
+      quantized_term.weight = term.weight;
+      quantized_term.factors.reserve(term.factors.size());
+      for (const stochastic::SeparableFactor& factor : term.factors) {
+        QuantizationResult q = quantize(factor.poly, options.sng_width);
+        quantized_term.factors.push_back(
+            stochastic::SeparableFactor{factor.axis, q.poly});
+        factor_quant.push_back(std::move(q));
+      }
+      quantized_terms.push_back(std::move(quantized_term));
     }
-    quantized_terms.push_back(std::move(quantized_term));
-  }
-  stochastic::SeparableProgram quantized(arity, std::move(quantized_terms));
-
-  ProgramKey key = make_program_key_nd(function_id, arity, options);
-  auto program = std::make_shared<CompiledProgram>(
-      std::move(key), std::move(projection), std::move(factor_quant),
-      std::move(quantized));
-  if (options.certify) {
-    obs::Span certify_span(obs::current_trace(), "certify");
-    const auto t_certify = std::chrono::steady_clock::now();
-    program->attach_certification(
-        certify_nd(*program, f, options.certification));
-    certify_histogram().record(
-        us_between(t_certify, std::chrono::steady_clock::now()));
-  }
-  cold_histogram().record(us_between(t0, std::chrono::steady_clock::now()));
-  return program;
+    stochastic::SeparableProgram quantized(arity, std::move(quantized_terms));
+    return std::make_shared<CompiledProgram>(
+        make_program_key_nd(function_id, arity, options),
+        std::move(projection), std::move(factor_quant), std::move(quantized));
+  });
 }
 
 std::shared_ptr<const CompiledProgram> Compiler::compile_nd(

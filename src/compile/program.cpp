@@ -28,17 +28,40 @@ std::size_t ProgramKeyHash::operator()(const ProgramKey& key) const noexcept {
   return static_cast<std::size_t>(key.digest());
 }
 
-void CompiledProgram::build_backend(std::size_t circuit_order,
-                                    std::optional<std::size_t> order_y) {
+namespace {
+
+/// The circuit needs at least one data channel per input bank. Elevation
+/// duplicates a degenerate axis's coefficients, value-preserving, so the
+/// comparator grid is preserved exactly.
+stochastic::SeparableProgram circuit_minimum(
+    const stochastic::BernsteinPoly& poly) {
+  return stochastic::SeparableProgram(poly.degree() == 0 ? poly.elevated()
+                                                         : poly);
+}
+
+stochastic::SeparableProgram circuit_minimum(
+    const stochastic::BernsteinPoly2& poly) {
+  return stochastic::SeparableProgram(poly.elevated(
+      poly.deg_x() == 0 ? 1 : 0, poly.deg_y() == 0 ? 1 : 0));
+}
+
+}  // namespace
+
+void CompiledProgram::build_backend() {
+  if (circuit_order() > engine::PackedKernel::kMaxOrder ||
+      circuit_order_y() > engine::PackedKernel::kMaxOrder) {
+    throw std::invalid_argument(
+        "CompiledProgram: degree exceeds the packed-kernel order limit");
+  }
   circuit_ = std::make_shared<optsc::OpticalScCircuit>(
-      optsc::paper_defaults(circuit_order));
+      optsc::paper_defaults(circuit_order()));
   // The kernel keeps a raw pointer into the circuit (for the diagnostics
   // path), so its deleter captures the circuit handle: a kernel reference
   // that outlives this program keeps the circuit alive too.
   engine::PackedKernel* kernel =
-      order_y.has_value()
-          ? new engine::PackedKernel(*circuit_, circuit_order, *order_y)
-          : new engine::PackedKernel(*circuit_);
+      is_bivariate() ? new engine::PackedKernel(*circuit_, circuit_order(),
+                                                circuit_order_y())
+                     : new engine::PackedKernel(*circuit_);
   kernel_ = std::shared_ptr<const engine::PackedKernel>(
       kernel, [circuit = circuit_](const engine::PackedKernel* k) {
         delete k;
@@ -53,41 +76,17 @@ CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult projection,
     : key_(std::move(key)),
       projection_(std::move(projection)),
       quantization_(std::move(quantization)),
-      run_poly_(quantization_.poly) {
-  if (run_poly_.degree() == 0) {
-    // The circuit needs at least one data channel; elevation duplicates
-    // the single coefficient, so both z streams encode the same quantized
-    // level and the comparator grid is preserved exactly.
-    run_poly_ = run_poly_.elevated();
-  }
-  if (run_poly_.degree() > engine::PackedKernel::kMaxOrder) {
-    throw std::invalid_argument(
-        "CompiledProgram: degree exceeds the packed-kernel order limit");
-  }
-  build_backend(run_poly_.degree(), std::nullopt);
+      program_(circuit_minimum(quantization_.poly)) {
+  build_backend();
 }
 
 CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult2 projection,
                                  QuantizationResult2 quantization)
     : key_(std::move(key)),
-      bivariate_(true),
       projection2_(std::move(projection)),
       quantization2_(std::move(quantization)),
-      run_poly2_(quantization2_->poly) {
-  // Every input bank needs at least one data channel; per-axis elevation
-  // duplicates degenerate rows/columns, value-preserving, so the
-  // comparator grid is preserved exactly.
-  const std::size_t lift_x = run_poly2_->deg_x() == 0 ? 1 : 0;
-  const std::size_t lift_y = run_poly2_->deg_y() == 0 ? 1 : 0;
-  if (lift_x + lift_y > 0) {
-    run_poly2_ = run_poly2_->elevated(lift_x, lift_y);
-  }
-  if (run_poly2_->deg_x() > engine::PackedKernel::kMaxOrder ||
-      run_poly2_->deg_y() > engine::PackedKernel::kMaxOrder) {
-    throw std::invalid_argument(
-        "CompiledProgram: degree exceeds the packed-kernel order limit");
-  }
-  build_backend(run_poly2_->deg_x(), run_poly2_->deg_y());
+      program_(circuit_minimum(quantization2_->poly)) {
+  build_backend();
 }
 
 CompiledProgram::CompiledProgram(
@@ -97,16 +96,16 @@ CompiledProgram::CompiledProgram(
     : key_(std::move(key)),
       projection_nd_(std::move(projection)),
       factor_quantizations_(std::move(factor_quantizations)),
-      run_program_(std::move(quantized)) {
-  if (run_program_->has_dense1() || run_program_->has_dense2()) {
+      program_(std::move(quantized)) {
+  if (!is_nd()) {
     throw std::invalid_argument(
         "CompiledProgram: dense delegation forms compile through the "
         "uni/bivariate constructors");
   }
   // Every factor stream runs through one shared univariate circuit, so
   // all factor degrees must agree on its order.
-  const std::size_t order = run_program_->factor_degree();
-  for (const stochastic::SeparableTerm& term : run_program_->terms()) {
+  const std::size_t order = program_.factor_degree();
+  for (const stochastic::SeparableTerm& term : program_.terms()) {
     for (const stochastic::SeparableFactor& factor : term.factors) {
       if (factor.poly.degree() != order) {
         throw std::invalid_argument(
@@ -114,12 +113,12 @@ CompiledProgram::CompiledProgram(
       }
     }
   }
-  if (order == 0 || order > engine::PackedKernel::kMaxOrder) {
+  if (order == 0) {
     throw std::invalid_argument(
         "CompiledProgram: factor degree outside the packed-kernel order "
         "range");
   }
-  build_backend(order, std::nullopt);
+  build_backend();
 }
 
 }  // namespace oscs::compile

@@ -118,12 +118,16 @@ class CompiledProgram {
   /// Bernstein surface). The univariate accessors (poly/projection/
   /// quantization) are only meaningful when this is false, and vice
   /// versa.
-  [[nodiscard]] bool is_bivariate() const noexcept { return bivariate_; }
+  [[nodiscard]] bool is_bivariate() const noexcept {
+    return program_.has_dense2();
+  }
 
   /// True for N-ary sum-of-separable programs (compile_nd). The separable
-  /// accessors (program_nd/projection_nd/factor_quantizations) are only
-  /// meaningful when this is true.
-  [[nodiscard]] bool is_nd() const noexcept { return run_program_.has_value(); }
+  /// accessors (projection_nd/factor_quantizations) are only meaningful
+  /// when this is true.
+  [[nodiscard]] bool is_nd() const noexcept {
+    return !program_.has_dense1() && !program_.has_dense2();
+  }
 
   /// Program input count: 1 (univariate), 2 (bivariate) or the separable
   /// program's arity.
@@ -133,32 +137,33 @@ class CompiledProgram {
   [[nodiscard]] const std::string& function_id() const noexcept {
     return key_.function_id;
   }
-  /// The polynomial the hardware runs: quantized coefficients, elevated to
-  /// the circuit order when the fit came out degree 0.
-  [[nodiscard]] const stochastic::BernsteinPoly& poly() const noexcept {
-    return run_poly_;
+  /// The polynomial a univariate program runs: quantized coefficients,
+  /// elevated to the circuit order when the fit came out degree 0.
+  /// \throws std::logic_error on a bivariate or N-ary program.
+  [[nodiscard]] const stochastic::BernsteinPoly& poly() const {
+    return program_.dense1();
   }
   /// The tensor-product surface a bivariate program runs.
-  /// \throws std::bad_optional_access on a univariate program.
+  /// \throws std::logic_error on a univariate or N-ary program.
   [[nodiscard]] const stochastic::BernsteinPoly2& poly2() const {
-    return run_poly2_.value();
+    return program_.dense2();
   }
   [[nodiscard]] std::size_t circuit_order() const noexcept {
-    if (run_program_.has_value()) return run_program_->factor_degree();
-    return bivariate_ ? run_poly2_->deg_x() : run_poly_.degree();
+    return is_bivariate() ? program_.dense2().deg_x()
+                          : program_.factor_degree();
   }
   /// Bivariate y-axis circuit order (0 for univariate programs).
   [[nodiscard]] std::size_t circuit_order_y() const noexcept {
-    return bivariate_ ? run_poly2_->deg_y() : 0;
+    return is_bivariate() ? program_.dense2().deg_y() : 0;
   }
   /// True when a degree-0 fit (either axis for bivariate programs) was
   /// elevated to meet the order-1 circuit minimum. Separable programs fit
   /// at a fixed factor degree >= 1 and never elevate.
   [[nodiscard]] bool elevated() const noexcept {
     if (is_nd()) return false;
-    return bivariate_ ? (projection2_->degree_x == 0 ||
-                         projection2_->degree_y == 0)
-                      : projection_.degree == 0;
+    return is_bivariate() ? (projection2_->degree_x == 0 ||
+                             projection2_->degree_y == 0)
+                          : projection_.degree == 0;
   }
   [[nodiscard]] const ProjectionResult& projection() const noexcept {
     return projection_;
@@ -209,22 +214,25 @@ class CompiledProgram {
   void attach_certification(Certification cert) { cert_ = cert; }
 
   /// One evaluation through the packed kernel.
+  /// \throws std::logic_error on a bivariate or N-ary program.
   [[nodiscard]] engine::PackedRunResult run(
       double x, const engine::PackedRunConfig& config) const {
-    return kernel_->run(run_poly_, x, config);
+    return kernel_->run(poly(), x, config);
   }
 
   /// One bivariate evaluation through the packed kernel's two-input mode.
-  /// \throws std::bad_optional_access on a univariate program.
+  /// \throws std::logic_error on a univariate or N-ary program.
   [[nodiscard]] engine::PackedRunResult run2(
       double x, double y, const engine::PackedRunConfig& config) const {
-    return kernel_->run2(run_poly2_.value(), x, y, config);
+    return kernel_->run2(poly2(), x, y, config);
   }
 
-  /// The quantized separable program the hardware runs.
-  /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
-  [[nodiscard]] const stochastic::SeparableProgram& program_nd() const {
-    return run_program_.value();
+  /// The program the hardware runs, every arity: the dense univariate /
+  /// bivariate delegation form behind poly()/poly2(), or the quantized
+  /// sum-of-separable program of an N-ary compile.
+  [[nodiscard]] const stochastic::SeparableProgram& program_nd()
+      const noexcept {
+    return program_;
   }
   /// Separable projection outcome.
   /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
@@ -238,31 +246,28 @@ class CompiledProgram {
     return factor_quantizations_;
   }
 
-  /// One N-ary evaluation: every term's factor streams through the packed
-  /// kernel, AND-multiplied and weight-accumulated.
-  /// \throws std::bad_optional_access on a dense (uni/bivariate) program.
+  /// One evaluation at a point of arity() coordinates (N-ary programs:
+  /// every term's factor streams through the packed kernel,
+  /// AND-multiplied and weight-accumulated; dense forms take run/run2).
   [[nodiscard]] engine::PackedRunResult run_nd(
       const std::vector<double>& point,
       const engine::PackedRunConfig& config) const {
-    return kernel_->run_nd(run_program_.value(), point, config);
+    return kernel_->run_nd(program_, point, config);
   }
 
  private:
-  /// Shared tail of both constructors: circuit + kernel + design point.
-  void build_backend(std::size_t circuit_order,
-                     std::optional<std::size_t> order_y);
+  /// Shared tail of every constructor: order-limit check, circuit, kernel
+  /// and design point, all derived from `program_`.
+  void build_backend();
 
   ProgramKey key_;
-  bool bivariate_ = false;
   ProjectionResult projection_;
   QuantizationResult quantization_;
   std::optional<ProjectionResult2> projection2_;
   std::optional<QuantizationResult2> quantization2_;
   std::optional<ProjectionResultN> projection_nd_;
   std::vector<QuantizationResult> factor_quantizations_;
-  stochastic::BernsteinPoly run_poly_{std::vector<double>{0.0}};
-  std::optional<stochastic::BernsteinPoly2> run_poly2_;
-  std::optional<stochastic::SeparableProgram> run_program_;
+  stochastic::SeparableProgram program_;  ///< dense 1D, dense 2D or general
   std::shared_ptr<optsc::OpticalScCircuit> circuit_;  ///< kernel points here
   std::shared_ptr<const engine::PackedKernel> kernel_;
   oscs::OperatingPoint design_point_{};

@@ -102,23 +102,20 @@ void record_batch(const BatchRequest& request, const BatchSummary& summary,
 }
 
 /// The unified separable view of a request: N-ary programs run as
-/// themselves, the legacy arities wrap into their dense delegation forms
-/// (bit-identical execution through PackedKernel::run_nd).
-std::vector<sc::SeparableProgram> separable_view(const BatchRequest& request) {
-  std::vector<sc::SeparableProgram> programs;
-  programs.reserve(request.program_count());
-  if (request.nd()) {
-    programs = request.programs_nd;
-  } else if (request.bivariate()) {
-    for (const sc::BernsteinPoly2& poly : request.polynomials2) {
-      programs.emplace_back(poly);
-    }
-  } else {
-    for (const sc::BernsteinPoly& poly : request.polynomials) {
-      programs.emplace_back(poly);
-    }
+/// themselves (no copy), the legacy arities wrap into their dense
+/// delegation forms in `storage` (bit-identical execution through
+/// PackedKernel::run_nd).
+const std::vector<sc::SeparableProgram>& separable_view(
+    const BatchRequest& request, std::vector<sc::SeparableProgram>& storage) {
+  if (request.nd()) return request.programs_nd;
+  storage.reserve(request.program_count());
+  for (const sc::BernsteinPoly2& poly : request.polynomials2) {
+    storage.emplace_back(poly);
   }
-  return programs;
+  for (const sc::BernsteinPoly& poly : request.polynomials) {
+    storage.emplace_back(poly);
+  }
+  return storage;
 }
 
 }  // namespace
@@ -246,64 +243,43 @@ BatchRunner::BatchRunner(std::shared_ptr<const PackedKernel> kernel,
   design_point_.validate();
 }
 
-void BatchRunner::check_orders(const BatchRequest& request) const {
-  if (request.nd()) {
-    for (const sc::SeparableProgram& program : request.programs_nd) {
-      if (program.has_dense1()) {
-        if (kernel_->bivariate()) {
-          throw std::invalid_argument(
-              "BatchRunner: univariate request on a bivariate kernel");
-        }
-        if (program.dense1().degree() != kernel_->order()) {
-          throw std::invalid_argument(
-              "BatchRunner: polynomial order does not match the circuit");
-        }
-      } else if (program.has_dense2()) {
-        if (!kernel_->bivariate()) {
-          throw std::invalid_argument(
-              "BatchRunner: bivariate request on a univariate kernel");
-        }
-        if (program.dense2().deg_x() != kernel_->order() ||
-            program.dense2().deg_y() != kernel_->order_y()) {
-          throw std::invalid_argument(
-              "BatchRunner: polynomial orders do not match the circuit");
-        }
-      } else {
-        // General sum-of-rank-1 programs run every factor through the
-        // univariate ReSC circuit, one stream per factor.
-        if (kernel_->bivariate()) {
-          throw std::invalid_argument(
-              "BatchRunner: separable-term request on a bivariate kernel");
-        }
-        for (const sc::SeparableTerm& term : program.terms()) {
-          for (const sc::SeparableFactor& factor : term.factors) {
-            if (factor.poly.degree() != kernel_->order()) {
-              throw std::invalid_argument(
-                  "BatchRunner: factor order does not match the circuit");
-            }
+void BatchRunner::check_orders(
+    const std::vector<sc::SeparableProgram>& programs) const {
+  for (const sc::SeparableProgram& program : programs) {
+    if (program.has_dense1()) {
+      if (kernel_->bivariate()) {
+        throw std::invalid_argument(
+            "BatchRunner: univariate request on a bivariate kernel");
+      }
+      if (program.dense1().degree() != kernel_->order()) {
+        throw std::invalid_argument(
+            "BatchRunner: polynomial order does not match the circuit");
+      }
+    } else if (program.has_dense2()) {
+      if (!kernel_->bivariate()) {
+        throw std::invalid_argument(
+            "BatchRunner: bivariate request on a univariate kernel");
+      }
+      if (program.dense2().deg_x() != kernel_->order() ||
+          program.dense2().deg_y() != kernel_->order_y()) {
+        throw std::invalid_argument(
+            "BatchRunner: polynomial orders do not match the circuit");
+      }
+    } else {
+      // General sum-of-rank-1 programs run every factor through the
+      // univariate ReSC circuit, one stream per factor.
+      if (kernel_->bivariate()) {
+        throw std::invalid_argument(
+            "BatchRunner: separable-term request on a bivariate kernel");
+      }
+      for (const sc::SeparableTerm& term : program.terms()) {
+        for (const sc::SeparableFactor& factor : term.factors) {
+          if (factor.poly.degree() != kernel_->order()) {
+            throw std::invalid_argument(
+                "BatchRunner: factor order does not match the circuit");
           }
         }
       }
-    }
-    return;
-  }
-  if (request.bivariate() != kernel_->bivariate()) {
-    throw std::invalid_argument(
-        request.bivariate()
-            ? "BatchRunner: bivariate request on a univariate kernel"
-            : "BatchRunner: univariate request on a bivariate kernel");
-  }
-  for (const sc::BernsteinPoly& poly : request.polynomials) {
-    if (poly.degree() != kernel_->order()) {
-      throw std::invalid_argument(
-          "BatchRunner: polynomial order does not match the circuit");
-    }
-  }
-  for (const sc::BernsteinPoly2& poly : request.polynomials2) {
-    if (poly.deg_x() != kernel_->order() ||
-        poly.deg_y() != kernel_->order_y()) {
-      throw std::invalid_argument(
-          "BatchRunner: polynomial orders do not match the circuit");
     }
   }
 }
@@ -385,61 +361,100 @@ BatchSummary BatchRunner::aggregate(
   return summary;
 }
 
-BatchSummary BatchRunner::run_nd(const BatchRequest& request,
-                                 ThreadPool& pool) const {
+BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
+                                      ThreadPool& pool, bool fused) const {
   request.validate();
-  check_orders(request);
-  const oscs::OperatingPoint base = request.op.value_or(design_point_);
-
   // Legacy polynomial lists wrap into dense delegation forms; the task
   // lattice, seed derivation and kernel arithmetic below are unchanged
   // from the historical run() body, so those requests stay bit-identical.
-  const std::vector<sc::SeparableProgram> programs = separable_view(request);
+  std::vector<sc::SeparableProgram> storage;
+  const std::vector<sc::SeparableProgram>& programs =
+      separable_view(request, storage);
+  // Fusion shares one stimulus bank across dense programs of one arity;
+  // a general sum-of-rank-1 program runs each term on its own factor
+  // streams, so it only runs unfused.
+  std::vector<sc::BernsteinPoly> polys;
+  std::vector<sc::BernsteinPoly2> polys2;
+  for (std::size_t pi = 0; fused && pi < programs.size(); ++pi) {
+    if (programs[pi].has_dense1()) {
+      polys.push_back(programs[pi].dense1());
+    } else if (programs[pi].has_dense2()) {
+      polys2.push_back(programs[pi].dense2());
+    } else {
+      throw std::invalid_argument(
+          "BatchRunner: fused mode takes dense programs; run general "
+          "separable programs through run_nd");
+    }
+  }
+  check_orders(programs);
+  const oscs::OperatingPoint base = request.op.value_or(design_point_);
+  const std::vector<double>& xs = request.nd() ? request.inputs[0] : request.xs;
+  const std::vector<double>& ys =
+      polys2.empty() ? xs : (request.nd() ? request.inputs[1] : request.ys);
 
-  const std::size_t n_tasks = request.tasks();
-  std::vector<TaskOut> outs(n_tasks);
-
-  // Fan the (cell, repeat) grid across the pool in contiguous-index slabs.
-  // Each task decomposes its global index t (repeat innermost - the same
-  // order the nested loops used to enqueue in), derives its seeds from t
-  // alone and writes only its own output slot, so results are independent
-  // of scheduling order, thread count and slab grain.
+  // Task t evaluates program group g at point xi, length li and repeat rep
+  // (repeat innermost): one program per task unfused; every program on
+  // one shared stimulus and flip mask fused (g == 0). Each task derives
+  // its seeds from t alone and writes only its own output slots, so
+  // results are independent of scheduling order, thread count and slab
+  // grain. Tasks go out in contiguous-index slabs.
+  const std::size_t n_programs = request.program_count();
+  const std::size_t per_task = fused ? n_programs : 1;
   const std::size_t n_lengths = request.stream_lengths.size();
   const std::size_t n_xs = request.points();
   const std::size_t repeats = request.repeats;
-  const std::size_t slab = slab_size(request, pool.size(), n_tasks, 1);
+  const std::size_t n_tasks = request.tasks() / per_task;
+  std::vector<TaskOut> outs(n_tasks * per_task);
+  const std::size_t slab = slab_size(request, pool.size(), n_tasks, per_task);
   slab_tasks_histogram().record(static_cast<double>(slab));
-  pool.submit_range(
-      (n_tasks + slab - 1) / slab,
-      [this, &request, &programs, &outs, &base, n_lengths, n_xs, repeats,
-       slab, n_tasks](std::size_t si) {
-        const std::size_t end = std::min(n_tasks, (si + 1) * slab);
-        for (std::size_t t = si * slab; t < end; ++t) {
-          const std::size_t cell = t / repeats;
-          const std::size_t li = cell % n_lengths;
-          const std::size_t xi = (cell / n_lengths) % n_xs;
-          const std::size_t pi = cell / (n_lengths * n_xs);
-          PackedRunConfig cfg;
-          cfg.op = base.with_stream_length(request.stream_lengths[li]);
-          cfg.source_kind = request.source_kind;
-          cfg.stimulus_seed = derive_task_seed(request.seed, t, 0);
-          cfg.noise_seed = derive_task_seed(request.seed, t, 1);
-          const PackedRunResult r =
-              kernel_->run_nd(programs[pi], request.point(xi), cfg);
-          outs[t] = {r.optical_estimate, r.electronic_estimate,
-                     r.transmission_flips};
-        }
-      });
+  pool.submit_range((n_tasks + slab - 1) / slab, [&](std::size_t si) {
+    const std::size_t end = std::min(n_tasks, (si + 1) * slab);
+    for (std::size_t t = si * slab; t < end; ++t) {
+      const std::size_t cell = t / repeats;
+      const std::size_t li = cell % n_lengths;
+      const std::size_t xi = (cell / n_lengths) % n_xs;
+      PackedRunConfig cfg;
+      cfg.op = base.with_stream_length(request.stream_lengths[li]);
+      cfg.source_kind = request.source_kind;
+      cfg.stimulus_seed = derive_task_seed(request.seed, t, 0);
+      cfg.noise_seed = derive_task_seed(request.seed, t, 1);
+      const auto store = [&outs](std::size_t slot, const PackedRunResult& r) {
+        outs[slot] = {r.optical_estimate, r.electronic_estimate,
+                      r.transmission_flips};
+      };
+      if (!fused) {
+        store(t, kernel_->run_nd(programs[cell / (n_lengths * n_xs)],
+                                 request.point(xi), cfg));
+        continue;
+      }
+      const std::vector<PackedRunResult> results =
+          polys2.empty() ? kernel_->run_fused(polys, xs[xi], cfg)
+                         : kernel_->run2_fused(polys2, xs[xi], ys[xi], cfg);
+      for (std::size_t k = 0; k < per_task; ++k) {
+        store(t * per_task + k, results[k]);
+      }
+    }
+  });
   pool.wait_idle();
 
-  BatchSummary summary =
-      aggregate(request, programs, outs, base,
-                [n_xs, n_lengths, repeats](std::size_t pi, std::size_t xi,
-                                           std::size_t li, std::size_t rep) {
-                  return ((pi * n_xs + xi) * n_lengths + li) * repeats + rep;
-                });
-  record_batch(request, summary, request.program_count());
+  BatchSummary summary = aggregate(
+      request, programs, outs, base,
+      [=](std::size_t pi, std::size_t xi, std::size_t li, std::size_t rep) {
+        const std::size_t g = fused ? 0 : pi;
+        const std::size_t t =
+            ((g * n_xs + xi) * n_lengths + li) * repeats + rep;
+        return t * per_task + (fused ? pi : 0);
+      });
+  // A fused task is one shared stimulus pass for all K programs - that is
+  // the point of fusion, and the words counter reflects it.
+  record_batch(request, summary, fused ? 1 : n_programs);
+  if (fused) fused_k_histogram().record(static_cast<double>(n_programs));
   return summary;
+}
+
+BatchSummary BatchRunner::run_nd(const BatchRequest& request,
+                                 ThreadPool& pool) const {
+  return run_lattice(request, pool, /*fused=*/false);
 }
 
 BatchSummary BatchRunner::run_nd(const BatchRequest& request,
@@ -461,71 +476,7 @@ BatchSummary BatchRunner::run(const BatchRequest& request,
 
 BatchSummary BatchRunner::run_fused(const BatchRequest& request,
                                     ThreadPool& pool) const {
-  request.validate();
-  if (request.nd()) {
-    // Fusion shares one stimulus bank across programs of one arity; the
-    // N-ary path runs each separable term on its own factor streams.
-    throw std::invalid_argument(
-        "BatchRunner: fused mode takes polynomials/polynomials2; run "
-        "N-ary programs through run_nd");
-  }
-  check_orders(request);
-  const oscs::OperatingPoint base = request.op.value_or(design_point_);
-
-  const std::size_t n_programs = request.program_count();
-  const std::size_t n_lengths = request.stream_lengths.size();
-  const std::size_t n_xs = request.xs.size();
-  const std::size_t n_tasks = n_xs * n_lengths * request.repeats;
-  std::vector<TaskOut> outs(n_tasks * n_programs);
-
-  // One task per (point, length, repeat): a single fused kernel pass
-  // evaluates every program on shared data streams (both input banks in
-  // the bivariate mode) and one flip mask, then scatters into per-program
-  // slots. Tasks go out in contiguous-index slabs, same contract as run().
-  const std::size_t repeats = request.repeats;
-  const std::size_t slab = slab_size(request, pool.size(), n_tasks, n_programs);
-  slab_tasks_histogram().record(static_cast<double>(slab));
-  pool.submit_range(
-      (n_tasks + slab - 1) / slab,
-      [this, &request, &outs, &base, n_lengths, repeats, slab, n_tasks,
-       n_programs](std::size_t si) {
-        const std::size_t end = std::min(n_tasks, (si + 1) * slab);
-        for (std::size_t t = si * slab; t < end; ++t) {
-          const std::size_t li = (t / repeats) % n_lengths;
-          const std::size_t xi = t / (repeats * n_lengths);
-          PackedRunConfig cfg;
-          cfg.op = base.with_stream_length(request.stream_lengths[li]);
-          cfg.source_kind = request.source_kind;
-          cfg.stimulus_seed = derive_task_seed(request.seed, t, 0);
-          cfg.noise_seed = derive_task_seed(request.seed, t, 1);
-          const std::vector<PackedRunResult> results =
-              request.bivariate()
-                  ? kernel_->run2_fused(request.polynomials2, request.xs[xi],
-                                        request.ys[xi], cfg)
-                  : kernel_->run_fused(request.polynomials, request.xs[xi],
-                                       cfg);
-          for (std::size_t pi = 0; pi < n_programs; ++pi) {
-            const PackedRunResult& r = results[pi];
-            outs[t * n_programs + pi] = {r.optical_estimate,
-                                         r.electronic_estimate,
-                                         r.transmission_flips};
-          }
-        }
-      });
-  pool.wait_idle();
-
-  BatchSummary summary = aggregate(
-      request, separable_view(request), outs, base,
-      [n_lengths, repeats, n_programs](std::size_t pi, std::size_t xi,
-                                       std::size_t li, std::size_t rep) {
-        const std::size_t t = (xi * n_lengths + li) * repeats + rep;
-        return t * n_programs + pi;
-      });
-  // One shared stimulus pass serves all K programs - that is the point of
-  // fusion, and the words counter reflects it.
-  record_batch(request, summary, 1);
-  fused_k_histogram().record(static_cast<double>(n_programs));
-  return summary;
+  return run_lattice(request, pool, /*fused=*/true);
 }
 
 BatchSummary BatchRunner::run_fused(const BatchRequest& request,

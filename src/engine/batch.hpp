@@ -250,10 +250,14 @@ class BatchRunner {
   /// marginal estimator distribution; programs within a task share data
   /// streams and flip positions); not bit-identical to run() for K > 1
   /// because the sample layout differs. Cells come back in the same
-  /// polynomial-major order as run().
+  /// polynomial-major order as run(). Dense programs fuse in either
+  /// spelling - `polynomials`/`polynomials2` with `xs`/`ys`, or their
+  /// dense delegation forms in `programs_nd` with `inputs` - bit-
+  /// identically.
   /// \throws std::invalid_argument with the same error contract as run():
   ///         `BatchRequest::validate()` plus the order check, raised
-  ///         before any task is submitted.
+  ///         before any task is submitted; also on a general sum-of-rank-1
+  ///         program (those run unfused through run_nd()).
   [[nodiscard]] BatchSummary run_fused(const BatchRequest& request,
                                        ThreadPool& pool) const;
 
@@ -280,7 +284,13 @@ class BatchRunner {
       const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
       SlotFn&& slot) const;
 
-  void check_orders(const BatchRequest& request) const;
+  void check_orders(
+      const std::vector<stochastic::SeparableProgram>& programs) const;
+
+  /// The one task-lattice body behind run_nd() (one program per task) and
+  /// run_fused() (every program per task on shared stimulus).
+  [[nodiscard]] BatchSummary run_lattice(const BatchRequest& request,
+                                         ThreadPool& pool, bool fused) const;
 
   std::shared_ptr<const PackedKernel> kernel_;
   oscs::OperatingPoint design_point_;

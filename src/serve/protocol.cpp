@@ -262,41 +262,52 @@ ServeRequest parse_request(const std::string& text) {
   }
 
   if (req.op == RequestOp::kEvaluate) {
-    if (req.programs.empty()) {
-      bad_request("evaluate request names no programs");
-    }
-    if (!req.inputs.empty()) {
-      // The N-ary axes member carries every coordinate; mixing it with
-      // the legacy members would leave the point pairing ambiguous.
-      raise(arity::both_error(arity::kWireStyle, "inputs", "xs", true,
-                              !req.xs.empty()));
-      raise(arity::both_error(arity::kWireStyle, "inputs", "ys", true,
-                              !req.ys.empty()));
-      for (std::size_t axis = 0; axis < req.inputs.size(); ++axis) {
-        const std::string name = "inputs[" + std::to_string(axis) + "]";
-        raise(arity::nonempty_error(arity::kWireStyle, name,
-                                    req.inputs[axis].size()));
-        raise(arity::pairwise_error(arity::kWireStyle, "inputs[0]",
-                                    req.inputs.front().size(), name,
-                                    req.inputs[axis].size()));
-      }
-    } else {
-      raise(arity::nonempty_error(arity::kWireStyle, "xs", req.xs.size()));
-      if (!req.ys.empty()) {
-        raise(arity::pairwise_error(arity::kWireStyle, "xs", req.xs.size(),
-                                    "ys", req.ys.size()));
-      }
-    }
-    if (req.stream_lengths.empty()) {
-      bad_request("'stream_lengths' must be nonempty");
-    }
-    if (req.repeats == 0) bad_request("'repeats' must be positive");
+    (void)evaluate_axes(req);
     raise(arity::both_error(arity::kWireStyle, "operating_point",
                             "probe_power_mw",
                             req.operating_point.has_value(),
                             req.probe_power_mw.has_value()));
   }
   return req;
+}
+
+std::vector<NamedAxis> evaluate_axes(const ServeRequest& request) {
+  // Shared arity-guard rules render the wire-style strings; an empty
+  // result means the rule holds.
+  const auto raise = [](const std::string& message) {
+    if (!message.empty()) bad_request(message);
+  };
+  if (request.programs.empty()) {
+    bad_request("evaluate request names no programs");
+  }
+  std::vector<NamedAxis> axes;
+  if (!request.inputs.empty()) {
+    // The N-ary axes member carries every coordinate; mixing it with the
+    // legacy members would leave the point pairing ambiguous.
+    raise(arity::both_error(arity::kWireStyle, "inputs", "xs", true,
+                            !request.xs.empty()));
+    raise(arity::both_error(arity::kWireStyle, "inputs", "ys", true,
+                            !request.ys.empty()));
+    for (std::size_t axis = 0; axis < request.inputs.size(); ++axis) {
+      axes.push_back({"inputs[" + std::to_string(axis) + "]",
+                      &request.inputs[axis]});
+    }
+  } else {
+    axes.push_back({"xs", &request.xs});
+    if (!request.ys.empty()) axes.push_back({"ys", &request.ys});
+  }
+  for (const NamedAxis& axis : axes) {
+    raise(arity::nonempty_error(arity::kWireStyle, axis.name,
+                                axis.values->size()));
+    raise(arity::pairwise_error(arity::kWireStyle, axes.front().name,
+                                axes.front().values->size(), axis.name,
+                                axis.values->size()));
+  }
+  if (request.stream_lengths.empty()) {
+    bad_request("'stream_lengths' must be nonempty");
+  }
+  if (request.repeats == 0) bad_request("'repeats' must be positive");
+  return axes;
 }
 
 std::string write_response(const ServeResponse& response) {

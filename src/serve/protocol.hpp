@@ -45,10 +45,10 @@
 /// per-axis coordinate arrays pairing element-wise (point k is column k
 /// across the axes) - and name functions from the N-ary separable
 /// catalogue ("rgb_luma", "trilinear_mix", ...). "inputs" excludes
-/// "xs"/"ys"/"y"; one or two axes are lowered onto the legacy
-/// univariate/bivariate paths, so "inputs" is a superset wire format.
-/// N-ary cells echo their coordinates as "inputs": [x0, x1, ...] instead
-/// of "x"/"y".
+/// "xs"/"ys"/"y"; it is the superset wire format - "xs" (plus "ys") is
+/// its one- and two-axis spelling, and every request runs as input axes.
+/// Cells of three or more axes echo their coordinates as "inputs":
+/// [x0, x1, ...] instead of "x"/"y".
 ///
 /// Response (success):
 ///   {"id": ..., "ok": true, "trace_id": ..., "fused": bool,
@@ -145,8 +145,8 @@ struct ServeRequest {
   std::vector<double> ys;
   /// N-ary input axes ("inputs" wire member): inputs[k] carries axis k's
   /// coordinate for every evaluation point, all axes pairing element-wise.
-  /// Mutually exclusive with `xs`/`ys`; one or two axes are lowered onto
-  /// them before resolution.
+  /// Mutually exclusive with `xs`/`ys`, which the server lifts into the
+  /// same one- or two-axis form.
   std::vector<std::vector<double>> inputs;
   std::vector<std::size_t> stream_lengths{4096};
   std::size_t repeats = 8;
@@ -163,14 +163,30 @@ struct ServeRequest {
 ///         members, wrong types or out-of-range scalar values.
 [[nodiscard]] ServeRequest parse_request(const std::string& text);
 
+/// One input axis of an evaluate request under its wire member name
+/// ('xs', 'ys' or 'inputs[k]'); `values` points into the request.
+struct NamedAxis {
+  std::string name;
+  const std::vector<double>* values = nullptr;
+};
+
+/// The evaluate shape rules every entry point shares - programs present,
+/// "inputs" exclusive with "xs"/"ys", every axis nonempty and pairing
+/// element-wise with the first, stream lengths present, repeats positive -
+/// then the request's input axes: "inputs" as given, or "xs" (plus "ys")
+/// as the one- and two-axis spelling. The axes borrow from `request`.
+/// \throws ServeError(400, "bad_request") on the first rule broken.
+[[nodiscard]] std::vector<NamedAxis> evaluate_axes(
+    const ServeRequest& request);
+
 /// One evaluation-grid cell of a response.
 struct CellResult {
   std::string program;  ///< display id of the program this cell belongs to
   double x = 0.0;
   bool bivariate = false;  ///< cell carries a y coordinate
   double y = 0.0;          ///< second input coordinate (bivariate cells)
-  /// Full input point of an N-ary cell; serialized as "inputs" (instead
-  /// of "x"/"y") when it carries more than two coordinates.
+  /// Full input point of the cell; serialized as "inputs" (instead of
+  /// "x"/"y") when it carries more than two coordinates.
   std::vector<double> point;
   std::size_t stream_length = 0;
   std::size_t repeats = 0;

@@ -81,6 +81,166 @@ void stage_json(JsonWriter& json, const char* name, const StageStats& stage) {
       .end_object();
 }
 
+/// One catalogue entry under a request's compile options: the arity it
+/// takes, its cache key, a compile thunk and its reference over coordinate
+/// tuples. Serve resolution and the prewarm manifest both key programs
+/// through find_catalogue_entry(), so the two cannot derive keys
+/// differently.
+struct CatalogueEntry {
+  std::size_t arity = 1;
+  compile::ProgramKey key;
+  std::function<std::shared_ptr<const compile::CompiledProgram>()> compile;
+  std::function<double(const std::vector<double>&)> reference;
+};
+
+/// Look `id` up across the univariate, bivariate and N-ary catalogues.
+/// `opts` carries the server's compile defaults (plus any request SNG
+/// width); `degree` - a request's cap, on both axes for bivariate ids -
+/// overrides the registry's recommendation. nullopt when no catalogue
+/// knows the id.
+std::optional<CatalogueEntry> find_catalogue_entry(
+    compile::Compiler& compiler, const std::string& id,
+    compile::CompileOptions opts, std::optional<std::size_t> degree) {
+  if (const compile::RegistryFunction* fn = compile::find_function(id)) {
+    opts.projection.max_degree = degree.value_or(fn->degree);
+    return CatalogueEntry{
+        1, compile::make_program_key(id, opts),
+        [&compiler, fn, opts] { return compiler.compile(fn->id, fn->f, opts); },
+        [fn](const std::vector<double>& p) { return fn->f(p[0]); }};
+  }
+  if (const compile::RegistryFunction2* fn = compile::find_function2(id)) {
+    opts.projection2.max_degree_x = degree.value_or(fn->degree_x);
+    opts.projection2.max_degree_y = degree.value_or(fn->degree_y);
+    return CatalogueEntry{
+        2, compile::make_program_key2(id, opts),
+        [&compiler, fn, opts] {
+          return compiler.compile2(fn->id, fn->f, opts);
+        },
+        [fn](const std::vector<double>& p) { return fn->f(p[0], p[1]); }};
+  }
+  if (const compile::RegistryFunctionN* fn = compile::find_function_nd(id)) {
+    opts.projection_nd.degree = degree.value_or(fn->degree);
+    opts.projection_nd.max_terms = fn->max_terms;
+    return CatalogueEntry{
+        fn->arity, compile::make_program_key_nd(id, fn->arity, opts),
+        [&compiler, fn, opts] {
+          return compiler.compile_nd(fn->id, fn->arity, fn->f, opts);
+        },
+        [fn](const std::vector<double>& p) { return fn->f(p); }};
+  }
+  return std::nullopt;
+}
+
+/// The 400 message for a catalogue function taking `takes` inputs named
+/// in a request that carries `carries` input axes.
+std::string arity_mismatch(const std::string& id, std::size_t takes,
+                           std::size_t carries) {
+  if (takes <= 2 && carries <= 2) {
+    return takes == 1 ? "function '" + id +
+                            "' is univariate but the request carries 'ys' "
+                            "(arities cannot mix)"
+                      : "bivariate function '" + id +
+                            "' needs 'ys' (arities cannot mix)";
+  }
+  if (takes > 2 && carries > 2) {
+    return "function '" + id + "' takes " + std::to_string(takes) +
+           " inputs but the request carries " + std::to_string(carries) +
+           " 'inputs' axes";
+  }
+  return "function '" + id + "' does not take " + std::to_string(carries) +
+         " inputs (arities cannot mix)";
+}
+
+/// Kernel shape a program runs at: (order_x, order_y) for the bivariate
+/// tensor-product kernel, (order, 0) for the univariate one (dense 1D
+/// programs and every factor of a general separable program).
+std::pair<std::size_t, std::size_t> kernel_shape(
+    const stochastic::SeparableProgram& program) {
+  if (program.has_dense2()) {
+    return {program.dense2().deg_x(), program.dense2().deg_y()};
+  }
+  return {program.factor_degree(), 0};
+}
+
+/// Value-preserving degree elevation of `program` to the kernel shape.
+stochastic::SeparableProgram elevated_to_shape(
+    stochastic::SeparableProgram program, std::size_t order_x,
+    std::size_t order_y) {
+  const auto [px, py] = kernel_shape(program);
+  if (px == order_x && py == order_y) return program;
+  if (program.has_dense2()) {
+    return stochastic::SeparableProgram(
+        program.dense2().elevated(order_x - px, order_y - py));
+  }
+  if (program.has_dense1()) {
+    return stochastic::SeparableProgram(
+        program.dense1().elevated(order_x - px));
+  }
+  return program.elevated_to(order_x);
+}
+
+/// A raw-coefficient program (flat vector for one input axis, nested grid
+/// for two), checked and elevated to the circuit minimum of one data
+/// channel per input bank.
+stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
+                                         std::size_t arity) {
+  const auto bad_request = [](const std::string& message) {
+    return ServeError(400, "bad_request", message);
+  };
+  if (arity > 2) {
+    throw bad_request(
+        "raw 'coefficients' programs are univariate or bivariate; N-ary "
+        "'inputs' requests name separable catalogue functions");
+  }
+  if (spec.coefficients.empty() && spec.coefficients2.empty()) {
+    // Typed-path callers can hand over an all-empty spec; keep it a
+    // client error instead of a 500 out of BernsteinPoly.
+    throw bad_request(
+        "each program needs exactly one of 'function'/'coefficients'");
+  }
+  if (spec.is_raw_bivariate() != (arity == 2)) {
+    throw bad_request(arity == 2
+                          ? "'ys' requires bivariate programs; got a flat "
+                            "coefficient vector (arities cannot mix)"
+                          : "bivariate coefficient grid in a request without "
+                            "'ys' (arities cannot mix)");
+  }
+  const auto check_unit_box = [&](const std::vector<double>& coefficients) {
+    for (double c : coefficients) {
+      if (!(c >= 0.0 && c <= 1.0)) {
+        throw bad_request("coefficients must be finite and lie in [0, 1]");
+      }
+    }
+  };
+  std::optional<stochastic::SeparableProgram> program;
+  if (arity == 2) {
+    for (const std::vector<double>& row : spec.coefficients2) {
+      check_unit_box(row);
+    }
+    // Typed-path callers can hand over a ragged or empty-row grid; keep
+    // it a client error instead of a 500 out of BernsteinPoly2.
+    std::optional<stochastic::BernsteinPoly2> grid;
+    try {
+      grid.emplace(spec.coefficients2);
+    } catch (const std::invalid_argument& e) {
+      throw bad_request(e.what());
+    }
+    program.emplace(grid->elevated(grid->deg_x() == 0 ? 1 : 0,
+                                   grid->deg_y() == 0 ? 1 : 0));
+  } else {
+    check_unit_box(spec.coefficients);
+    const stochastic::BernsteinPoly poly(spec.coefficients);
+    program.emplace(poly.degree() == 0 ? poly.elevated() : poly);
+  }
+  const auto [order_x, order_y] = kernel_shape(*program);
+  if (order_x > engine::PackedKernel::kMaxOrder ||
+      order_y > engine::PackedKernel::kMaxOrder) {
+    throw bad_request("coefficient degree exceeds the kernel order limit (" +
+                      std::to_string(engine::PackedKernel::kMaxOrder) + ")");
+  }
+  return std::move(*program);
+}
+
 }  // namespace
 
 ProgramServer::ProgramServer(ServerOptions options)
@@ -168,40 +328,16 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
   if (!options.compile_missing) return report;
 
   // Resolve the manifest: the named registry functions, or - with an
-  // empty list - every entry across the three catalogues. Each entry
-  // carries its cache key (derived exactly like the serve resolve path:
-  // compiler defaults plus the registry degree, so a prewarmed program is
-  // the one traffic hits) and a compile thunk.
-  struct ManifestEntry {
-    std::string id;
-    compile::ProgramKey key;
-    std::function<void()> compile;
-  };
-  std::vector<ManifestEntry> manifest;
+  // empty list - every entry across the three catalogues, keyed through
+  // the same catalogue lookup the serve resolve path uses (compiler
+  // defaults plus the registry degree), so a prewarmed program is the one
+  // traffic hits.
+  std::vector<CatalogueEntry> manifest;
   auto add_id = [&](const std::string& id) -> bool {
-    compile::CompileOptions opts = options_.compile;
-    if (const compile::RegistryFunction* fn = compile::find_function(id)) {
-      opts.projection.max_degree = fn->degree;
-      manifest.push_back({id, compile::make_program_key(id, opts),
-                          [this, fn] { (void)compiler_.compile(*fn); }});
-      return true;
-    }
-    if (const compile::RegistryFunction2* fn = compile::find_function2(id)) {
-      opts.projection2.max_degree_x = fn->degree_x;
-      opts.projection2.max_degree_y = fn->degree_y;
-      manifest.push_back({id, compile::make_program_key2(id, opts),
-                          [this, fn] { (void)compiler_.compile2(*fn); }});
-      return true;
-    }
-    if (const compile::RegistryFunctionN* fn = compile::find_function_nd(id)) {
-      opts.projection_nd.degree = fn->degree;
-      opts.projection_nd.max_terms = fn->max_terms;
-      manifest.push_back(
-          {id, compile::make_program_key_nd(id, fn->arity, opts),
-           [this, fn] { (void)compiler_.compile_nd(*fn); }});
-      return true;
-    }
-    return false;
+    std::optional<CatalogueEntry> entry =
+        find_catalogue_entry(compiler_, id, options_.compile, std::nullopt);
+    if (entry.has_value()) manifest.push_back(std::move(*entry));
+    return entry.has_value();
   };
   if (options.functions.empty()) {
     for (const std::string& id : compile::registry_ids()) add_id(id);
@@ -224,11 +360,11 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
   // probe (contains() perturbs neither the LRU order nor the counters).
   std::mutex report_mutex;
   std::unique_ptr<engine::ThreadPool> pool = acquire_pool();
-  for (const ManifestEntry& entry : manifest) {
+  for (const CatalogueEntry& entry : manifest) {
     pool->submit([this, &entry, &report, &report_mutex] {
       if (compiler_.cache().contains(entry.key)) return;
       try {
-        entry.compile();
+        (void)entry.compile();
         cache_prewarmed_.inc();
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.compiled;
@@ -236,7 +372,8 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.compile_errors;
         if (report.message.empty()) {
-          report.message = "prewarm: compile '" + entry.id + "': " + e.what();
+          report.message = "prewarm: compile '" + entry.key.function_id +
+                           "': " + e.what();
         }
       }
     });
@@ -274,360 +411,102 @@ void ProgramServer::release_pool(std::unique_ptr<engine::ThreadPool> pool) {
 }
 
 const ProgramServer::OrderEngine& ProgramServer::order_engine(
-    std::size_t order) {
+    std::size_t order_x, std::size_t order_y) {
   std::lock_guard<std::mutex> lock(engines_mutex_);
-  auto it = order_engines_.find(order);
+  auto it = order_engines_.find({order_x, order_y});
   if (it == order_engines_.end()) {
     OrderEngine built;
     built.circuit = std::make_shared<const optsc::OpticalScCircuit>(
-        optsc::paper_defaults(order));
-    built.kernel = std::make_shared<const engine::PackedKernel>(*built.circuit);
-    built.design_point = optsc::design_operating_point(*built.circuit);
-    it = order_engines_.emplace(order, std::move(built)).first;
-  }
-  return it->second;
-}
-
-const ProgramServer::OrderEngine& ProgramServer::order_engine2(
-    std::size_t order_x, std::size_t order_y) {
-  std::lock_guard<std::mutex> lock(engines_mutex_);
-  auto it = order_engines2_.find({order_x, order_y});
-  if (it == order_engines2_.end()) {
-    OrderEngine built;
-    built.circuit = std::make_shared<const optsc::OpticalScCircuit>(
         optsc::paper_defaults(order_x));
-    built.kernel = std::make_shared<const engine::PackedKernel>(
-        *built.circuit, order_x, order_y);
+    built.kernel = order_y == 0 ? std::make_shared<const engine::PackedKernel>(
+                                      *built.circuit)
+                                : std::make_shared<const engine::PackedKernel>(
+                                      *built.circuit, order_x, order_y);
     built.design_point = optsc::design_operating_point(*built.circuit);
-    it = order_engines2_.emplace(std::make_pair(order_x, order_y),
-                                 std::move(built))
+    it = order_engines_.emplace(std::make_pair(order_x, order_y),
+                                std::move(built))
              .first;
   }
   return it->second;
 }
 
-ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request) {
-  // N-ary requests (three or more 'inputs' axes; one- and two-axis
-  // requests were lowered onto 'xs'/'ys' before this point) resolve
-  // through the separable catalogue.
-  if (!request.inputs.empty()) return resolve_nd(request);
-
+ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request,
+                                               std::size_t arity) {
   Resolved resolved;
+  resolved.arity = arity;
   resolved.labels.reserve(request.programs.size());
-  // The request's arity is declared by 'ys'; every program must match it
-  // (arities cannot mix within one fused batch).
-  resolved.bivariate = !request.ys.empty();
-  resolved.arity = resolved.bivariate ? 2 : 1;
+  resolved.programs.reserve(request.programs.size());
+  compile::CompileOptions defaults = options_.compile;
+  if (request.sng_width.has_value()) defaults.sng_width = *request.sng_width;
 
-  // Pass 1: compile (or accept) every program and find the common circuit
-  // order(s) the fused kernel will run at. `holds` stays parallel to the
-  // request's program list (nullptr for raw-coefficient entries).
-  std::size_t target_order = 1;
-  std::size_t target_order_y = 1;
-  std::vector<stochastic::BernsteinPoly> polys;
-  std::vector<stochastic::BernsteinPoly2> polys2;
-  polys.reserve(request.programs.size());
+  // Pass 1: compile (or accept) every program - each must take the
+  // request's axis count, arities cannot mix in one batch - and find the
+  // common kernel shape the batch runs at. `holds` and `refs` stay
+  // parallel to the request's program list (empty for raw entries).
+  std::size_t order_x = 1;
+  std::size_t order_y = arity == 2 ? 1 : 0;
   for (const ProgramSpec& spec : request.programs) {
     resolved.labels.push_back(spec.display_id());
     if (spec.is_raw()) {
-      if (spec.coefficients.empty() && spec.coefficients2.empty()) {
-        // Typed-path callers can hand over an all-empty spec; keep it a
-        // client error instead of a 500 out of BernsteinPoly.
-        throw ServeError(
-            400, "bad_request",
-            "each program needs exactly one of 'function'/'coefficients'");
-      }
-      if (spec.is_raw_bivariate()) {
-        if (!resolved.bivariate) {
-          throw ServeError(400, "bad_request",
-                           "bivariate coefficient grid in a request without "
-                           "'ys' (arities cannot mix)");
-        }
-        for (const std::vector<double>& row : spec.coefficients2) {
-          for (double c : row) {
-            if (!(c >= 0.0 && c <= 1.0)) {
-              throw ServeError(
-                  400, "bad_request",
-                  "coefficients must be finite and lie in [0, 1]");
-            }
-          }
-        }
-        // Typed-path callers can hand over a ragged or empty-row grid;
-        // keep it a client error instead of a 500 out of BernsteinPoly2.
-        std::optional<stochastic::BernsteinPoly2> parsed;
-        try {
-          parsed.emplace(spec.coefficients2);
-        } catch (const std::invalid_argument& e) {
-          throw ServeError(400, "bad_request", e.what());
-        }
-        stochastic::BernsteinPoly2 poly = std::move(*parsed);
-        // Circuit minimum: one data channel per input bank.
-        poly = poly.elevated(poly.deg_x() == 0 ? 1 : 0,
-                             poly.deg_y() == 0 ? 1 : 0);
-        if (poly.deg_x() > engine::PackedKernel::kMaxOrder ||
-            poly.deg_y() > engine::PackedKernel::kMaxOrder) {
-          throw ServeError(
-              400, "bad_request",
-              "coefficient degree exceeds the kernel order limit (" +
-                  std::to_string(engine::PackedKernel::kMaxOrder) + ")");
-        }
-        target_order = std::max(target_order, poly.deg_x());
-        target_order_y = std::max(target_order_y, poly.deg_y());
-        polys2.push_back(std::move(poly));
-        resolved.holds.emplace_back();
-        resolved.refs2.emplace_back();  // raw: reference = cell expected
-        continue;
-      }
-      if (resolved.bivariate) {
-        throw ServeError(400, "bad_request",
-                         "'ys' requires bivariate programs; got a flat "
-                         "coefficient vector (arities cannot mix)");
-      }
-      for (double c : spec.coefficients) {
-        if (!(c >= 0.0 && c <= 1.0)) {
-          throw ServeError(400, "bad_request",
-                           "coefficients must be finite and lie in [0, 1]");
-        }
-      }
-      stochastic::BernsteinPoly poly(spec.coefficients);
-      if (poly.degree() == 0) poly = poly.elevated();  // circuit minimum
-      if (poly.degree() > engine::PackedKernel::kMaxOrder) {
-        throw ServeError(400, "bad_request",
-                         "coefficient degree exceeds the kernel order limit (" +
-                             std::to_string(engine::PackedKernel::kMaxOrder) +
-                             ")");
-      }
-      target_order = std::max(target_order, poly.degree());
-      polys.push_back(std::move(poly));
+      resolved.programs.push_back(raw_program(spec, arity));
       resolved.holds.emplace_back();
       resolved.refs.emplace_back();  // raw: reference = cell expected
-      continue;
-    }
-
-    const compile::RegistryFunction* fn =
-        compile::find_function(spec.function_id);
-    if (fn != nullptr) {
-      if (resolved.bivariate) {
-        throw ServeError(400, "bad_request",
-                         "function '" + spec.function_id +
-                             "' is univariate but the request carries 'ys' "
-                             "(arities cannot mix)");
+    } else {
+      std::optional<CatalogueEntry> entry = find_catalogue_entry(
+          compiler_, spec.function_id, defaults, spec.degree);
+      if (!entry.has_value()) {
+        throw ServeError(404, "unknown_function",
+                         "unknown function '" + spec.function_id + "'");
       }
-      compile::CompileOptions opts = options_.compile;
-      opts.projection.max_degree = spec.degree.value_or(fn->degree);
-      if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
-
+      if (entry->arity != arity) {
+        throw ServeError(400, "bad_request",
+                         arity_mismatch(spec.function_id, entry->arity, arity));
+      }
       // Cold-compile admission: expensive high-degree pipelines only run
-      // when the program is already resident.
-      if (opts.projection.max_degree > options_.max_cold_degree &&
-          !compiler_.cache().contains(
-              compile::make_program_key(spec.function_id, opts))) {
+      // when the program is already resident. A bivariate program counts
+      // its larger axis cap - either axis can blow up the grid.
+      const std::size_t cold_degree =
+          std::max(entry->key.degree, entry->key.degree_y);
+      if (cold_degree > options_.max_cold_degree &&
+          !compiler_.cache().contains(entry->key)) {
         throw ServeError(
             429, "compile_budget",
-            "cold compile at degree " +
-                std::to_string(opts.projection.max_degree) +
+            "cold compile at degree " + std::to_string(cold_degree) +
                 " exceeds the admission budget (max_cold_degree = " +
                 std::to_string(options_.max_cold_degree) + ")");
       }
-
       std::shared_ptr<const compile::CompiledProgram> program;
       try {
-        program = compiler_.compile(spec.function_id, fn->f, opts);
+        program = entry->compile();
       } catch (const std::invalid_argument& e) {
         throw ServeError(400, "bad_request", e.what());
       }
-      target_order = std::max(target_order, program->circuit_order());
-      polys.push_back(program->poly());
+      resolved.programs.push_back(program->program_nd());
       resolved.holds.push_back(std::move(program));
-      resolved.refs.push_back(fn->f);  // shadow reference: the registry f
-      continue;
+      resolved.refs.push_back(std::move(entry->reference));
     }
-
-    const compile::RegistryFunction2* fn2 =
-        compile::find_function2(spec.function_id);
-    if (fn2 == nullptr) {
-      throw ServeError(404, "unknown_function",
-                       "unknown function '" + spec.function_id + "'");
-    }
-    if (!resolved.bivariate) {
-      throw ServeError(400, "bad_request",
-                       "bivariate function '" + spec.function_id +
-                           "' needs 'ys' (arities cannot mix)");
-    }
-    compile::CompileOptions opts = options_.compile;
-    // A request 'degree' caps both axes; otherwise the registry's
-    // per-axis recommendation applies.
-    opts.projection2.max_degree_x = spec.degree.value_or(fn2->degree_x);
-    opts.projection2.max_degree_y = spec.degree.value_or(fn2->degree_y);
-    if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
-
-    // Cold-compile admission on the larger axis cap: the pipeline cost
-    // scales with the coefficient grid, which either axis can blow up.
-    const std::size_t cold_degree = std::max(opts.projection2.max_degree_x,
-                                             opts.projection2.max_degree_y);
-    if (cold_degree > options_.max_cold_degree &&
-        !compiler_.cache().contains(
-            compile::make_program_key2(spec.function_id, opts))) {
-      throw ServeError(
-          429, "compile_budget",
-          "cold compile at degree " + std::to_string(cold_degree) +
-              " exceeds the admission budget (max_cold_degree = " +
-              std::to_string(options_.max_cold_degree) + ")");
-    }
-
-    std::shared_ptr<const compile::CompiledProgram> program;
-    try {
-      program = compiler_.compile2(spec.function_id, fn2->f, opts);
-    } catch (const std::invalid_argument& e) {
-      throw ServeError(400, "bad_request", e.what());
-    }
-    target_order = std::max(target_order, program->circuit_order());
-    target_order_y = std::max(target_order_y, program->circuit_order_y());
-    polys2.push_back(program->poly2());
-    resolved.holds.push_back(std::move(program));
-    resolved.refs2.push_back(fn2->f);  // shadow reference: the registry f
+    const auto [px, py] = kernel_shape(resolved.programs.back());
+    order_x = std::max(order_x, px);
+    order_y = std::max(order_y, py);
   }
 
-  // Pass 2: elevate every polynomial to the common order(s) (value-
-  // preserving) so one kernel pass can evaluate them all.
-  if (resolved.bivariate) {
-    resolved.polys2.reserve(polys2.size());
-    for (stochastic::BernsteinPoly2& poly : polys2) {
-      if (poly.deg_x() < target_order || poly.deg_y() < target_order_y) {
-        poly = poly.elevated(target_order - poly.deg_x(),
-                             target_order_y - poly.deg_y());
-      }
-      resolved.polys2.push_back(std::move(poly));
-    }
-  } else {
-    resolved.polys.reserve(polys.size());
-    for (stochastic::BernsteinPoly& poly : polys) {
-      if (poly.degree() < target_order) {
-        poly = poly.elevated(target_order - poly.degree());
-      }
-      resolved.polys.push_back(std::move(poly));
-    }
+  // Pass 2: elevate every program to the common shape (value-preserving)
+  // so one kernel pass can evaluate them all.
+  for (stochastic::SeparableProgram& program : resolved.programs) {
+    program = elevated_to_shape(std::move(program), order_x, order_y);
   }
 
   for (const auto& program : resolved.holds) {
-    if (program != nullptr &&
-        program->is_bivariate() == resolved.bivariate &&
-        program->circuit_order() == target_order &&
-        (!resolved.bivariate ||
-         program->circuit_order_y() == target_order_y)) {
-      resolved.kernel = program->kernel();
-      resolved.design_point = program->design_point();
-      resolved.circuit = &program->circuit();
-      break;
+    if (program != nullptr && program->circuit_order() == order_x &&
+        program->circuit_order_y() == order_y) {
+      // Aliasing handle: the circuit lives as long as its program.
+      resolved.engine = {std::shared_ptr<const optsc::OpticalScCircuit>(
+                             program, &program->circuit()),
+                         program->kernel(), program->design_point()};
+      return resolved;
     }
   }
-  if (resolved.kernel == nullptr) {
-    const OrderEngine& fallback =
-        resolved.bivariate ? order_engine2(target_order, target_order_y)
-                           : order_engine(target_order);
-    resolved.kernel = fallback.kernel;
-    resolved.design_point = fallback.design_point;
-    resolved.circuit = fallback.circuit.get();
-  }
-  return resolved;
-}
-
-ProgramServer::Resolved ProgramServer::resolve_nd(
-    const ServeRequest& request) {
-  Resolved resolved;
-  resolved.arity = request.inputs.size();
-  resolved.labels.reserve(request.programs.size());
-
-  // Pass 1: compile every program (all must come from the N-ary separable
-  // catalogue - raw coefficient specs have no N-ary spelling) and find
-  // the common factor order the shared univariate kernel runs at.
-  std::size_t target_order = 1;
-  std::vector<stochastic::SeparableProgram> programs;
-  programs.reserve(request.programs.size());
-  for (const ProgramSpec& spec : request.programs) {
-    resolved.labels.push_back(spec.display_id());
-    if (spec.is_raw()) {
-      throw ServeError(400, "bad_request",
-                       "raw 'coefficients' programs are univariate or "
-                       "bivariate; N-ary 'inputs' requests name separable "
-                       "catalogue functions");
-    }
-    const compile::RegistryFunctionN* fn =
-        compile::find_function_nd(spec.function_id);
-    if (fn == nullptr) {
-      if (compile::find_function(spec.function_id) != nullptr ||
-          compile::find_function2(spec.function_id) != nullptr) {
-        throw ServeError(400, "bad_request",
-                         "function '" + spec.function_id + "' does not take " +
-                             std::to_string(resolved.arity) +
-                             " inputs (arities cannot mix)");
-      }
-      throw ServeError(404, "unknown_function",
-                       "unknown function '" + spec.function_id + "'");
-    }
-    if (fn->arity != resolved.arity) {
-      throw ServeError(400, "bad_request",
-                       "function '" + spec.function_id + "' takes " +
-                           std::to_string(fn->arity) +
-                           " inputs but the request carries " +
-                           std::to_string(resolved.arity) +
-                           " 'inputs' axes");
-    }
-    compile::CompileOptions opts = options_.compile;
-    opts.projection_nd.degree = spec.degree.value_or(fn->degree);
-    opts.projection_nd.max_terms = fn->max_terms;
-    if (request.sng_width.has_value()) opts.sng_width = *request.sng_width;
-
-    // Cold-compile admission, same budget as the dense paths: the ALS
-    // pipeline cost scales with the factor degree.
-    if (opts.projection_nd.degree > options_.max_cold_degree &&
-        !compiler_.cache().contains(compile::make_program_key_nd(
-            spec.function_id, fn->arity, opts))) {
-      throw ServeError(
-          429, "compile_budget",
-          "cold compile at degree " +
-              std::to_string(opts.projection_nd.degree) +
-              " exceeds the admission budget (max_cold_degree = " +
-              std::to_string(options_.max_cold_degree) + ")");
-    }
-
-    std::shared_ptr<const compile::CompiledProgram> program;
-    try {
-      program = compiler_.compile_nd(spec.function_id, fn->arity, fn->f,
-                                     opts);
-    } catch (const std::invalid_argument& e) {
-      throw ServeError(400, "bad_request", e.what());
-    }
-    target_order = std::max(target_order, program->circuit_order());
-    programs.push_back(program->program_nd());
-    resolved.holds.push_back(std::move(program));
-    resolved.refs_nd.push_back(fn->f);  // shadow reference: the registry f
-  }
-
-  // Pass 2: elevate every factor to the common order (value-preserving)
-  // so one univariate kernel pass serves every term of every program.
-  resolved.programs_nd.reserve(programs.size());
-  for (stochastic::SeparableProgram& program : programs) {
-    resolved.programs_nd.push_back(program.factor_degree() < target_order
-                                       ? program.elevated_to(target_order)
-                                       : std::move(program));
-  }
-
-  for (const auto& program : resolved.holds) {
-    if (program != nullptr && program->is_nd() &&
-        program->circuit_order() == target_order) {
-      resolved.kernel = program->kernel();
-      resolved.design_point = program->design_point();
-      resolved.circuit = &program->circuit();
-      break;
-    }
-  }
-  if (resolved.kernel == nullptr) {
-    const OrderEngine& fallback = order_engine(target_order);
-    resolved.kernel = fallback.kernel;
-    resolved.design_point = fallback.design_point;
-    resolved.circuit = fallback.circuit.get();
-  }
+  resolved.engine = order_engine(order_x, order_y);
   return resolved;
 }
 
@@ -639,16 +518,17 @@ oscs::OperatingPoint ProgramServer::resolve_operating_point(
     if (request.sng_width.has_value()) op = op.with_sng_width(*request.sng_width);
   } else if (request.probe_power_mw.has_value()) {
     const unsigned width =
-        request.sng_width.value_or(resolved.design_point.sng_width);
+        request.sng_width.value_or(resolved.engine.design_point.sng_width);
     try {
-      op = optsc::LinkBudget(*resolved.circuit, optsc::EyeModel::kPhysical)
+      op = optsc::LinkBudget(*resolved.engine.circuit,
+                             optsc::EyeModel::kPhysical)
                .operating_point(*request.probe_power_mw,
                                 request.stream_lengths.front(), width);
     } catch (const std::invalid_argument& e) {
       throw ServeError(400, "bad_request", e.what());
     }
   } else {
-    op = resolved.design_point;
+    op = resolved.engine.design_point;
     if (request.sng_width.has_value()) op = op.with_sng_width(*request.sng_width);
   }
   try {
@@ -707,53 +587,17 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     throw ServeError(400, "bad_request",
                      "handle() only serves evaluate requests");
   }
-  // The typed entry point bypasses parse_request's shape checks; repeat
-  // the ones this function relies on before anything dereferences them
-  // (the shared arity-guard rules render the same wire-style strings).
-  const auto raise = [](const std::string& message) {
-    if (!message.empty()) throw ServeError(400, "bad_request", message);
-  };
-  if (request.programs.empty()) {
-    throw ServeError(400, "bad_request", "evaluate request names no programs");
-  }
-  if (!request.inputs.empty()) {
-    raise(arity::both_error(arity::kWireStyle, "inputs", "xs", true,
-                            !request.xs.empty()));
-    raise(arity::both_error(arity::kWireStyle, "inputs", "ys", true,
-                            !request.ys.empty()));
-    for (std::size_t axis = 0; axis < request.inputs.size(); ++axis) {
-      const std::string name = "inputs[" + std::to_string(axis) + "]";
-      raise(arity::nonempty_error(arity::kWireStyle, name,
-                                  request.inputs[axis].size()));
-      raise(arity::pairwise_error(arity::kWireStyle, "inputs[0]",
-                                  request.inputs.front().size(), name,
-                                  request.inputs[axis].size()));
-    }
-    if (request.inputs.size() <= 2) {
-      // One or two axes are the legacy paths wearing the N-ary wire
-      // format: lower them onto 'xs'/'ys' and re-enter, so everything
-      // downstream sees exactly one spelling per arity.
-      ServeRequest lowered = request;
-      lowered.xs = std::move(lowered.inputs.front());
-      if (lowered.inputs.size() == 2) {
-        lowered.ys = std::move(lowered.inputs.back());
-      }
-      lowered.inputs.clear();
-      return evaluate(lowered, trace);
-    }
-  } else {
-    raise(arity::nonempty_error(arity::kWireStyle, "xs", request.xs.size()));
-    if (!request.ys.empty()) {
-      raise(arity::pairwise_error(arity::kWireStyle, "xs",
-                                  request.xs.size(), "ys",
-                                  request.ys.size()));
-    }
-  }
-  if (request.stream_lengths.empty()) {
-    throw ServeError(400, "bad_request", "'stream_lengths' must be nonempty");
-  }
-  if (request.repeats == 0) {
-    throw ServeError(400, "bad_request", "'repeats' must be positive");
+  // The typed entry point bypasses parse_request; repeat the shape
+  // checks before anything dereferences the request. The axes lift 'xs'
+  // and 'ys' into the one spelling everything downstream sees, and their
+  // coordinates are checked here - before a bad point costs compile work,
+  // an admission gate or an in-flight slot.
+  std::vector<std::vector<double>> axes;
+  for (const NamedAxis& axis : evaluate_axes(request)) {
+    const std::string error =
+        arity::unit_range_error(arity::kWireStyle, axis.name, *axis.values);
+    if (!error.empty()) throw ServeError(400, "bad_request", error);
+    axes.push_back(*axis.values);
   }
   // Evaluate-cost admission, in floating point so absurd uint64 values
   // cannot overflow their way past the gate. Checked before any compile
@@ -762,11 +606,8 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   for (std::size_t len : request.stream_lengths) {
     length_bits += static_cast<double>(len);
   }
-  const std::size_t n_points = request.inputs.empty()
-                                   ? request.xs.size()
-                                   : request.inputs.front().size();
   const double work_bits = static_cast<double>(request.programs.size()) *
-                           static_cast<double>(n_points) *
+                           static_cast<double>(axes.front().size()) *
                            static_cast<double>(request.repeats) * length_bits;
   if (work_bits > options_.max_request_bits) {
     throw ServeError(413, "too_large",
@@ -778,7 +619,6 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
 
   ServeResponse response;
   response.id = request.id;
-  response.programs.reserve(request.programs.size());
 
   const auto t_resolve = Clock::now();
   Resolved resolved;
@@ -786,26 +626,16 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     // Compile/certify spans attach under this one through the thread-
     // local trace scope (the compiler runs inside the cache factory).
     obs::Span span(&trace, "resolve");
-    resolved = resolve(request);
+    resolved = resolve(request, axes.size());
   }
   response.latency.resolve_us = us_since(t_resolve);
   resolve_hist_.record(response.latency.resolve_us);
 
   const oscs::OperatingPoint op = resolve_operating_point(request, resolved);
 
-  const bool nd = resolved.arity > 2;
   engine::BatchRequest batch;
-  if (nd) {
-    batch.programs_nd = resolved.programs_nd;
-    batch.inputs = request.inputs;
-  } else if (resolved.bivariate) {
-    batch.polynomials2 = resolved.polys2;
-    batch.ys = request.ys;
-    batch.xs = request.xs;
-  } else {
-    batch.polynomials = resolved.polys;
-    batch.xs = request.xs;
-  }
+  batch.programs_nd = std::move(resolved.programs);
+  batch.inputs = std::move(axes);
   batch.stream_lengths = request.stream_lengths;
   batch.repeats = request.repeats;
   batch.seed = request.seed;
@@ -815,7 +645,7 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   engine::BatchSummary summary;
   // The fused kernel is a dense-path optimization; N-ary programs run
   // the separable lattice whatever the program count.
-  response.fused = !nd && request.programs.size() > 1;
+  response.fused = resolved.arity <= 2 && request.programs.size() > 1;
   {
     obs::Span span(&trace, "execute");
     // Leased, not constructed: thread spawn/join stays off the warm path.
@@ -823,11 +653,10 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     // contract), so the lease returns it to the free list either way.
     std::unique_ptr<engine::ThreadPool> pool = acquire_pool();
     try {
-      const engine::BatchRunner runner(resolved.kernel,
-                                       resolved.design_point);
-      summary = nd ? runner.run_nd(batch, *pool)
-                   : (response.fused ? runner.run_fused(batch, *pool)
-                                     : runner.run(batch, *pool));
+      const engine::BatchRunner runner(resolved.engine.kernel,
+                                       resolved.engine.design_point);
+      summary = response.fused ? runner.run_fused(batch, *pool)
+                               : runner.run_nd(batch, *pool);
     } catch (const std::invalid_argument& e) {
       release_pool(std::move(pool));
       // Everything the engine rejects traces back to request content.
@@ -840,30 +669,6 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   }
   response.latency.execute_us = us_since(t_execute);
   execute_hist_.record(response.latency.execute_us);
-
-  response.programs = resolved.labels;
-  response.op = summary.op;
-  response.optical_mae = summary.optical_mae;
-  response.worst_cell_error = summary.worst_cell_error;
-  response.total_bits = summary.total_bits;
-  response.cells.reserve(summary.cells.size());
-  for (const engine::BatchCell& cell : summary.cells) {
-    CellResult out;
-    out.program = resolved.labels[cell.poly_index];
-    out.x = cell.x;
-    out.bivariate = resolved.bivariate;
-    out.y = cell.y;
-    if (nd) out.point = cell.point;  // serialized as the "inputs" array
-    out.stream_length = cell.stream_length;
-    out.repeats = cell.repeats;
-    out.expected = cell.expected;
-    out.optical_mean = cell.optical_mean;
-    out.optical_ci = cell.optical_ci;
-    out.abs_error_mean = cell.optical_abs_error_mean;
-    out.abs_error_ci = cell.optical_abs_error_ci;
-    out.flip_rate = cell.flip_rate_mean;
-    response.cells.push_back(std::move(out));
-  }
 
   // Accuracy plane: per-cell telemetry is free (the numbers are already
   // in the summary); the double-precision shadow reference only runs for
@@ -878,14 +683,8 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
       // certificate measured); raw-coefficient programs against the
       // engine's exact Bernstein value - the same reference that already
       // backs the response's `expected` field.
-      double reference = cell.expected;
-      if (nd) {
-        if (resolved.refs_nd[pi]) reference = resolved.refs_nd[pi](cell.point);
-      } else if (resolved.bivariate) {
-        if (resolved.refs2[pi]) reference = resolved.refs2[pi](cell.x, cell.y);
-      } else {
-        if (resolved.refs[pi]) reference = resolved.refs[pi](cell.x);
-      }
+      const double reference =
+          resolved.refs[pi] ? resolved.refs[pi](cell.point) : cell.expected;
       shadow[pi].observed_error += std::abs(cell.optical_mean - reference);
       ++counts[pi];
     }
@@ -907,11 +706,36 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     accuracy_.count_unsampled();
   }
 
+  response.op = summary.op;
+  response.optical_mae = summary.optical_mae;
+  response.worst_cell_error = summary.worst_cell_error;
+  response.total_bits = summary.total_bits;
+  response.cells.reserve(summary.cells.size());
+  for (engine::BatchCell& cell : summary.cells) {
+    CellResult out;
+    out.program = resolved.labels[cell.poly_index];
+    out.x = cell.x;
+    out.bivariate = resolved.arity == 2;
+    out.y = cell.y;
+    out.point = std::move(cell.point);  // "inputs" beyond two axes
+    out.stream_length = cell.stream_length;
+    out.repeats = cell.repeats;
+    out.expected = cell.expected;
+    out.optical_mean = cell.optical_mean;
+    out.optical_ci = cell.optical_ci;
+    out.abs_error_mean = cell.optical_abs_error_mean;
+    out.abs_error_ci = cell.optical_abs_error_ci;
+    out.flip_rate = cell.flip_rate_mean;
+    response.cells.push_back(std::move(out));
+  }
+  response.programs = std::move(resolved.labels);
+
   response.latency.total_us = trace.elapsed_us();
   // Completion is three arity counters; `completed` is derived as their
   // sum at snapshot time, so the invariant holds without a lock here.
-  (nd ? completed_nd_
-      : resolved.bivariate ? completed_bivariate_ : completed_univariate_)
+  (resolved.arity > 2    ? completed_nd_
+   : resolved.arity == 2 ? completed_bivariate_
+                         : completed_univariate_)
       .inc();
   return response;
 }

@@ -232,44 +232,32 @@ class ProgramServer {
   }
 
  private:
-  /// A request's programs resolved onto one common circuit order (one
-  /// common per-axis order pair for bivariate requests).
-  struct Resolved {
-    bool bivariate = false;  ///< request resolved onto the two-input path
-    /// Request input count: 1 (univariate), 2 (bivariate) or the N-ary
-    /// axis count. Above 2, `programs_nd`/`refs_nd` are the populated
-    /// vectors and the request runs the separable lattice path.
-    std::size_t arity = 1;
-    std::vector<stochastic::BernsteinPoly> polys;  ///< elevated to order
-    /// Bivariate programs, elevated to the common per-axis orders
-    /// (populated instead of `polys` when `bivariate`).
-    std::vector<stochastic::BernsteinPoly2> polys2;
-    /// N-ary separable programs, factor-elevated to the common order
-    /// (populated instead of `polys`/`polys2` when arity > 2).
-    std::vector<stochastic::SeparableProgram> programs_nd;
-    std::vector<std::string> labels;               ///< request order
-    /// Double-precision reference functions, parallel to `labels`: the
-    /// registry f for registry programs, empty for raw-coefficient ones
-    /// (their reference is the cell's exact Bernstein `expected`). The
-    /// shadow path reads these; only one arity's vector is populated.
-    std::vector<std::function<double(double)>> refs;
-    std::vector<std::function<double(double, double)>> refs2;
-    std::vector<std::function<double(const std::vector<double>&)>> refs_nd;
-    std::shared_ptr<const engine::PackedKernel> kernel;
-    oscs::OperatingPoint design_point{};
-    /// Circuit behind `kernel` (link-budget derivations); owned via
-    /// `holds` or `order_engines_`.
-    const optsc::OpticalScCircuit* circuit = nullptr;
-    /// Keeps compiled programs (and their kernels/circuits) alive.
-    std::vector<std::shared_ptr<const compile::CompiledProgram>> holds;
-  };
-
-  /// Fallback execution engine for orders no compiled program provides
-  /// (raw-coefficient programs, mixed-order fusions).
+  /// Execution engine for one kernel shape: a compiled program's own, or
+  /// a fallback for shapes no compiled program provides (raw-coefficient
+  /// programs, mixed-order fusions).
   struct OrderEngine {
     std::shared_ptr<const optsc::OpticalScCircuit> circuit;
     std::shared_ptr<const engine::PackedKernel> kernel;
     oscs::OperatingPoint design_point{};
+  };
+
+  /// A request's programs resolved onto one common kernel shape.
+  struct Resolved {
+    /// Request input count: the number of input axes every program takes.
+    std::size_t arity = 1;
+    /// Programs in request order, elevated to the kernel shape: dense
+    /// univariate / bivariate delegation forms or general sum-of-separable
+    /// programs (factors at the common order).
+    std::vector<stochastic::SeparableProgram> programs;
+    std::vector<std::string> labels;  ///< request order
+    /// Double-precision reference functions over coordinate tuples,
+    /// parallel to `labels`: the registry f for registry programs, empty
+    /// for raw-coefficient ones (their reference is the cell's exact
+    /// Bernstein `expected`). The shadow path reads these.
+    std::vector<std::function<double(const std::vector<double>&)>> refs;
+    OrderEngine engine;  ///< the kernel shape's engine
+    /// Keeps compiled programs (and their kernels/circuits) alive.
+    std::vector<std::shared_ptr<const compile::CompiledProgram>> holds;
   };
 
   /// Per-reason error counters: a fixed set of lock-free counters (the
@@ -291,16 +279,15 @@ class ProgramServer {
   /// thread-local scope).
   [[nodiscard]] ServeResponse evaluate(const ServeRequest& request,
                                        obs::Trace& trace);
-  [[nodiscard]] Resolved resolve(const ServeRequest& request);
-  /// N-ary ('inputs') resolution: every program must name a separable
-  /// catalogue function of the request's axis count; factors elevate to
-  /// one common order served by a univariate kernel.
-  [[nodiscard]] Resolved resolve_nd(const ServeRequest& request);
-  [[nodiscard]] const OrderEngine& order_engine(std::size_t order);
-  /// Fallback engine for bivariate order pairs no compiled program
-  /// provides (raw grids, mixed-order fusions).
-  [[nodiscard]] const OrderEngine& order_engine2(std::size_t order_x,
-                                                 std::size_t order_y);
+  /// Resolve every program onto one kernel shape for a request of `arity`
+  /// input axes: one catalogue lookup per registry id (all three
+  /// registries), raw coefficients for the dense arities.
+  [[nodiscard]] Resolved resolve(const ServeRequest& request,
+                                 std::size_t arity);
+  /// Fallback engine for a kernel shape; order_y == 0 selects the
+  /// univariate kernel, otherwise the bivariate (order_x, order_y) mode.
+  [[nodiscard]] const OrderEngine& order_engine(std::size_t order_x,
+                                                std::size_t order_y);
   [[nodiscard]] oscs::OperatingPoint resolve_operating_point(
       const ServeRequest& request, const Resolved& resolved) const;
   void count_error(const std::string& reason);
@@ -317,8 +304,7 @@ class ProgramServer {
   compile::Compiler compiler_;
 
   mutable std::mutex engines_mutex_;
-  std::map<std::size_t, OrderEngine> order_engines_;
-  std::map<std::pair<std::size_t, std::size_t>, OrderEngine> order_engines2_;
+  std::map<std::pair<std::size_t, std::size_t>, OrderEngine> order_engines_;
 
   std::mutex pools_mutex_;
   std::vector<std::unique_ptr<engine::ThreadPool>> idle_pools_;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "engine/batch.hpp"
 #include "optsc/defaults.hpp"
 
@@ -16,6 +17,22 @@ namespace oscs::engine {
 namespace {
 
 namespace sc = oscs::stochastic;
+
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(oscs::SimdBackend backend) {
+    oscs::set_simd_backend(backend);
+  }
+  ~ScopedBackend() { oscs::reset_simd_backend(); }
+};
+
+std::vector<oscs::SimdBackend> available_backends() {
+  std::vector<oscs::SimdBackend> backends = {oscs::SimdBackend::kScalar};
+  if (oscs::simd_avx2_compiled() && oscs::simd_avx2_runtime()) {
+    backends.push_back(oscs::SimdBackend::kAvx2);
+  }
+  return backends;
+}
 
 sc::BernsteinPoly2 mul_poly() {
   return sc::BernsteinPoly2(1, 1, {0.0, 0.0, 0.0, 1.0});
@@ -183,6 +200,48 @@ TEST(BivariateBatchTest, FusedAggregatesEveryProgram) {
   EXPECT_NEAR(summary.cells[1].expected, 0.6 * 0.3 + 0.4 * 0.25, 1e-12);
   for (const BatchCell& cell : summary.cells) {
     EXPECT_NEAR(cell.optical_mean, cell.expected, 0.05);
+  }
+}
+
+TEST(BivariateBatchTest, FusedSingleSpellingIsBitIdenticalOnEveryBackend) {
+  // Dense bivariate programs handed over as programs_nd + inputs fuse
+  // exactly like the polynomials2 + xs/ys spelling: same cells, bit for
+  // bit.
+  BatchRequest legacy;
+  legacy.polynomials2 = {mul_poly(), blend_poly()};
+  legacy.xs = {0.2, 0.5, 0.8};
+  legacy.ys = {0.7, 0.5, 0.1};
+  legacy.stream_lengths = {65, 1024};
+  legacy.repeats = 3;
+  legacy.seed = 17;
+  legacy.op = runner2().design_point();
+  legacy.op->ber = 0.02;
+  BatchRequest single = legacy;
+  single.polynomials2.clear();
+  for (const sc::BernsteinPoly2& poly : legacy.polynomials2) {
+    single.programs_nd.emplace_back(poly);
+  }
+  single.inputs = {legacy.xs, legacy.ys};
+  single.xs.clear();
+  single.ys.clear();
+
+  for (oscs::SimdBackend backend : available_backends()) {
+    ScopedBackend scope(backend);
+    const BatchSummary a = runner2().run_fused(legacy, /*threads=*/2);
+    const BatchSummary b = runner2().run_fused(single, /*threads=*/2);
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    EXPECT_EQ(a.total_bits, b.total_bits);
+    EXPECT_EQ(a.optical_mae, b.optical_mae);
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+      EXPECT_EQ(a.cells[i].x, b.cells[i].x) << "cell " << i;
+      EXPECT_EQ(a.cells[i].y, b.cells[i].y) << "cell " << i;
+      EXPECT_EQ(a.cells[i].expected, b.cells[i].expected) << "cell " << i;
+      EXPECT_EQ(a.cells[i].optical_mean, b.cells[i].optical_mean)
+          << "cell " << i;
+      EXPECT_EQ(a.cells[i].optical_ci, b.cells[i].optical_ci) << "cell " << i;
+      EXPECT_EQ(a.cells[i].flip_rate_mean, b.cells[i].flip_rate_mean)
+          << "cell " << i;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "engine/batch.hpp"
 #include "engine/packed_sim.hpp"
 #include "optsc/defaults.hpp"
@@ -17,6 +18,22 @@ namespace sc = oscs::stochastic;
 using optsc::design_operating_point;
 using optsc::OpticalScCircuit;
 using optsc::paper_defaults;
+
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(oscs::SimdBackend backend) {
+    oscs::set_simd_backend(backend);
+  }
+  ~ScopedBackend() { oscs::reset_simd_backend(); }
+};
+
+std::vector<oscs::SimdBackend> available_backends() {
+  std::vector<oscs::SimdBackend> backends = {oscs::SimdBackend::kScalar};
+  if (oscs::simd_avx2_compiled() && oscs::simd_avx2_runtime()) {
+    backends.push_back(oscs::SimdBackend::kAvx2);
+  }
+  return backends;
+}
 
 std::vector<sc::BernsteinPoly> order3_programs() {
   return {sc::paper_f2_bernstein(), sc::BernsteinPoly({0.0, 0.1, 0.6, 1.0}),
@@ -167,6 +184,46 @@ TEST(FusedBatch, DeterministicAcrossThreadCounts) {
     }
   }
   EXPECT_DOUBLE_EQ(one.op.ber, 0.02);
+}
+
+TEST(FusedBatch, SingleSpellingIsBitIdenticalOnEveryBackend) {
+  // Dense programs handed over as programs_nd + inputs fuse exactly like
+  // the polynomials + xs spelling: same cells, bit for bit.
+  const OpticalScCircuit c(paper_defaults(3, 1.0));
+  const BatchRunner runner(c);
+  BatchRequest legacy;
+  legacy.polynomials = order3_programs();
+  legacy.xs = {0.2, 0.55, 0.9};
+  legacy.stream_lengths = {63, 1024};
+  legacy.repeats = 3;
+  legacy.seed = 41;
+  legacy.op = runner.design_point();
+  legacy.op->ber = 0.02;
+  BatchRequest single = legacy;
+  single.polynomials.clear();
+  for (const sc::BernsteinPoly& poly : legacy.polynomials) {
+    single.programs_nd.emplace_back(poly);
+  }
+  single.inputs = {legacy.xs};
+  single.xs.clear();
+
+  for (oscs::SimdBackend backend : available_backends()) {
+    ScopedBackend scope(backend);
+    const BatchSummary a = runner.run_fused(legacy, std::size_t{2});
+    const BatchSummary b = runner.run_fused(single, std::size_t{2});
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    EXPECT_EQ(a.total_bits, b.total_bits);
+    EXPECT_EQ(a.optical_mae, b.optical_mae);
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+      EXPECT_EQ(a.cells[i].x, b.cells[i].x) << "cell " << i;
+      EXPECT_EQ(a.cells[i].expected, b.cells[i].expected) << "cell " << i;
+      EXPECT_EQ(a.cells[i].optical_mean, b.cells[i].optical_mean)
+          << "cell " << i;
+      EXPECT_EQ(a.cells[i].optical_ci, b.cells[i].optical_ci) << "cell " << i;
+      EXPECT_EQ(a.cells[i].flip_rate_mean, b.cells[i].flip_rate_mean)
+          << "cell " << i;
+    }
+  }
 }
 
 }  // namespace

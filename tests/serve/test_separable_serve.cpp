@@ -133,6 +133,18 @@ TEST(SeparableServeTest, AritiesCannotMix) {
       R"({"function": "rgb_luma", "inputs": [[0.1], [0.2], [0.3], [0.4]]})");
   EXPECT_NE(axis_error.find("takes 3 inputs"), std::string::npos)
       << axis_error;
+  // N-ary catalogue ids on one- and two-axis requests are arity
+  // mismatches too (400), not unknown functions.
+  EXPECT_EQ(error_of(server, R"({"function": "rgb_luma", "xs": [0.5]})"),
+            "function 'rgb_luma' does not take 1 inputs (arities cannot mix)");
+  EXPECT_EQ(error_of(server, R"({"function": "rgb_luma", "xs": [0.5],
+                                 "ys": [0.5]})"),
+            "function 'rgb_luma' does not take 2 inputs (arities cannot mix)");
+  EXPECT_EQ(error_of(server, R"({"function": "rgb_luma",
+                                 "inputs": [[0.5], [0.5]]})"),
+            "function 'rgb_luma' does not take 2 inputs (arities cannot mix)");
+  // Only 'no_such_fn' above counted as an unknown function.
+  EXPECT_EQ(server.metrics().errors.at("unknown_function"), 1u);
 }
 
 TEST(SeparableServeTest, CompletedNdMetricAndHealthArity) {

@@ -238,6 +238,49 @@ TEST(ProgramServerTest, MalformedJsonIs400AndOutOfRangeXIs400) {
   }
 }
 
+TEST(ProgramServerTest, OutOfRangeCoordinatesAreRejectedBeforeResolve) {
+  // A bad coordinate costs no compile work: 400 naming the wire member,
+  // no cache traffic, no resolve stage, no in-flight slot left behind.
+  ProgramServer server(fast_options());
+  const struct {
+    const char* line;
+    const char* member;
+  } cases[] = {
+      {R"({"function": "tanh", "xs": [1.5]})", "'xs'"},
+      {R"({"function": "mul", "xs": [0.5], "ys": [-0.5]})", "'ys'"},
+      {R"({"function": "mul", "xs": [0.5], "y": 2.0})", "'ys'"},
+      {R"({"function": "rgb_luma", "inputs": [[0.1], [0.2], [1.3]]})",
+       "'inputs[2]'"},
+      {R"({"function": "sigmoid", "inputs": [[1.5]]})", "'inputs[0]'"},
+  };
+  for (const auto& c : cases) {
+    const JsonValue doc = json_parse(server.handle_json(c.line));
+    ASSERT_FALSE(doc.find("ok")->as_bool()) << c.line;
+    EXPECT_EQ(doc.find("error")->find("status")->as_number(), 400.0)
+        << c.line;
+    EXPECT_EQ(doc.find("error")->find("message")->as_string(),
+              std::string(c.member) + " values must be finite and in [0, 1]");
+  }
+  // The typed entry point applies the same check (NaN has no JSON form).
+  ServeRequest typed;
+  ProgramSpec spec;
+  spec.function_id = "sigmoid";
+  typed.programs.push_back(spec);
+  typed.xs = {0.5, std::nan("")};
+  try {
+    (void)server.handle(typed);
+    FAIL() << "NaN coordinate accepted";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.status(), 400);
+    EXPECT_NE(std::string(e.what()).find("'xs'"), std::string::npos);
+  }
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.cache.misses, 0u);
+  EXPECT_EQ(m.cache.inserts, 0u);
+  EXPECT_EQ(m.resolve.count, 0u);
+  EXPECT_EQ(m.in_flight, 0u);
+}
+
 TEST(ProgramServerTest, ColdCompileBudgetRejectsThenServesWhenWarm) {
   ServerOptions options = fast_options();
   options.max_cold_degree = 2;  // sigmoid's registry degree is above this
