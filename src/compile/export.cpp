@@ -9,7 +9,7 @@ std::string certification_json(const CompiledProgram& program) {
   oscs::JsonWriter json;
   json.begin_object()
       .field("function", program.function_id())
-      .field("arity", program.is_bivariate() ? 2 : 1)
+      .field("arity", program.arity())
       .field("certified", program.certification().has_value());
   if (const auto& cert = program.certification(); cert.has_value()) {
     json.key("operating_point");

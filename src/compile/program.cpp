@@ -48,20 +48,22 @@ stochastic::SeparableProgram circuit_minimum(
 }  // namespace
 
 void CompiledProgram::build_backend() {
-  if (circuit_order() > engine::PackedKernel::kMaxOrder ||
-      circuit_order_y() > engine::PackedKernel::kMaxOrder) {
+  const engine::KernelShape shape = engine::kernel_shape(program_);
+  if (shape.order_x > engine::PackedKernel::kMaxOrder ||
+      shape.order_y > engine::PackedKernel::kMaxOrder) {
     throw std::invalid_argument(
         "CompiledProgram: degree exceeds the packed-kernel order limit");
   }
   circuit_ = std::make_shared<optsc::OpticalScCircuit>(
-      optsc::paper_defaults(circuit_order()));
+      optsc::paper_defaults(shape.order_x));
   // The kernel keeps a raw pointer into the circuit (for the diagnostics
   // path), so its deleter captures the circuit handle: a kernel reference
-  // that outlives this program keeps the circuit alive too.
+  // that outlives this program keeps the circuit alive too. Without a y
+  // bank the one-input kernel carries the circuit's physics LUT.
   engine::PackedKernel* kernel =
-      is_bivariate() ? new engine::PackedKernel(*circuit_, circuit_order(),
-                                                circuit_order_y())
-                     : new engine::PackedKernel(*circuit_);
+      shape.order_y == 0
+          ? new engine::PackedKernel(*circuit_)
+          : new engine::PackedKernel(*circuit_, shape.order_x, shape.order_y);
   kernel_ = std::shared_ptr<const engine::PackedKernel>(
       kernel, [circuit = circuit_](const engine::PackedKernel* k) {
         delete k;

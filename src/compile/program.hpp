@@ -148,13 +148,13 @@ class CompiledProgram {
   [[nodiscard]] const stochastic::BernsteinPoly2& poly2() const {
     return program_.dense2();
   }
+  /// X-bank order of the program's kernel shape (engine::kernel_shape).
   [[nodiscard]] std::size_t circuit_order() const noexcept {
-    return is_bivariate() ? program_.dense2().deg_x()
-                          : program_.factor_degree();
+    return engine::kernel_shape(program_).order_x;
   }
-  /// Bivariate y-axis circuit order (0 for univariate programs).
+  /// Y-bank order of the same shape (0 for univariate and N-ary programs).
   [[nodiscard]] std::size_t circuit_order_y() const noexcept {
-    return is_bivariate() ? program_.dense2().deg_y() : 0;
+    return engine::kernel_shape(program_).order_y;
   }
   /// True when a degree-0 fit (either axis for bivariate programs) was
   /// elevated to meet the order-1 circuit minimum. Separable programs fit

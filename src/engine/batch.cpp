@@ -243,47 +243,6 @@ BatchRunner::BatchRunner(std::shared_ptr<const PackedKernel> kernel,
   design_point_.validate();
 }
 
-void BatchRunner::check_orders(
-    const std::vector<sc::SeparableProgram>& programs) const {
-  for (const sc::SeparableProgram& program : programs) {
-    if (program.has_dense1()) {
-      if (kernel_->bivariate()) {
-        throw std::invalid_argument(
-            "BatchRunner: univariate request on a bivariate kernel");
-      }
-      if (program.dense1().degree() != kernel_->order()) {
-        throw std::invalid_argument(
-            "BatchRunner: polynomial order does not match the circuit");
-      }
-    } else if (program.has_dense2()) {
-      if (!kernel_->bivariate()) {
-        throw std::invalid_argument(
-            "BatchRunner: bivariate request on a univariate kernel");
-      }
-      if (program.dense2().deg_x() != kernel_->order() ||
-          program.dense2().deg_y() != kernel_->order_y()) {
-        throw std::invalid_argument(
-            "BatchRunner: polynomial orders do not match the circuit");
-      }
-    } else {
-      // General sum-of-rank-1 programs run every factor through the
-      // univariate ReSC circuit, one stream per factor.
-      if (kernel_->bivariate()) {
-        throw std::invalid_argument(
-            "BatchRunner: separable-term request on a bivariate kernel");
-      }
-      for (const sc::SeparableTerm& term : program.terms()) {
-        for (const sc::SeparableFactor& factor : term.factors) {
-          if (factor.poly.degree() != kernel_->order()) {
-            throw std::invalid_argument(
-                "BatchRunner: factor order does not match the circuit");
-          }
-        }
-      }
-    }
-  }
-}
-
 template <typename SlotFn>
 BatchSummary BatchRunner::aggregate(
     const BatchRequest& request,
@@ -370,27 +329,18 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
   std::vector<sc::SeparableProgram> storage;
   const std::vector<sc::SeparableProgram>& programs =
       separable_view(request, storage);
-  // Fusion shares one stimulus bank across dense programs of one arity;
-  // a general sum-of-rank-1 program runs each term on its own factor
-  // streams, so it only runs unfused.
-  std::vector<sc::BernsteinPoly> polys;
-  std::vector<sc::BernsteinPoly2> polys2;
-  for (std::size_t pi = 0; fused && pi < programs.size(); ++pi) {
-    if (programs[pi].has_dense1()) {
-      polys.push_back(programs[pi].dense1());
-    } else if (programs[pi].has_dense2()) {
-      polys2.push_back(programs[pi].dense2());
-    } else {
+  for (const sc::SeparableProgram& program : programs) {
+    // Fusion shares one stimulus bank across dense programs; a general
+    // sum-of-rank-1 program runs each term on its own factor streams, so
+    // it only runs unfused.
+    if (fused && !program.has_dense1() && !program.has_dense2()) {
       throw std::invalid_argument(
           "BatchRunner: fused mode takes dense programs; run general "
           "separable programs through run_nd");
     }
+    kernel_->check_program(program);
   }
-  check_orders(programs);
   const oscs::OperatingPoint base = request.op.value_or(design_point_);
-  const std::vector<double>& xs = request.nd() ? request.inputs[0] : request.xs;
-  const std::vector<double>& ys =
-      polys2.empty() ? xs : (request.nd() ? request.inputs[1] : request.ys);
 
   // Task t evaluates program group g at point xi, length li and repeat rep
   // (repeat innermost): one program per task unfused; every program on
@@ -428,8 +378,7 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
         continue;
       }
       const std::vector<PackedRunResult> results =
-          polys2.empty() ? kernel_->run_fused(polys, xs[xi], cfg)
-                         : kernel_->run2_fused(polys2, xs[xi], ys[xi], cfg);
+          kernel_->run_fused(programs, request.point(xi), cfg);
       for (std::size_t k = 0; k < per_task; ++k) {
         store(t * per_task + k, results[k]);
       }

@@ -180,10 +180,10 @@ class BatchRunner {
   ///         kernel limit.
   explicit BatchRunner(const optsc::OpticalScCircuit& circuit);
 
-  /// Bivariate runner: builds the kernel in its two-input tensor-product
-  /// mode at per-axis orders (order_x, order_y); the circuit supplies the
-  /// eye geometry and design operating point exactly as in the univariate
-  /// constructor. Only bivariate requests run on this runner.
+  /// Two-bank runner: builds the tensor-product kernel at per-axis orders
+  /// (order_x, order_y); the circuit supplies the eye geometry and design
+  /// operating point exactly as in the univariate constructor. Only
+  /// programs of kernel shape (order_x, order_y) run on this runner.
   /// \throws std::invalid_argument if either order exceeds the packed
   ///         kernel limit.
   BatchRunner(const optsc::OpticalScCircuit& circuit, std::size_t order_x,
@@ -212,10 +212,10 @@ class BatchRunner {
   /// behavior; N-ary requests evaluate their input tuples through
   /// `PackedKernel::run_nd`, folding each program's weighted term
   /// estimates into the same `BatchSummary` shape.
-  /// \throws std::invalid_argument per `BatchRequest::validate()`, on a
-  ///         program order mismatch, or when the request arity does not
-  ///         match the kernel mode - all raised before any task is
-  ///         submitted.
+  /// \throws std::invalid_argument per `BatchRequest::validate()` or
+  ///         when a program does not run on the kernel
+  ///         (`PackedKernel::check_program`: kernel shape or factor order
+  ///         mismatch) - all raised before any task is submitted.
   [[nodiscard]] BatchSummary run_nd(const BatchRequest& request,
                                     ThreadPool& pool) const;
 
@@ -230,11 +230,11 @@ class BatchRunner {
   /// identical to the pre-run_nd implementation.
   /// \throws std::invalid_argument per `BatchRequest::validate()` (empty
   ///         grids, zero repeats, out-of-range x/y, mismatched x/y vector
-  ///         lengths, invalid operating point), on a polynomial order
-  ///         mismatch, or when the request arity does not match the
-  ///         kernel mode (bivariate request on a univariate runner and
-  ///         vice versa) - all raised before any task is submitted.
-  ///         run_fused() shares this exact contract.
+  ///         lengths, invalid operating point), or when a program's
+  ///         kernel shape does not match the kernel (a polynomial order
+  ///         mismatch, a bivariate request on a univariate runner and vice
+  ///         versa) - all raised before any task is submitted. run_fused()
+  ///         shares this exact contract.
   [[nodiscard]] BatchSummary run(const BatchRequest& request,
                                  ThreadPool& pool) const;
 
@@ -283,9 +283,6 @@ class BatchRunner {
       const std::vector<stochastic::SeparableProgram>& programs,
       const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
       SlotFn&& slot) const;
-
-  void check_orders(
-      const std::vector<stochastic::SeparableProgram>& programs) const;
 
   /// The one task-lattice body behind run_nd() (one program per task) and
   /// run_fused() (every program per task on shared stimulus).

@@ -8,7 +8,6 @@
 
 #include "engine/simd_kernel.hpp"
 #include "optsc/link_budget.hpp"
-#include "stochastic/wordops.hpp"
 
 namespace oscs::engine {
 
@@ -40,6 +39,72 @@ std::vector<bool> ones_prefix(std::size_t ones, std::size_t count) {
   std::vector<bool> bits(count, false);
   for (std::size_t j = 0; j < ones; ++j) bits[j] = true;
   return bits;
+}
+
+void check_point(const sc::SeparableProgram& program,
+                 const std::vector<double>& point) {
+  if (point.size() != program.arity()) {
+    throw std::invalid_argument(
+        "PackedKernel: point arity " + std::to_string(point.size()) +
+        " does not match the program arity " +
+        std::to_string(program.arity()));
+  }
+}
+
+/// One Eq. 9 receiver flip mask over a decision stream: positions sampled
+/// at the operating point's BER and packed into stream words. Positions
+/// are distinct, so XOR == per-bit toggle, and padding bits stay zero
+/// because every position is below the stream length.
+struct FlipMask {
+  std::vector<std::uint64_t> words;  ///< empty when nothing flips
+  std::size_t flips = 0;
+
+  void apply(sc::Bitstream& decisions) const {
+    if (words.empty()) return;
+    simd::kernel_ops().xor_inplace(decisions.words_data(), words.data(),
+                                   words.size());
+  }
+};
+
+FlipMask sample_flip_mask(const oscs::OperatingPoint& op,
+                          std::uint64_t noise_seed) {
+  FlipMask mask;
+  if (!op.noisy()) return mask;
+  oscs::Xoshiro256 rng(noise_seed);
+  const std::vector<std::size_t> positions =
+      sample_flip_positions(op.stream_length, op.ber, rng);
+  mask.flips = positions.size();
+  if (positions.empty()) return mask;
+  mask.words.assign((op.stream_length + 63) / 64, 0);
+  for (std::size_t pos : positions) {
+    mask.words[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+  return mask;
+}
+
+/// Decorrelated per-factor seed stream, mirroring the engine's task-seed
+/// derivation: factors of one evaluation must be mutually independent for
+/// the AND of their streams to multiply probabilities, so each expands
+/// its own SplitMix64 state instead of taking consecutive source salts.
+std::uint64_t derive_factor_seed(std::uint64_t master,
+                                 std::size_t factor_index) {
+  oscs::SplitMix64 sm(master ^
+                      (0x9E3779B97F4A7C15ULL * (factor_index + 1)));
+  return sm.next();
+}
+
+/// Ones count over the first `length` bits of a packed word buffer.
+std::size_t count_ones_packed(const std::vector<std::uint64_t>& words,
+                              std::size_t length) {
+  std::size_t ones = 0;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    std::uint64_t w = words[i];
+    if (i + 1 == words.size() && (length % 64) != 0) {
+      w &= (std::uint64_t{1} << (length % 64)) - 1;
+    }
+    ones += static_cast<std::size_t>(std::popcount(w));
+  }
+  return ones;
 }
 
 }  // namespace
@@ -79,31 +144,39 @@ std::size_t apply_noise_flips(sc::Bitstream& stream, double flip_p,
   return positions.size();
 }
 
-PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
-    : circuit_(&circuit), order_(circuit.order()) {
-  if (order_ > kMaxOrder) {
-    throw std::invalid_argument(
-        "PackedKernel: order " + std::to_string(order_) +
-        " exceeds the LUT limit " + std::to_string(kMaxOrder));
+KernelShape kernel_shape(const sc::SeparableProgram& program) noexcept {
+  if (program.has_dense2()) {
+    return {program.dense2().deg_x(), program.dense2().deg_y()};
   }
-  planes_ = static_cast<std::size_t>(std::bit_width(order_));
+  return {program.factor_degree(), 0};
+}
 
+PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,
+                           std::size_t order_x, std::size_t order_y)
+    : circuit_(&circuit), order_(order_x), order_y_(order_y) {
+  if (order_ > kMaxOrder || order_y_ > kMaxOrder) {
+    throw std::invalid_argument(
+        "PackedKernel: order (" + std::to_string(order_) + ", " +
+        std::to_string(order_y_) + ") exceeds the LUT limit " +
+        std::to_string(kMaxOrder));
+  }
   // Eye geometry only: the slicer threshold sits mid-eye, and since every
-  // transmission scales linearly with probe power the decision LUT below
-  // is invariant to the operating point. The noise model (BER) is NOT
+  // transmission scales linearly with probe power the decision model is
+  // invariant to the operating point. The noise model (BER) is NOT
   // derived here - it arrives per run inside oscs::OperatingPoint.
   const optsc::LinkBudget budget(circuit, optsc::EyeModel::kPhysical);
-  const optsc::EyeAnalysis eye =
-      budget.analyze(circuit.params().lasers.probe_power_mw);
-  threshold_mw_ = eye.threshold_mw;
+  threshold_mw_ =
+      budget.analyze(circuit.params().lasers.probe_power_mw).threshold_mw;
+}
 
+PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
+    : PackedKernel(circuit, circuit.order(), 0) {
   // Decision LUT: one noiseless slicer decision per reachable circuit
   // state. The received power is evaluated through the very same
   // OpticalScCircuit entry point the per-bit simulator uses, so the packed
   // path is decision-for-decision identical with noise disabled.
   const std::size_t patterns = std::size_t{1} << (order_ + 1);
   decisions_.assign(patterns, 0);
-  mux_exact_ = true;
   for (std::size_t p = 0; p < patterns; ++p) {
     for (std::size_t k = 0; k <= order_; ++k) {
       const bool bit = received_power_mw(static_cast<std::uint32_t>(p), k) >
@@ -112,34 +185,6 @@ PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
       if (bit != (((p >> k) & 1u) != 0)) mux_exact_ = false;
     }
   }
-}
-
-PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,
-                           std::size_t order_x, std::size_t order_y)
-    : circuit_(&circuit),
-      order_(order_x),
-      order_y_(order_y),
-      bivariate_(true) {
-  if (order_ > kMaxOrder || order_y_ > kMaxOrder) {
-    throw std::invalid_argument(
-        "PackedKernel: bivariate order (" + std::to_string(order_) + ", " +
-        std::to_string(order_y_) + ") exceeds the LUT limit " +
-        std::to_string(kMaxOrder));
-  }
-  planes_ = static_cast<std::size_t>(std::bit_width(order_));
-  planes_y_ = static_cast<std::size_t>(std::bit_width(order_y_));
-
-  // Same eye geometry as the univariate mode: the slicer threshold sits
-  // mid-eye and is probe-power invariant. The per-state physics table of
-  // the univariate LUT does not scale to 2^((n+1)(m+1)) coefficient
-  // patterns, so the bivariate decision model is the ideal 2D MUX
-  // (mux-exact by construction); receiver noise still arrives per run as
-  // Eq. 9 decision flips through `oscs::OperatingPoint`.
-  const optsc::LinkBudget budget(circuit, optsc::EyeModel::kPhysical);
-  const optsc::EyeAnalysis eye =
-      budget.analyze(circuit.params().lasers.probe_power_mw);
-  threshold_mw_ = eye.threshold_mw;
-  mux_exact_ = true;
 }
 
 bool PackedKernel::decision(std::uint32_t z_pattern, std::size_t ones) const {
@@ -159,88 +204,72 @@ double PackedKernel::received_power_mw(std::uint32_t z_pattern,
       circuit_->params().lasers.probe_power_mw);
 }
 
-void PackedKernel::assemble_words(const std::uint64_t* sel,
-                                  const std::uint64_t* zw,
-                                  std::uint64_t& mux_word,
-                                  std::uint64_t& opt_word) const {
-  const std::size_t n = order_;
-  mux_word = 0;
-  for (std::size_t k = 0; k <= n; ++k) mux_word |= sel[k] & zw[k];
-
-  if (mux_exact_) {
-    opt_word = mux_word;
-    return;
+void PackedKernel::check_program(const sc::SeparableProgram& program) const {
+  const KernelShape want = kernel_shape(program);
+  if (want != shape()) {
+    throw std::invalid_argument(
+        "PackedKernel: program shape (" + std::to_string(want.order_x) +
+        ", " + std::to_string(want.order_y) +
+        ") does not match the kernel shape (" + std::to_string(order_) +
+        ", " + std::to_string(order_y_) + ")");
   }
-  opt_word = 0;
-  for (std::size_t p = 0; p < decisions_.size(); ++p) {
-    const std::uint32_t dmask = decisions_[p];
-    if (dmask == 0) continue;
-    std::uint64_t zmask = ~std::uint64_t{0};
-    for (std::size_t j = 0; j <= n && zmask != 0; ++j) {
-      zmask &= ((p >> j) & 1u) ? zw[j] : ~zw[j];
+  for (const sc::SeparableTerm& term : program.terms()) {
+    for (const sc::SeparableFactor& factor : term.factors) {
+      if (factor.poly.degree() != order_) {
+        throw std::invalid_argument(
+            "PackedKernel: factor order does not match the circuit");
+      }
     }
-    if (zmask == 0) continue;
-    std::uint64_t decided = 0;
-    for (std::size_t k = 0; k <= n; ++k) {
-      if ((dmask >> k) & 1u) decided |= sel[k];
-    }
-    opt_word |= zmask & decided;
   }
 }
 
 PackedKernel::Streams PackedKernel::evaluate(
     const sc::ScInputs& inputs) const {
-  std::vector<Streams> out =
-      evaluate_core(inputs.x_streams, {&inputs.z_streams});
-  return std::move(out.front());
+  return std::move(
+      evaluate_core(inputs.x_streams, {}, {&inputs.z_streams, 1}).front());
 }
 
-std::vector<PackedKernel::Streams> PackedKernel::evaluate_fused(
-    const sc::FusedScInputs& inputs) const {
-  std::vector<const std::vector<sc::Bitstream>*> z_sets;
-  z_sets.reserve(inputs.z_streams.size());
-  for (const std::vector<sc::Bitstream>& zs : inputs.z_streams) {
-    z_sets.push_back(&zs);
-  }
-  return evaluate_core(inputs.x_streams, z_sets);
+PackedKernel::Streams PackedKernel::evaluate2(
+    const sc::ScInputs2& inputs) const {
+  return std::move(evaluate_core(inputs.x_streams, inputs.y_streams,
+                                 {&inputs.z_streams, 1})
+                       .front());
 }
 
 std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
     const std::vector<sc::Bitstream>& x_streams,
-    const std::vector<const std::vector<sc::Bitstream>*>& z_sets) const {
+    const std::vector<sc::Bitstream>& y_streams,
+    std::span<const std::vector<sc::Bitstream>> z_sets) const {
   const std::size_t n = order_;
+  const std::size_t m = order_y_;
   const std::size_t programs = z_sets.size();
-  if (bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: univariate stimulus on a bivariate kernel (use "
-        "evaluate2/run2)");
-  }
-  if (x_streams.size() != n || programs == 0) {
+  if (x_streams.size() != n || y_streams.size() != m || programs == 0) {
     throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
   }
-  // Shape before length: the order-0 case derives the stream length from
-  // the first coefficient stream, so its presence must be validated
+  // Shape before length: with both banks empty the stream length comes
+  // from the first coefficient stream, so its presence must be validated
   // before it is dereferenced.
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    if (zs->size() != n + 1) {
+  for (const std::vector<sc::Bitstream>& zs : z_sets) {
+    if (zs.size() != (n + 1) * (m + 1)) {
       throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
     }
   }
   const std::size_t length =
-      x_streams.empty() ? z_sets.front()->front().size()
-                        : x_streams.front().size();
-  for (const sc::Bitstream& s : x_streams) {
-    if (s.size() != length) {
-      throw std::invalid_argument("PackedKernel: ragged x streams");
-    }
-  }
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    for (const sc::Bitstream& s : *zs) {
+      !x_streams.empty()   ? x_streams.front().size()
+      : !y_streams.empty() ? y_streams.front().size()
+                           : z_sets.front().front().size();
+  const auto check_ragged = [length](const std::vector<sc::Bitstream>& bank,
+                                     const char* name) {
+    for (const sc::Bitstream& s : bank) {
       if (s.size() != length) {
-        throw std::invalid_argument("PackedKernel: ragged z streams");
+        throw std::invalid_argument(std::string("PackedKernel: ragged ") +
+                                    name + " streams");
       }
     }
-  }
+  };
+  check_ragged(x_streams, "x");
+  check_ragged(y_streams, "y");
+  for (const std::vector<sc::Bitstream>& zs : z_sets) check_ragged(zs, "z");
 
   const std::size_t nwords = (length + 63) / 64;
   std::vector<std::vector<std::uint64_t>> optical(
@@ -250,43 +279,59 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
 
   const simd::KernelOps& ops = simd::kernel_ops();
   const std::vector<const std::uint64_t*> xw = word_pointers(x_streams);
+  const std::vector<const std::uint64_t*> yw = word_pointers(y_streams);
   std::vector<std::vector<const std::uint64_t*>> zw(programs);
   for (std::size_t prog = 0; prog < programs; ++prog) {
-    zw[prog] = word_pointers(*z_sets[prog]);
+    zw[prog] = word_pointers(z_sets[prog]);
   }
 
   // Plane-major block scratch: entry (j, i) at j*kBlockWords + i. Sized by
-  // kMaxOrder so one allocation serves any circuit.
+  // kMaxOrder so one allocation serves any circuit; the planes buffer is
+  // reused per bank, and the y bank's select masks exist only when the
+  // kernel has a y bank.
   constexpr std::size_t kMaxPlanes = std::bit_width(PackedKernel::kMaxOrder);
   std::vector<std::uint64_t> planes(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> sel((kMaxOrder + 1) * kBlockWords);
+  std::vector<std::uint64_t> sel_x((kMaxOrder + 1) * kBlockWords);
+  std::vector<std::uint64_t> sel_y(m > 0 ? (kMaxOrder + 1) * kBlockWords : 0);
 
   for (std::size_t w0 = 0; w0 < nwords; w0 += kBlockWords) {
     const std::size_t count = std::min(kBlockWords, nwords - w0);
 
-    // 1. Carry-save adder over the shared x words: after the call, bit t
-    //    of plane (j, i) holds bit j of the per-lane ones count k(t) for
-    //    word w0+i. Computed once and reused by every fused program.
-    std::fill_n(planes.begin(), planes_ * kBlockWords, 0);
-    ops.accumulate_planes(xw.data(), n, w0, count, planes.data(), planes_,
-                          kBlockWords);
+    // 1-2. Per bank: a carry-save adder over the shared data words leaves
+    //      bit j of the per-lane ones count in plane (j, i) for word w0+i;
+    //      bitwise equality k(t) == k then gives the select masks.
+    //      Computed once per block and reused by every fused program.
+    const auto select = [&](const std::vector<const std::uint64_t*>& words,
+                            std::size_t order, std::uint64_t* sel) {
+      const auto plane_count = static_cast<std::size_t>(std::bit_width(order));
+      std::fill_n(planes.begin(), plane_count * kBlockWords, 0);
+      ops.accumulate_planes(words.data(), order, w0, count, planes.data(),
+                            plane_count, kBlockWords);
+      ops.select_masks(planes.data(), plane_count, count, order + 1, sel,
+                       kBlockWords);
+    };
+    select(xw, n, sel_x.data());
+    if (m > 0) select(yw, m, sel_y.data());
 
-    // 2. Bitwise equality k(t) == k gives the coefficient select masks.
-    ops.select_masks(planes.data(), planes_, count, n + 1, sel.data(),
-                     kBlockWords);
-
-    // 3. Per program: ideal MUX words, then the optical decision words.
+    // 3. Per program: ideal MUX words (with a y bank the (i, j) select is
+    //    the AND of the row and column masks), then the optical decision
+    //    words.
     for (std::size_t prog = 0; prog < programs; ++prog) {
       std::uint64_t* mux = electronic[prog].data() + w0;
-      ops.mux_or_reduce(sel.data(), n + 1, kBlockWords, count,
-                        zw[prog].data(), w0, mux);
+      if (m == 0) {
+        ops.mux_or_reduce(sel_x.data(), n + 1, kBlockWords, count,
+                          zw[prog].data(), w0, mux);
+      } else {
+        ops.mux2_or_reduce(sel_x.data(), n + 1, sel_y.data(), m + 1,
+                           kBlockWords, count, zw[prog].data(), w0, mux);
+      }
       if (mux_exact_) {
         std::copy_n(mux, count, optical[prog].data() + w0);
         continue;
       }
-      // Physics LUT path (eye closed in some reachable state): per-word
-      // scan over the coefficient patterns, reusing the block's select
-      // masks. Rare - only non-mux-exact operating points land here.
+      // Physics LUT path (one-input kernels whose eye is closed in some
+      // reachable state): per-word scan over the coefficient patterns,
+      // reusing the block's select masks.
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t w = w0 + i;
         std::uint64_t opt = 0;
@@ -301,7 +346,7 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
           if (zmask == 0) continue;
           std::uint64_t decided = 0;
           for (std::size_t k = 0; k <= n; ++k) {
-            if ((dmask >> k) & 1u) decided |= sel[k * kBlockWords + i];
+            if ((dmask >> k) & 1u) decided |= sel_x[k * kBlockWords + i];
           }
           opt |= zmask & decided;
         }
@@ -320,72 +365,63 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
   return out;
 }
 
+std::vector<PackedKernel::Streams> PackedKernel::evaluate_at(
+    double x, double y, const std::vector<std::vector<double>>& coeffs,
+    std::uint64_t stimulus_seed, const PackedRunConfig& config) const {
+  // The one fused stimulus builder: without a y bank it draws the same
+  // salts (x bank, empty y bank, coefficients) as the one-input builder.
+  const sc::FusedScInputs2 inputs = sc::make_fused_sc_inputs2(
+      x, y, coeffs, order_, order_y_, config.op.stream_length,
+      {config.source_kind, config.op.sng_width, stimulus_seed});
+  return evaluate_core(inputs.x_streams, inputs.y_streams, inputs.z_streams);
+}
+
 PackedRunResult PackedKernel::run(const sc::BernsteinPoly& poly, double x,
                                   const PackedRunConfig& config) const {
-  // Thin N=1 wrapper over the unified entry point; the dense delegation
-  // inside run_nd lands on run_fused({poly}) exactly as before.
   return run_nd(sc::SeparableProgram(poly), {x}, config);
 }
 
+PackedRunResult PackedKernel::run2(const sc::BernsteinPoly2& poly, double x,
+                                   double y,
+                                   const PackedRunConfig& config) const {
+  return run_nd(sc::SeparableProgram(poly), {x, y}, config);
+}
+
 std::vector<PackedRunResult> PackedKernel::run_fused(
-    const std::vector<sc::BernsteinPoly>& polys, double x,
-    const PackedRunConfig& config) const {
-  if (polys.empty()) {
+    std::span<const sc::SeparableProgram> programs,
+    const std::vector<double>& point, const PackedRunConfig& config) const {
+  if (programs.empty()) {
     throw std::invalid_argument("PackedKernel: no programs to run");
   }
-  for (const sc::BernsteinPoly& poly : polys) {
-    if (poly.degree() != order_) {
+  std::vector<std::vector<double>> coeffs;
+  coeffs.reserve(programs.size());
+  for (const sc::SeparableProgram& program : programs) {
+    if (!program.has_dense1() && !program.has_dense2()) {
       throw std::invalid_argument(
-          "PackedKernel: polynomial order does not match the circuit");
+          "PackedKernel: fused mode takes dense programs");
     }
+    check_point(program, point);
+    check_program(program);
+    coeffs.push_back(program.has_dense1() ? program.dense1().coeffs()
+                                          : program.dense2().coeffs());
   }
   config.op.validate();
 
-  std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(polys.size());
-  for (const sc::BernsteinPoly& poly : polys) coeffs.push_back(poly.coeffs());
-
-  const sc::FusedScInputs inputs = sc::make_fused_sc_inputs(
-      x, coeffs, order_, config.op.stream_length,
-      {config.source_kind, config.op.sng_width, config.stimulus_seed});
-  return finish_runs(evaluate_fused(inputs), config);
-}
-
-std::vector<PackedRunResult> PackedKernel::finish_runs(
-    std::vector<Streams> streams, const PackedRunConfig& config) const {
+  std::vector<Streams> streams =
+      evaluate_at(point[0], point.size() > 1 ? point[1] : 0.0, coeffs,
+                  config.stimulus_seed, config);
   // One flip-mask pass: positions are sampled once at the operating
   // point's BER and applied to every program's decision stream. Marginal
   // per-program statistics are unchanged; programs share the flip pattern
   // the way fused hardware would share the receiver.
-  std::vector<std::size_t> flips;
-  if (config.op.noisy()) {
-    oscs::Xoshiro256 noise_rng(config.noise_seed);
-    flips = sample_flip_positions(config.op.stream_length, config.op.ber,
-                                  noise_rng);
-  }
-
-  // The sampled positions become one packed flip mask XORed into every
-  // program's decision words (positions are distinct, so XOR == per-bit
-  // toggle); padding bits stay zero because positions < stream_length.
-  std::vector<std::uint64_t> flip_mask;
-  if (!flips.empty()) {
-    flip_mask.assign((config.op.stream_length + 63) / 64, 0);
-    for (std::size_t pos : flips) {
-      flip_mask[pos / 64] |= std::uint64_t{1} << (pos % 64);
-    }
-  }
-  const simd::KernelOps& ops = simd::kernel_ops();
-
+  const FlipMask mask = sample_flip_mask(config.op, config.noise_seed);
   std::vector<PackedRunResult> results(streams.size());
   for (std::size_t prog = 0; prog < streams.size(); ++prog) {
     Streams& s = streams[prog];
-    if (!flip_mask.empty()) {
-      ops.xor_inplace(s.optical.words_data(), flip_mask.data(),
-                      flip_mask.size());
-    }
+    mask.apply(s.optical);
     PackedRunResult& r = results[prog];
     r.length = config.op.stream_length;
-    r.noise_flips = flips.size();
+    r.noise_flips = mask.flips;
     r.optical_estimate = s.optical.probability();
     r.electronic_estimate = s.electronic.probability();
     r.transmission_flips = (s.optical ^ s.electronic).count_ones();
@@ -393,238 +429,24 @@ std::vector<PackedRunResult> PackedKernel::finish_runs(
   return results;
 }
 
-PackedKernel::Streams PackedKernel::evaluate2(
-    const sc::ScInputs2& inputs) const {
-  std::vector<Streams> out =
-      evaluate2_core(inputs.x_streams, inputs.y_streams, {&inputs.z_streams});
-  return std::move(out.front());
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate2_fused(
-    const sc::FusedScInputs2& inputs) const {
-  std::vector<const std::vector<sc::Bitstream>*> z_sets;
-  z_sets.reserve(inputs.z_streams.size());
-  for (const std::vector<sc::Bitstream>& zs : inputs.z_streams) {
-    z_sets.push_back(&zs);
-  }
-  return evaluate2_core(inputs.x_streams, inputs.y_streams, z_sets);
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate2_core(
-    const std::vector<sc::Bitstream>& x_streams,
-    const std::vector<sc::Bitstream>& y_streams,
-    const std::vector<const std::vector<sc::Bitstream>*>& z_sets) const {
-  const std::size_t n = order_;
-  const std::size_t m = order_y_;
-  const std::size_t programs = z_sets.size();
-  if (!bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: bivariate stimulus on a univariate kernel (use "
-        "evaluate/run)");
-  }
-  if (x_streams.size() != n || y_streams.size() != m || programs == 0) {
-    throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-  }
-  // Shape before length: with both orders 0 the stream length comes from
-  // the first coefficient stream, so its presence must be validated
-  // before it is dereferenced.
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    if (zs->size() != (n + 1) * (m + 1)) {
-      throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-    }
-  }
-  const std::size_t length = !x_streams.empty()  ? x_streams.front().size()
-                             : !y_streams.empty() ? y_streams.front().size()
-                                                  : z_sets.front()->front().size();
-  for (const sc::Bitstream& s : x_streams) {
-    if (s.size() != length) {
-      throw std::invalid_argument("PackedKernel: ragged x streams");
-    }
-  }
-  for (const sc::Bitstream& s : y_streams) {
-    if (s.size() != length) {
-      throw std::invalid_argument("PackedKernel: ragged y streams");
-    }
-  }
-  for (const std::vector<sc::Bitstream>* zs : z_sets) {
-    for (const sc::Bitstream& s : *zs) {
-      if (s.size() != length) {
-        throw std::invalid_argument("PackedKernel: ragged z streams");
-      }
-    }
-  }
-
-  const std::size_t nwords = (length + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> optical(
-      programs, std::vector<std::uint64_t>(nwords, 0));
-  std::vector<std::vector<std::uint64_t>> electronic(
-      programs, std::vector<std::uint64_t>(nwords, 0));
-
-  const simd::KernelOps& ops = simd::kernel_ops();
-  const std::vector<const std::uint64_t*> xw = word_pointers(x_streams);
-  const std::vector<const std::uint64_t*> yw = word_pointers(y_streams);
-  std::vector<std::vector<const std::uint64_t*>> zw(programs);
-  for (std::size_t prog = 0; prog < programs; ++prog) {
-    zw[prog] = word_pointers(*z_sets[prog]);
-  }
-
-  // Plane-major block scratch for both axes (entry (j, i) at
-  // j*kBlockWords + i), sized by kMaxOrder.
-  constexpr std::size_t kMaxPlanes = std::bit_width(PackedKernel::kMaxOrder);
-  std::vector<std::uint64_t> planes_x(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> planes_y(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> sel_x((kMaxOrder + 1) * kBlockWords);
-  std::vector<std::uint64_t> sel_y((kMaxOrder + 1) * kBlockWords);
-
-  for (std::size_t w0 = 0; w0 < nwords; w0 += kBlockWords) {
-    const std::size_t count = std::min(kBlockWords, nwords - w0);
-
-    // 1. Two carry-save adders over the shared input banks: plane (j, i)
-    //    of planes_x/planes_y holds bit j of the per-lane row/column
-    //    index. Computed once per block and reused by every fused program.
-    std::fill_n(planes_x.begin(), planes_ * kBlockWords, 0);
-    std::fill_n(planes_y.begin(), planes_y_ * kBlockWords, 0);
-    ops.accumulate_planes(xw.data(), n, w0, count, planes_x.data(), planes_,
-                          kBlockWords);
-    ops.accumulate_planes(yw.data(), m, w0, count, planes_y.data(), planes_y_,
-                          kBlockWords);
-
-    // 2. The two packed select-index plane sets become per-axis equality
-    //    masks; their AND is the (i, j) coefficient select.
-    ops.select_masks(planes_x.data(), planes_, count, n + 1, sel_x.data(),
-                     kBlockWords);
-    ops.select_masks(planes_y.data(), planes_y_, count, m + 1, sel_y.data(),
-                     kBlockWords);
-
-    // 3. Per program: the 2D MUX words. The bivariate decision model is
-    //    mux-exact (see the constructor), so the optical words equal the
-    //    ideal MUX words before noise.
-    for (std::size_t prog = 0; prog < programs; ++prog) {
-      std::uint64_t* mux = electronic[prog].data() + w0;
-      ops.mux2_or_reduce(sel_x.data(), n + 1, sel_y.data(), m + 1,
-                         kBlockWords, count, zw[prog].data(), w0, mux);
-      std::copy_n(mux, count, optical[prog].data() + w0);
-    }
-  }
-
-  std::vector<Streams> out;
-  out.reserve(programs);
-  for (std::size_t prog = 0; prog < programs; ++prog) {
-    out.push_back(
-        {sc::Bitstream::from_words(std::move(optical[prog]), length),
-         sc::Bitstream::from_words(std::move(electronic[prog]), length)});
-  }
-  return out;
-}
-
-PackedRunResult PackedKernel::run2(const sc::BernsteinPoly2& poly, double x,
-                                   double y,
-                                   const PackedRunConfig& config) const {
-  // Thin N=2 wrapper over the unified entry point; the dense delegation
-  // inside run_nd lands on run2_fused({poly}) exactly as before.
-  return run_nd(sc::SeparableProgram(poly), {x, y}, config);
-}
-
-std::vector<PackedRunResult> PackedKernel::run2_fused(
-    const std::vector<sc::BernsteinPoly2>& polys, double x, double y,
-    const PackedRunConfig& config) const {
-  if (polys.empty()) {
-    throw std::invalid_argument("PackedKernel: no programs to run");
-  }
-  if (!bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: bivariate run on a univariate kernel");
-  }
-  for (const sc::BernsteinPoly2& poly : polys) {
-    if (poly.deg_x() != order_ || poly.deg_y() != order_y_) {
-      throw std::invalid_argument(
-          "PackedKernel: polynomial orders do not match the circuit");
-    }
-  }
-  config.op.validate();
-
-  std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(polys.size());
-  for (const sc::BernsteinPoly2& poly : polys) coeffs.push_back(poly.coeffs());
-
-  const sc::FusedScInputs2 inputs = sc::make_fused_sc_inputs2(
-      x, y, coeffs, order_, order_y_, config.op.stream_length,
-      {config.source_kind, config.op.sng_width, config.stimulus_seed});
-  return finish_runs(evaluate2_fused(inputs), config);
-}
-
-namespace {
-
-/// Decorrelated per-factor seed stream, mirroring the engine's task-seed
-/// derivation: factors of one evaluation must be mutually independent for
-/// the AND of their streams to multiply probabilities, so each expands
-/// its own SplitMix64 state instead of taking consecutive source salts.
-std::uint64_t derive_factor_seed(std::uint64_t master,
-                                 std::size_t factor_index) {
-  oscs::SplitMix64 sm(master ^
-                      (0x9E3779B97F4A7C15ULL * (factor_index + 1)));
-  return sm.next();
-}
-
-/// Ones count over the first `length` bits of a packed word buffer.
-std::size_t count_ones_packed(const std::vector<std::uint64_t>& words,
-                              std::size_t length) {
-  std::size_t ones = 0;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    std::uint64_t w = words[i];
-    if (i + 1 == words.size() && (length % 64) != 0) {
-      w &= (std::uint64_t{1} << (length % 64)) - 1;
-    }
-    ones += static_cast<std::size_t>(std::popcount(w));
-  }
-  return ones;
-}
-
-}  // namespace
-
 PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
                                      const std::vector<double>& point,
                                      const PackedRunConfig& config) const {
-  if (point.size() != program.arity()) {
-    throw std::invalid_argument(
-        "PackedKernel: point arity " + std::to_string(point.size()) +
-        " does not match the program arity " +
-        std::to_string(program.arity()));
+  check_point(program, point);
+  if (program.has_dense1() || program.has_dense2()) {
+    return run_fused({&program, 1}, point, config).front();
   }
-  // Dense delegation: the N=1/N=2 legacy representations take exactly the
-  // legacy paths (same stimulus construction, same seeds), which is what
-  // makes the unified entry point bit-identical to the run/run2 wrappers.
-  if (program.has_dense1()) {
-    return run_fused({program.dense1()}, point[0], config).front();
-  }
-  if (program.has_dense2()) {
-    return run2_fused({program.dense2()}, point[0], point[1], config).front();
-  }
-
-  if (bivariate_) {
-    throw std::invalid_argument(
-        "PackedKernel: separable-term programs run on a univariate kernel");
-  }
-  for (const sc::SeparableTerm& term : program.terms()) {
-    for (const sc::SeparableFactor& factor : term.factors) {
-      if (factor.poly.degree() != order_) {
-        throw std::invalid_argument(
-            "PackedKernel: factor order does not match the circuit");
-      }
-    }
-  }
+  check_program(program);
   config.op.validate();
 
   const std::size_t length = config.op.stream_length;
   const std::size_t nwords = (length + 63) / 64;
-  const simd::KernelOps& ops = simd::kernel_ops();
 
   PackedRunResult result;
   result.length = length;
   double optical_sum = 0.0;
   double electronic_sum = 0.0;
   std::size_t factor_index = 0;
-  std::vector<std::uint64_t> flip_mask;
   for (const sc::SeparableTerm& term : program.terms()) {
     // Term product: AND of the term's independent factor streams. An
     // omitted axis contributes the constant 1 (the AND identity), so the
@@ -633,28 +455,17 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
     std::vector<std::uint64_t> optical(nwords, ~std::uint64_t{0});
     std::vector<std::uint64_t> electronic(nwords, ~std::uint64_t{0});
     for (const sc::SeparableFactor& factor : term.factors) {
-      const sc::ScInputs inputs = sc::make_sc_inputs(
-          point[factor.axis], factor.poly.coeffs(), order_, length,
-          {config.source_kind, config.op.sng_width,
-           derive_factor_seed(config.stimulus_seed, factor_index)});
-      Streams streams = evaluate(inputs);
-      if (config.op.noisy()) {
-        // Per-factor receiver noise: each factor stream is its own
-        // optical evaluation, so each gets its own Eq. 9 flip mask.
-        oscs::Xoshiro256 noise_rng(
-            derive_factor_seed(config.noise_seed, factor_index));
-        const std::vector<std::size_t> flips =
-            sample_flip_positions(length, config.op.ber, noise_rng);
-        if (!flips.empty()) {
-          flip_mask.assign(nwords, 0);
-          for (std::size_t pos : flips) {
-            flip_mask[pos / 64] |= std::uint64_t{1} << (pos % 64);
-          }
-          ops.xor_inplace(streams.optical.words_data(), flip_mask.data(),
-                          nwords);
-          result.noise_flips += flips.size();
-        }
-      }
+      Streams streams = std::move(
+          evaluate_at(point[factor.axis], 0.0, {factor.poly.coeffs()},
+                      derive_factor_seed(config.stimulus_seed, factor_index),
+                      config)
+              .front());
+      // Per-factor receiver noise: each factor stream is its own optical
+      // evaluation, so each gets its own Eq. 9 flip mask.
+      const FlipMask mask = sample_flip_mask(
+          config.op, derive_factor_seed(config.noise_seed, factor_index));
+      mask.apply(streams.optical);
+      result.noise_flips += mask.flips;
       const std::uint64_t* opt_words = streams.optical.words_data();
       const std::uint64_t* elec_words = streams.electronic.words_data();
       for (std::size_t w = 0; w < nwords; ++w) {

@@ -2,33 +2,42 @@
 /// \file packed_sim.hpp
 /// \brief Word-parallel evaluation kernel for the optical SC circuit.
 ///
-/// The legacy TransientSimulator walks the stimulus one bit at a time and
-/// re-evaluates the Eq. (6) transmission physics per cycle. But the
-/// physics only depends on the *discrete* circuit state: the n+1
-/// coefficient bits z and the number of ones k among the n data bits (the
-/// identical MZIs make the pump level a function of k alone, Eq. 7). This
-/// kernel therefore precomputes the noiseless slicer decision for every
-/// reachable state once - 2^(n+1) * (n+1) received-power evaluations - and
-/// then evaluates whole streams 64 bits per uint64_t word:
+/// The paper's datapath is one ReSC MUX: an adder over the data streams
+/// selects one coefficient stream (Eqs. 5-7). The two-input tensor-product
+/// form only adds a second adder, so the kernel has ONE core over an x
+/// bank, a y bank and K coefficient sets, and a one-input program is a
+/// two-input one whose y bank is empty. Per block of packed words the
+/// core
 ///
-///   1. the adder k(t) is computed for all 64 lanes at once with a
-///      carry-save bit-plane accumulation over the packed x words,
-///   2. per-coefficient select masks (k(t) == k) come out of the planes as
-///      bitwise equality tests,
-///   3. the ideal MUX output is OR_k(select_k & z_k); the optical decision
-///      stream is assembled the same way from the decision LUT (and when
-///      the LUT *is* the ideal MUX - an open eye at the operating point -
-///      the MUX word is reused directly),
-///   4. receiver noise is applied as sparse decision flips at the BER the
-///      caller's `oscs::OperatingPoint` carries (geometric gap sampling),
-///      instead of drawing one Gaussian per bit.
+///   1. computes each adder value k(t) for all 64 lanes of a word at once
+///      with a carry-save bit-plane accumulation over the bank's words,
+///   2. turns the planes into per-value select masks (k(t) == k) with
+///      bitwise equality tests - once per block, shared by all K programs,
+///   3. ORs select & coefficient words into the ideal MUX output (with a
+///      y bank the select is the AND of the row and column masks),
+///   4. takes the optical decision words from the kernel's decision
+///      model: the MUX words themselves when the model is mux-exact, else
+///      the per-state physics LUT.
 ///
-/// The kernel holds NO noise model of its own: the flip probability always
-/// arrives inside the operating point, which `optsc::LinkBudget` (the one
-/// place that owns the physics-to-BER mapping) produced. The fused mode
+/// Decision models. The legacy TransientSimulator re-evaluates the Eq. (6)
+/// transmission physics per cycle, but the physics only depends on the
+/// discrete circuit state: the n+1 coefficient bits z and the number of
+/// ones k among the n data bits (identical MZIs make the pump level a
+/// function of k alone, Eq. 7). The one-input constructor therefore
+/// precomputes the noiseless slicer decision for every reachable state -
+/// 2^(n+1) * (n+1) received-power evaluations - and is mux-exact when the
+/// eye is open in every state. The two-input constructor uses the ideal
+/// MUX, since its per-state table would have 2^((n+1)(m+1)) entries.
+///
+/// Receiver noise is applied after the core as sparse decision flips at
+/// the BER the caller's `oscs::OperatingPoint` carries (geometric gap
+/// sampling) instead of one Gaussian per bit. The kernel holds NO noise
+/// model of its own: `optsc::LinkBudget` (the one place that owns the
+/// physics-to-BER mapping) produced the operating point. The fused mode
 /// evaluates K programs on one shared stimulus with one flip-mask pass.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/operating_point.hpp"
@@ -81,8 +90,22 @@ void flip_positions(stochastic::Bitstream& stream,
 std::size_t apply_noise_flips(stochastic::Bitstream& stream, double flip_p,
                               oscs::Xoshiro256& rng);
 
+/// The packed kernel a program runs on: the x-bank order and the y-bank
+/// order (0 = no y bank).
+struct KernelShape {
+  std::size_t order_x = 0;
+  std::size_t order_y = 0;
+  friend bool operator==(const KernelShape&, const KernelShape&) = default;
+};
+
+/// A program's kernel shape: (deg_x, deg_y) for a dense two-input program,
+/// (degree, 0) otherwise - dense one-input programs and every factor of a
+/// general separable program run on a kernel without a y bank.
+[[nodiscard]] KernelShape kernel_shape(
+    const stochastic::SeparableProgram& program) noexcept;
+
 /// Word-parallel evaluation kernel bound to one circuit. Construction
-/// snapshots the eye geometry the hot loop needs (decision LUT, slicer
+/// snapshots the eye geometry the hot loop needs (decision model, slicer
 /// threshold); evaluation is const and safe to share across threads.
 class PackedKernel {
  public:
@@ -91,28 +114,30 @@ class PackedKernel {
   /// Eq. (6) physics, so the build cost doubles per order step.
   static constexpr std::size_t kMaxOrder = 12;
 
+  /// One-input kernel at the circuit's order, with the per-state physics
+  /// decision LUT.
   /// \throws std::invalid_argument if circuit.order() > kMaxOrder.
   explicit PackedKernel(const optsc::OpticalScCircuit& circuit);
 
-  /// Bivariate (tensor-product ReSC) mode: two packed select-index plane
-  /// sets per word - an x adder over `order_x` data streams and a y adder
-  /// over `order_y` - select one of the (order_x+1)*(order_y+1)
-  /// coefficient streams. The circuit supplies the eye geometry
-  /// (threshold) exactly as in the univariate constructor; the 2D
-  /// coefficient LUT is the ideal MUX (the per-state physics table would
-  /// be 2^((n+1)(m+1)) entries), so the optical decision model is
-  /// mux-exact by construction and receiver noise still arrives as Eq. 9
-  /// flip masks from the caller's `oscs::OperatingPoint`. Either order may
-  /// be 0 (that input bank degenerates).
+  /// Two-bank (tensor-product ReSC) kernel: an x adder over `order_x`
+  /// data streams and a y adder over `order_y` select one of the
+  /// (order_x+1)*(order_y+1) coefficient streams. The circuit supplies the
+  /// eye geometry (threshold) exactly as in the one-input constructor; the
+  /// decision model is the ideal MUX (mux-exact by construction), and
+  /// receiver noise still arrives as Eq. 9 flip masks from the caller's
+  /// `oscs::OperatingPoint`. Either order may be 0 (that bank is empty).
   /// \throws std::invalid_argument if either order exceeds kMaxOrder.
   PackedKernel(const optsc::OpticalScCircuit& circuit, std::size_t order_x,
                std::size_t order_y);
 
   [[nodiscard]] std::size_t order() const noexcept { return order_; }
-  /// Bivariate mode: y-axis order (column select range 0..order_y()).
+  /// Y-bank order (column select range 0..order_y()); 0 without a y bank.
   [[nodiscard]] std::size_t order_y() const noexcept { return order_y_; }
-  /// True when the kernel was built in the two-input tensor-product mode.
-  [[nodiscard]] bool bivariate() const noexcept { return bivariate_; }
+  [[nodiscard]] KernelShape shape() const noexcept {
+    return {order_, order_y_};
+  }
+  /// True when the kernel was built by the two-bank constructor.
+  [[nodiscard]] bool bivariate() const noexcept { return decisions_.empty(); }
   /// Mid-eye decision threshold [mW], physical-eye semantics (identical to
   /// the legacy TransientSimulator placement).
   [[nodiscard]] double threshold_mw() const noexcept { return threshold_mw_; }
@@ -128,83 +153,63 @@ class PackedKernel {
   [[nodiscard]] double received_power_mw(std::uint32_t z_pattern,
                                          std::size_t ones) const;
 
+  /// Throws unless `program` runs on this kernel: its kernel_shape()
+  /// equals shape(), and every factor of a separable program sits at the
+  /// kernel order.
+  /// \throws std::invalid_argument otherwise.
+  void check_program(const stochastic::SeparableProgram& program) const;
+
   /// Noiseless word-parallel pass over shared stimulus.
   struct Streams {
     stochastic::Bitstream optical;     ///< slicer decisions
     stochastic::Bitstream electronic;  ///< ideal MUX output (ReSC baseline)
   };
+  /// One-input stimulus (an empty y bank). Bit-identical to
+  /// ReSCUnit::output_stream on the same stimulus when mux-exact.
   /// \throws std::invalid_argument on stimulus shape mismatch.
   [[nodiscard]] Streams evaluate(const stochastic::ScInputs& inputs) const;
-
-  /// Fused noiseless pass: K programs on shared data streams. The adder
-  /// bit-planes and select masks are computed once per word and reused by
-  /// every program - the per-word work the unfused path would repeat K
-  /// times. Returns one Streams per program.
+  /// Two-bank stimulus. Bit-identical to ReSC2Unit::output_stream on the
+  /// same stimulus when mux-exact.
   /// \throws std::invalid_argument on stimulus shape mismatch.
-  [[nodiscard]] std::vector<Streams> evaluate_fused(
-      const stochastic::FusedScInputs& inputs) const;
+  [[nodiscard]] Streams evaluate2(const stochastic::ScInputs2& inputs) const;
 
   /// Full evaluation: generate SNG stimulus, run the packed pass, apply
   /// decision flips at config.op.ber. Equivalent to the legacy per-bit
-  /// simulation loop, word-wise.
+  /// simulation loop, word-wise. Adapter over run_nd().
   /// \throws std::invalid_argument if the polynomial order mismatches or
   ///         the operating point is invalid.
   [[nodiscard]] PackedRunResult run(const stochastic::BernsteinPoly& poly,
                                     double x,
                                     const PackedRunConfig& config) const;
 
-  /// Fused full evaluation: K programs share one SNG stimulus (data
-  /// streams generated once) and one flip-mask pass (positions sampled
-  /// once at config.op.ber, applied to every program's decision stream).
-  /// A one-program fused run is bit-identical to run().
-  /// \throws std::invalid_argument on an empty program list, an order
-  ///         mismatch or an invalid operating point.
-  [[nodiscard]] std::vector<PackedRunResult> run_fused(
-      const std::vector<stochastic::BernsteinPoly>& polys, double x,
-      const PackedRunConfig& config) const;
-
-  /// Noiseless word-parallel pass over two-input stimulus (bivariate
-  /// kernels only). Bit-identical to ReSC2Unit::output_stream on the same
-  /// stimulus.
-  /// \throws std::invalid_argument on stimulus shape mismatch or a
-  ///         univariate kernel.
-  [[nodiscard]] Streams evaluate2(const stochastic::ScInputs2& inputs) const;
-
-  /// Fused noiseless two-input pass: K coefficient grids on shared x and
-  /// y banks - both adders' select planes computed once per word.
-  /// \throws std::invalid_argument on stimulus shape mismatch or a
-  ///         univariate kernel.
-  [[nodiscard]] std::vector<Streams> evaluate2_fused(
-      const stochastic::FusedScInputs2& inputs) const;
-
-  /// Full bivariate evaluation: generate the two-bank SNG stimulus, run
-  /// the packed pass, apply decision flips at config.op.ber.
-  /// \throws std::invalid_argument if the polynomial orders mismatch, the
-  ///         kernel is univariate or the operating point is invalid.
+  /// Full two-input evaluation at (x, y). Adapter over run_nd().
+  /// \throws std::invalid_argument if the polynomial orders mismatch the
+  ///         kernel shape or the operating point is invalid.
   [[nodiscard]] PackedRunResult run2(const stochastic::BernsteinPoly2& poly,
                                      double x, double y,
                                      const PackedRunConfig& config) const;
 
-  /// Fused bivariate evaluation: K programs share both stimulus banks and
-  /// one flip-mask pass. A one-program fused run is bit-identical to
-  /// run2().
-  /// \throws std::invalid_argument on an empty program list, an order
-  ///         mismatch, a univariate kernel or an invalid operating point.
-  [[nodiscard]] std::vector<PackedRunResult> run2_fused(
-      const std::vector<stochastic::BernsteinPoly2>& polys, double x,
-      double y, const PackedRunConfig& config) const;
+  /// Fused full evaluation of K dense programs at one point: the programs
+  /// share one SNG stimulus (data banks generated once) and one flip-mask
+  /// pass (positions sampled once at config.op.ber, applied to every
+  /// program's decision stream). Program 0 is bit-identical to a
+  /// one-program run.
+  /// \throws std::invalid_argument on an empty program list, a general
+  ///         separable program, a point arity or kernel shape mismatch, or
+  ///         an invalid operating point.
+  [[nodiscard]] std::vector<PackedRunResult> run_fused(
+      std::span<const stochastic::SeparableProgram> programs,
+      const std::vector<double>& point, const PackedRunConfig& config) const;
 
   /// N-ary entry point: evaluate a separable program at a point of
   /// point.size() == program.arity() coordinates.
   ///
-  /// Dense forms delegate: a program carrying the dense univariate /
-  /// bivariate representation takes exactly the legacy run()/run2() path
-  /// (same stimulus, same seeds), so run_nd is bit-identical to the
-  /// wrappers it unifies. A general sum-of-rank-1 program runs each
-  /// factor as one fused 1D pass on this (univariate) kernel - the
-  /// factor's coefficients are its SNG probabilities - ANDs the
-  /// independent factor streams of every term (stochastic multiply), and
-  /// folds the weighted term estimates arithmetically:
+  /// A dense program is a one-program run_fused(). A general
+  /// sum-of-rank-1 program runs each factor as one pass on this kernel's
+  /// one-input shape - the factor's coefficients are its SNG
+  /// probabilities - ANDs the independent factor streams of every term
+  /// (stochastic multiply), and folds the weighted term estimates
+  /// arithmetically:
   ///
   ///   estimate = sum_t w_t * popcount(AND_j stream_{t,j}) / length.
   ///
@@ -213,47 +218,34 @@ class PackedKernel {
   /// config.noise_seed); noise_flips totals the injected flips and
   /// transmission_flips counts, per term, the bits where the noisy
   /// optical product differs from the ideal electronic product.
-  /// \throws std::invalid_argument on a point arity mismatch, a factor
-  ///         order not matching the circuit, a general program on a
-  ///         bivariate kernel, or an invalid operating point.
+  /// \throws std::invalid_argument on a point arity mismatch, a program
+  ///         that does not run on this kernel (check_program), or an
+  ///         invalid operating point.
   [[nodiscard]] PackedRunResult run_nd(
       const stochastic::SeparableProgram& program,
       const std::vector<double>& point, const PackedRunConfig& config) const;
 
  private:
-  /// Assemble the ideal-MUX and optical-decision words for one program
-  /// from the per-word select masks and coefficient words.
-  void assemble_words(const std::uint64_t* sel, const std::uint64_t* zw,
-                      std::uint64_t& mux_word, std::uint64_t& opt_word) const;
-
-  /// Shared core of evaluate/evaluate_fused: one set of x streams, K
-  /// borrowed coefficient-stream sets (no copies).
+  /// The one block loop: a shared x bank, a shared y bank (empty without
+  /// one) and K borrowed coefficient-stream sets (no copies).
   [[nodiscard]] std::vector<Streams> evaluate_core(
       const std::vector<stochastic::Bitstream>& x_streams,
-      const std::vector<const std::vector<stochastic::Bitstream>*>& z_sets)
-      const;
-
-  /// Shared core of evaluate2/evaluate2_fused: shared x and y banks, K
-  /// borrowed coefficient-grid stream sets (no copies).
-  [[nodiscard]] std::vector<Streams> evaluate2_core(
-      const std::vector<stochastic::Bitstream>& x_streams,
       const std::vector<stochastic::Bitstream>& y_streams,
-      const std::vector<const std::vector<stochastic::Bitstream>*>& z_sets)
-      const;
+      std::span<const std::vector<stochastic::Bitstream>> z_sets) const;
 
-  /// Shared flip-mask + statistics tail of run_fused/run2_fused.
-  [[nodiscard]] std::vector<PackedRunResult> finish_runs(
-      std::vector<Streams> streams, const PackedRunConfig& config) const;
+  /// Fused stimulus for K coefficient sets at (x, y), then the block loop.
+  /// `y` is unused without a y bank.
+  [[nodiscard]] std::vector<Streams> evaluate_at(
+      double x, double y, const std::vector<std::vector<double>>& coeffs,
+      std::uint64_t stimulus_seed, const PackedRunConfig& config) const;
 
   const optsc::OpticalScCircuit* circuit_;
   std::size_t order_ = 0;
-  std::size_t order_y_ = 0;   ///< bivariate mode: column select range
-  bool bivariate_ = false;    ///< two-input tensor-product mode
-  std::size_t planes_ = 0;  ///< bit-planes needed for adder values 0..n
-  std::size_t planes_y_ = 0;  ///< bit-planes for the y adder (bivariate)
+  std::size_t order_y_ = 0;  ///< 0 without a y bank
   double threshold_mw_ = 0.0;
-  bool mux_exact_ = false;
-  /// decisions_[p] bit k = noiseless decision for pattern p, adder k.
+  bool mux_exact_ = true;
+  /// decisions_[p] bit k = noiseless decision for pattern p, adder k
+  /// (one-input constructor only; empty for the ideal-MUX model).
   std::vector<std::uint32_t> decisions_;
 };
 

@@ -151,22 +151,11 @@ std::string arity_mismatch(const std::string& id, std::size_t takes,
          " inputs (arities cannot mix)";
 }
 
-/// Kernel shape a program runs at: (order_x, order_y) for the bivariate
-/// tensor-product kernel, (order, 0) for the univariate one (dense 1D
-/// programs and every factor of a general separable program).
-std::pair<std::size_t, std::size_t> kernel_shape(
-    const stochastic::SeparableProgram& program) {
-  if (program.has_dense2()) {
-    return {program.dense2().deg_x(), program.dense2().deg_y()};
-  }
-  return {program.factor_degree(), 0};
-}
-
 /// Value-preserving degree elevation of `program` to the kernel shape.
 stochastic::SeparableProgram elevated_to_shape(
     stochastic::SeparableProgram program, std::size_t order_x,
     std::size_t order_y) {
-  const auto [px, py] = kernel_shape(program);
+  const auto [px, py] = engine::kernel_shape(program);
   if (px == order_x && py == order_y) return program;
   if (program.has_dense2()) {
     return stochastic::SeparableProgram(
@@ -232,7 +221,7 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
     const stochastic::BernsteinPoly poly(spec.coefficients);
     program.emplace(poly.degree() == 0 ? poly.elevated() : poly);
   }
-  const auto [order_x, order_y] = kernel_shape(*program);
+  const auto [order_x, order_y] = engine::kernel_shape(*program);
   if (order_x > engine::PackedKernel::kMaxOrder ||
       order_y > engine::PackedKernel::kMaxOrder) {
     throw bad_request("coefficient degree exceeds the kernel order limit (" +
@@ -485,7 +474,7 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request,
       resolved.holds.push_back(std::move(program));
       resolved.refs.push_back(std::move(entry->reference));
     }
-    const auto [px, py] = kernel_shape(resolved.programs.back());
+    const auto [px, py] = engine::kernel_shape(resolved.programs.back());
     order_x = std::max(order_x, px);
     order_y = std::max(order_y, py);
   }
@@ -497,8 +486,8 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request,
   }
 
   for (const auto& program : resolved.holds) {
-    if (program != nullptr && program->circuit_order() == order_x &&
-        program->circuit_order_y() == order_y) {
+    if (program != nullptr &&
+        program->kernel()->shape() == engine::KernelShape{order_x, order_y}) {
       // Aliasing handle: the circuit lives as long as its program.
       resolved.engine = {std::shared_ptr<const optsc::OpticalScCircuit>(
                              program, &program->circuit()),

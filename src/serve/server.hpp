@@ -285,7 +285,8 @@ class ProgramServer {
   [[nodiscard]] Resolved resolve(const ServeRequest& request,
                                  std::size_t arity);
   /// Fallback engine for a kernel shape; order_y == 0 selects the
-  /// univariate kernel, otherwise the bivariate (order_x, order_y) mode.
+  /// one-input kernel (with its physics decision LUT), otherwise the
+  /// two-bank (order_x, order_y) kernel.
   [[nodiscard]] const OrderEngine& order_engine(std::size_t order_x,
                                                 std::size_t order_y);
   [[nodiscard]] oscs::OperatingPoint resolve_operating_point(

@@ -20,66 +20,10 @@ std::size_t ScInputs::select(std::size_t t) const {
 ScInputs make_sc_inputs(double x, const std::vector<double>& coeffs,
                         std::size_t order, std::size_t length,
                         const ScInputConfig& config) {
-  if (coeffs.size() != order + 1) {
-    throw std::invalid_argument(
-        "make_sc_inputs: need order+1 coefficients, got " +
-        std::to_string(coeffs.size()));
-  }
-  ScInputs inputs;
-  inputs.x_streams.reserve(order);
-  inputs.z_streams.reserve(order + 1);
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
-  }
-  for (std::size_t j = 0; j <= order; ++j) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.z_streams.push_back(sng.generate(coeffs[j], length));
-  }
-  return inputs;
-}
-
-ScInputs FusedScInputs::program(std::size_t k) const {
-  if (k >= z_streams.size()) {
-    throw std::out_of_range("FusedScInputs::program: index out of range");
-  }
-  return ScInputs{x_streams, z_streams[k]};
-}
-
-FusedScInputs make_fused_sc_inputs(double x,
-                                   const std::vector<std::vector<double>>& coeffs,
-                                   std::size_t order, std::size_t length,
-                                   const ScInputConfig& config) {
-  if (coeffs.empty()) {
-    throw std::invalid_argument("make_fused_sc_inputs: no programs");
-  }
-  for (const std::vector<double>& c : coeffs) {
-    if (c.size() != order + 1) {
-      throw std::invalid_argument(
-          "make_fused_sc_inputs: need order+1 coefficients per program, got " +
-          std::to_string(c.size()));
-    }
-  }
-  FusedScInputs inputs;
-  inputs.x_streams.reserve(order);
-  inputs.z_streams.resize(coeffs.size());
-  // Salt sequence matches make_sc_inputs for the x streams and program 0's
-  // z streams, so a one-program fused stimulus is bit-identical to the
-  // unfused one; further programs keep drawing fresh salts.
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
-  }
-  for (std::size_t k = 0; k < coeffs.size(); ++k) {
-    inputs.z_streams[k].reserve(order + 1);
-    for (std::size_t j = 0; j <= order; ++j) {
-      Sng sng(make_source(config.kind, config.width, salt++));
-      inputs.z_streams[k].push_back(sng.generate(coeffs[k][j], length));
-    }
-  }
-  return inputs;
+  FusedScInputs2 fused =
+      make_fused_sc_inputs2(x, 0.0, {coeffs}, order, 0, length, config);
+  return ScInputs{std::move(fused.x_streams),
+                  std::move(fused.z_streams.front())};
 }
 
 std::size_t ScInputs2::select_x(std::size_t t) const {
@@ -98,31 +42,10 @@ ScInputs2 make_sc_inputs2(double x, double y,
                           const std::vector<double>& coeffs,
                           std::size_t order_x, std::size_t order_y,
                           std::size_t length, const ScInputConfig& config) {
-  if (coeffs.size() != (order_x + 1) * (order_y + 1)) {
-    throw std::invalid_argument(
-        "make_sc_inputs2: need (order_x+1)*(order_y+1) coefficients, got " +
-        std::to_string(coeffs.size()));
-  }
-  ScInputs2 inputs;
-  inputs.x_streams.reserve(order_x);
-  inputs.y_streams.reserve(order_y);
-  inputs.z_streams.reserve(coeffs.size());
-  // Salt sequence: x bank, then y bank, then the coefficient grid
-  // row-major - mirrored exactly by make_fused_sc_inputs2 program 0.
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order_x; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
-  }
-  for (std::size_t j = 0; j < order_y; ++j) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.y_streams.push_back(sng.generate(y, length));
-  }
-  for (double c : coeffs) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.z_streams.push_back(sng.generate(c, length));
-  }
-  return inputs;
+  FusedScInputs2 fused =
+      make_fused_sc_inputs2(x, y, {coeffs}, order_x, order_y, length, config);
+  return ScInputs2{std::move(fused.x_streams), std::move(fused.y_streams),
+                   std::move(fused.z_streams.front())};
 }
 
 ScInputs2 FusedScInputs2::program(std::size_t k) const {
@@ -137,13 +60,13 @@ FusedScInputs2 make_fused_sc_inputs2(
     std::size_t order_x, std::size_t order_y, std::size_t length,
     const ScInputConfig& config) {
   if (coeffs.empty()) {
-    throw std::invalid_argument("make_fused_sc_inputs2: no programs");
+    throw std::invalid_argument("SC stimulus: no programs");
   }
   for (const std::vector<double>& c : coeffs) {
     if (c.size() != (order_x + 1) * (order_y + 1)) {
       throw std::invalid_argument(
-          "make_fused_sc_inputs2: need (order_x+1)*(order_y+1) coefficients "
-          "per program, got " +
+          "SC stimulus: need (order_x+1)*(order_y+1) coefficients per "
+          "program, got " +
           std::to_string(c.size()));
     }
   }
@@ -151,9 +74,7 @@ FusedScInputs2 make_fused_sc_inputs2(
   inputs.x_streams.reserve(order_x);
   inputs.y_streams.reserve(order_y);
   inputs.z_streams.resize(coeffs.size());
-  // Salt sequence matches make_sc_inputs2 for the shared banks and
-  // program 0's grid, so a one-program fused stimulus is bit-identical to
-  // the unfused one; further programs keep drawing fresh salts.
+  // Salt sequence: x bank, y bank, then every program's grid row-major.
   std::uint64_t salt = config.seed * 2u + 1u;
   for (std::size_t i = 0; i < order_x; ++i) {
     Sng sng(make_source(config.kind, config.width, salt++));

@@ -42,47 +42,13 @@ struct ScInputConfig {
 };
 
 /// Generate the shared stimulus for evaluating a Bernstein polynomial of
-/// order `order` at input `x` with the given coefficients.
+/// order `order` at input `x` with the given coefficients: the one-program
+/// make_fused_sc_inputs2() stimulus with an empty y bank.
 /// \throws std::invalid_argument if coeffs.size() != order + 1.
 [[nodiscard]] ScInputs make_sc_inputs(double x,
                                       const std::vector<double>& coeffs,
                                       std::size_t order, std::size_t length,
                                       const ScInputConfig& config = {});
-
-/// Stimulus for K programs fused onto one circuit: the n data streams are
-/// generated once and shared by every program; only the K * (n+1)
-/// coefficient streams are per-program. This is where the fused engine
-/// mode gets its stimulus amortization from.
-struct FusedScInputs {
-  std::vector<Bitstream> x_streams;  ///< n shared encodings of x
-  /// z_streams[k][j] encodes coefficient b_j of program k.
-  std::vector<std::vector<Bitstream>> z_streams;
-
-  [[nodiscard]] std::size_t order() const noexcept { return x_streams.size(); }
-  [[nodiscard]] std::size_t programs() const noexcept {
-    return z_streams.size();
-  }
-  [[nodiscard]] std::size_t length() const noexcept {
-    if (!x_streams.empty()) return x_streams.front().size();
-    if (z_streams.empty() || z_streams.front().empty()) return 0;
-    return z_streams.front().front().size();
-  }
-
-  /// View of program k as a single-program stimulus (copies streams).
-  /// \throws std::out_of_range on a bad program index.
-  [[nodiscard]] ScInputs program(std::size_t k) const;
-};
-
-/// Generate fused stimulus for K coefficient vectors sharing one input x.
-/// Program 0 receives exactly the streams make_sc_inputs would generate
-/// from the same config (bit-for-bit), so a one-program fused run is
-/// identical to the unfused path; later programs draw fresh decorrelated
-/// source salts.
-/// \throws std::invalid_argument if coeffs is empty or any vector's size
-///         is not order + 1.
-[[nodiscard]] FusedScInputs make_fused_sc_inputs(
-    double x, const std::vector<std::vector<double>>& coeffs,
-    std::size_t order, std::size_t length, const ScInputConfig& config = {});
 
 /// Per-cycle stimulus of the two-input (tensor-product) ReSC unit: n
 /// encodings of x, m encodings of y, and (n+1)*(m+1) coefficient streams
@@ -115,7 +81,8 @@ struct ScInputs2 {
 
 /// Generate the shared stimulus for evaluating a tensor-product Bernstein
 /// polynomial of per-axis orders (order_x, order_y) at (x, y). `coeffs` is
-/// the flat row-major grid, (order_x+1)*(order_y+1) long.
+/// the flat row-major grid, (order_x+1)*(order_y+1) long. The one-program
+/// make_fused_sc_inputs2() stimulus.
 /// \throws std::invalid_argument on a coefficient-count mismatch.
 [[nodiscard]] ScInputs2 make_sc_inputs2(double x, double y,
                                         const std::vector<double>& coeffs,
@@ -124,9 +91,11 @@ struct ScInputs2 {
                                         std::size_t length,
                                         const ScInputConfig& config = {});
 
-/// Fused two-input stimulus: the x and y banks are generated once and
-/// shared by every program; only the K coefficient-grid stream sets are
-/// per-program.
+/// Fused stimulus for K programs on one circuit: the x and y banks are
+/// generated once and shared by every program; only the K coefficient-grid
+/// stream sets are per-program. This is where the fused engine mode gets
+/// its stimulus amortization from. A one-input stimulus has an empty y
+/// bank.
 struct FusedScInputs2 {
   std::vector<Bitstream> x_streams;  ///< n shared encodings of x
   std::vector<Bitstream> y_streams;  ///< m shared encodings of y
@@ -154,10 +123,12 @@ struct FusedScInputs2 {
   [[nodiscard]] ScInputs2 program(std::size_t k) const;
 };
 
-/// Generate fused two-input stimulus for K coefficient grids sharing one
-/// (x, y). Program 0 receives exactly the streams make_sc_inputs2 would
-/// generate from the same config (bit-for-bit), so a one-program fused
-/// run is identical to the unfused path.
+/// Generate fused stimulus for K coefficient grids sharing one (x, y) -
+/// the one stimulus builder behind every packed evaluation. Salt sequence:
+/// the x bank, the y bank, then each program's grid row-major, so program
+/// 0 receives exactly the make_sc_inputs2 streams and, with order_y = 0
+/// (y unused), the make_sc_inputs streams; later programs draw fresh
+/// decorrelated salts.
 /// \throws std::invalid_argument if coeffs is empty or any grid's size is
 ///         not (order_x+1)*(order_y+1).
 [[nodiscard]] FusedScInputs2 make_fused_sc_inputs2(

@@ -15,9 +15,8 @@
 ///
 /// The N=1 and N=2 programs keep their exact legacy representation (a
 /// dense BernsteinPoly / tensor-product BernsteinPoly2) inside the same
-/// type: `PackedKernel::run_nd` delegates those to the legacy run/run2
-/// paths, which makes the unified entry point bit-identical to the code
-/// it replaces.
+/// type: `PackedKernel::run_nd` runs those as one-program fused runs of
+/// the dense coefficients, bit-identical to the run/run2 adapters.
 
 #include <cstddef>
 #include <optional>
@@ -52,19 +51,19 @@ class SeparableProgram {
 
   /// Dense univariate form (N=1): the legacy BernsteinPoly program. Also
   /// representable as one rank-1 term (weight 1, one factor), and the
-  /// terms() view reflects that; run_nd delegates to the legacy path.
+  /// terms() view reflects that; run_nd runs the dense coefficients.
   explicit SeparableProgram(BernsteinPoly dense);
 
   /// Dense bivariate form (N=2): the legacy tensor-product program. A
   /// general surface is not a short rank-1 sum, so this form has no
-  /// terms() view; run_nd delegates to the legacy run2 path.
+  /// terms() view; run_nd runs the dense coefficient grid.
   explicit SeparableProgram(BernsteinPoly2 dense);
 
   /// Number of inputs the program reads.
   [[nodiscard]] std::size_t arity() const noexcept { return arity_; }
 
   /// True when the program carries the dense univariate / bivariate
-  /// legacy representation (run_nd takes the bit-identical legacy path).
+  /// legacy representation (run_nd runs it as a dense fused program).
   [[nodiscard]] bool has_dense1() const noexcept {
     return dense1_.has_value();
   }

@@ -266,6 +266,20 @@ TEST(CompiledProgramTest, CertifiedErrorBudgetAndJsonExport) {
   const std::string bare_json = certification_json(*bare);
   EXPECT_NE(bare_json.find("\"certified\": false"), std::string::npos);
   EXPECT_EQ(bare_json.find("\"error_budget\""), std::string::npos);
+  EXPECT_NE(bare_json.find("\"arity\": 1"), std::string::npos);
+
+  // An N-ary program reports its own input count.
+  const auto ternary = compile_function_nd(
+      "rgb_luma", 3,
+      [](const std::vector<double>& p) {
+        return 0.2126 * p[0] + 0.7152 * p[1] + 0.0722 * p[2];
+      },
+      uncertified_opts);
+  ASSERT_EQ(ternary->arity(), 3u);
+  const std::string ternary_json = certification_json(*ternary);
+  EXPECT_NE(ternary_json.find("\"arity\": 3"), std::string::npos)
+      << ternary_json;
+  EXPECT_NE(ternary_json.find("\"certified\": false"), std::string::npos);
 }
 
 TEST(CertifyTest, OptionValidation) {

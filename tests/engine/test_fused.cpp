@@ -40,19 +40,24 @@ std::vector<sc::BernsteinPoly> order3_programs() {
           sc::BernsteinPoly({0.9, 0.3, 0.2, 0.5})};
 }
 
+std::vector<sc::SeparableProgram> as_programs(
+    const std::vector<sc::BernsteinPoly>& polys) {
+  return {polys.begin(), polys.end()};
+}
+
 TEST(FusedStimulus, ProgramZeroMatchesTheUnfusedStimulusBitForBit) {
   const auto polys = order3_programs();
   std::vector<std::vector<double>> coeffs;
   for (const auto& p : polys) coeffs.push_back(p.coeffs());
   sc::ScInputConfig config;
   config.seed = 77;
-  const sc::FusedScInputs fused =
-      sc::make_fused_sc_inputs(0.4, coeffs, 3, 640, config);
+  const sc::FusedScInputs2 fused =
+      sc::make_fused_sc_inputs2(0.4, 0.0, coeffs, 3, 0, 640, config);
   const sc::ScInputs single =
       sc::make_sc_inputs(0.4, coeffs[0], 3, 640, config);
 
   ASSERT_EQ(fused.programs(), 3u);
-  ASSERT_EQ(fused.order(), 3u);
+  ASSERT_EQ(fused.order_x(), 3u);
   ASSERT_EQ(fused.length(), 640u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(fused.x_streams[i], single.x_streams[i]) << "x stream " << i;
@@ -62,14 +67,15 @@ TEST(FusedStimulus, ProgramZeroMatchesTheUnfusedStimulusBitForBit) {
   }
   // Later programs draw fresh salts: their coefficient streams must not
   // repeat program 0's even for equal coefficient values.
-  const sc::FusedScInputs same_coeffs = sc::make_fused_sc_inputs(
-      0.4, {coeffs[0], coeffs[0]}, 3, 640, config);
+  const sc::FusedScInputs2 same_coeffs = sc::make_fused_sc_inputs2(
+      0.4, 0.0, {coeffs[0], coeffs[0]}, 3, 0, 640, config);
   EXPECT_NE(same_coeffs.z_streams[1][0], same_coeffs.z_streams[0][0]);
 
-  EXPECT_THROW(sc::make_fused_sc_inputs(0.4, {}, 3, 64, config),
+  EXPECT_THROW(sc::make_fused_sc_inputs2(0.4, 0.0, {}, 3, 0, 64, config),
                std::invalid_argument);
-  EXPECT_THROW(sc::make_fused_sc_inputs(0.4, {{0.5, 0.5}}, 3, 64, config),
-               std::invalid_argument);
+  EXPECT_THROW(
+      sc::make_fused_sc_inputs2(0.4, 0.0, {{0.5, 0.5}}, 3, 0, 64, config),
+      std::invalid_argument);
 }
 
 TEST(FusedKernel, EvaluateFusedMatchesPerProgramEvaluate) {
@@ -78,18 +84,29 @@ TEST(FusedKernel, EvaluateFusedMatchesPerProgramEvaluate) {
   const auto polys = order3_programs();
   std::vector<std::vector<double>> coeffs;
   for (const auto& p : polys) coeffs.push_back(p.coeffs());
-  const sc::FusedScInputs fused =
-      sc::make_fused_sc_inputs(0.55, coeffs, 3, 1000, {});
+  const sc::FusedScInputs2 fused =
+      sc::make_fused_sc_inputs2(0.55, 0.0, coeffs, 3, 0, 1000, {});
 
-  const std::vector<PackedKernel::Streams> all = kernel.evaluate_fused(fused);
+  // A noiseless fused run builds exactly this stimulus (default source,
+  // width and seed) and decodes every program's streams.
+  PackedRunConfig cfg;
+  cfg.op.stream_length = 1000;
+  const std::vector<PackedRunResult> all =
+      kernel.run_fused(as_programs(polys), {0.55}, cfg);
   ASSERT_EQ(all.size(), polys.size());
   for (std::size_t k = 0; k < polys.size(); ++k) {
-    const PackedKernel::Streams one = kernel.evaluate(fused.program(k));
-    EXPECT_EQ(all[k].optical, one.optical) << "program " << k;
-    EXPECT_EQ(all[k].electronic, one.electronic) << "program " << k;
+    const sc::ScInputs program_k{fused.x_streams, fused.z_streams[k]};
+    const PackedKernel::Streams one = kernel.evaluate(program_k);
+    EXPECT_EQ(all[k].optical_estimate, one.optical.probability())
+        << "program " << k;
+    EXPECT_EQ(all[k].electronic_estimate, one.electronic.probability())
+        << "program " << k;
+    EXPECT_EQ(all[k].transmission_flips,
+              (one.optical ^ one.electronic).count_ones())
+        << "program " << k;
     // The ReSC baseline on the same shared stimulus agrees too.
     const sc::ReSCUnit unit(polys[k]);
-    EXPECT_EQ(all[k].electronic, unit.output_stream(fused.program(k)))
+    EXPECT_EQ(one.electronic, unit.output_stream(program_k))
         << "program " << k;
   }
 }
@@ -104,7 +121,8 @@ TEST(FusedKernel, OneProgramFusedRunIsBitIdenticalToRun) {
   cfg.noise_seed = 6;
   const sc::BernsteinPoly poly = sc::paper_f2_bernstein();
   const PackedRunResult single = kernel.run(poly, 0.3, cfg);
-  const std::vector<PackedRunResult> fused = kernel.run_fused({poly}, 0.3, cfg);
+  const std::vector<PackedRunResult> fused =
+      kernel.run_fused(std::vector{sc::SeparableProgram(poly)}, {0.3}, cfg);
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_DOUBLE_EQ(fused[0].optical_estimate, single.optical_estimate);
   EXPECT_DOUBLE_EQ(fused[0].electronic_estimate, single.electronic_estimate);
@@ -118,7 +136,8 @@ TEST(FusedKernel, ProgramsShareOneFlipMaskPass) {
   PackedRunConfig cfg;
   cfg.op = design_operating_point(c).with_stream_length(4096);
   cfg.op.ber = 0.05;
-  const auto results = kernel.run_fused(order3_programs(), 0.5, cfg);
+  const auto results =
+      kernel.run_fused(as_programs(order3_programs()), {0.5}, cfg);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_GT(results[0].noise_flips, 0u);
   // One sampled mask applied to every program.

@@ -116,8 +116,9 @@ TEST(DecisionLutBranch, FusedProgramZeroMatchesTheSingleRun) {
       cfg.op.stream_length = length;
       cfg.stimulus_seed = 11;
       const PackedRunResult single = kernel.run(polys[0], 0.45, cfg);
-      const std::vector<PackedRunResult> fused =
-          kernel.run_fused(polys, 0.45, cfg);
+      const std::vector<PackedRunResult> fused = kernel.run_fused(
+          std::vector<sc::SeparableProgram>(polys.begin(), polys.end()),
+          {0.45}, cfg);
       ASSERT_EQ(fused.size(), polys.size());
       EXPECT_EQ(fused[0].optical_estimate, single.optical_estimate)
           << "length " << length;

@@ -126,7 +126,8 @@ TEST(BivariatePackedKernelTest, FusedOneProgramBitIdenticalToRun2) {
   cfg.noise_seed = 5;
   const PackedRunResult single = kernel.run2(poly, 0.3, 0.7, cfg);
   const std::vector<PackedRunResult> fused =
-      kernel.run2_fused({poly}, 0.3, 0.7, cfg);
+      kernel.run_fused(std::vector{sc::SeparableProgram(poly)}, {0.3, 0.7},
+                       cfg);
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_DOUBLE_EQ(fused[0].optical_estimate, single.optical_estimate);
   EXPECT_DOUBLE_EQ(fused[0].electronic_estimate, single.electronic_estimate);
@@ -142,7 +143,9 @@ TEST(BivariatePackedKernelTest, FusedSharesBanksAndFlipMask) {
   cfg.op.stream_length = 2048;
   cfg.op.ber = 0.02;
   const std::vector<PackedRunResult> results =
-      kernel.run2_fused(polys, 0.45, 0.65, cfg);
+      kernel.run_fused(
+          std::vector<sc::SeparableProgram>(polys.begin(), polys.end()),
+          {0.45, 0.65}, cfg);
   ASSERT_EQ(results.size(), 3u);
   // One flip-mask pass: every program reports the same injected flips.
   EXPECT_GT(results[0].noise_flips, 0u);
@@ -182,7 +185,7 @@ TEST(BivariatePackedKernelTest, ArityAndOrderErrorContract) {
   EXPECT_THROW((void)kernel2.run2(grid_poly(2, 2), 0.5, 0.5, cfg),
                std::invalid_argument);
   // Empty program list and order caps.
-  EXPECT_THROW((void)kernel2.run2_fused({}, 0.5, 0.5, cfg),
+  EXPECT_THROW((void)kernel2.run_fused({}, {0.5, 0.5}, cfg),
                std::invalid_argument);
   EXPECT_THROW(PackedKernel(circuit2(), PackedKernel::kMaxOrder + 1, 1),
                std::invalid_argument);

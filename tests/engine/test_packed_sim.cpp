@@ -228,7 +228,7 @@ TEST(PackedKernel, RejectsBadInputs) {
   cfg.op.stream_length = 64;
   cfg.op.ber = 0.75;  // outside [0, 0.5]
   EXPECT_THROW(kernel.run(order2_poly(), 0.5, cfg), std::invalid_argument);
-  EXPECT_THROW(kernel.run_fused({}, 0.5, PackedRunConfig{}),
+  EXPECT_THROW(kernel.run_fused({}, {0.5}, PackedRunConfig{}),
                std::invalid_argument);
 
   sc::ScInputs bad;

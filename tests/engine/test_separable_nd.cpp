@@ -1,7 +1,7 @@
 /// \file test_separable_nd.cpp
 /// \brief Bit-identity and correctness suite for the N-ary separable
 ///        entry point. run_nd at N=1/N=2 must reproduce the legacy
-///        run/run_fused/run2/run2_fused results EXACTLY - same streams,
+///        run/run2 and one-program fused results EXACTLY - same streams,
 ///        same seeds, same flip masks - across word-boundary stream
 ///        lengths, zero and nonzero BER, and both SIMD backends; the
 ///        general sum-of-rank-1 path must track its arithmetic
@@ -86,7 +86,7 @@ TEST(SeparableRunNdBitIdentity, MatchesUnivariateRunAndFused) {
         const PackedRunResult nd = kernel.run_nd(program, {0.4}, cfg);
         const PackedRunResult legacy = kernel.run(poly, 0.4, cfg);
         const PackedRunResult fused =
-            kernel.run_fused({poly}, 0.4, cfg).front();
+            kernel.run_fused(std::vector{program}, {0.4}, cfg).front();
         expect_same_results(nd, legacy, "run_nd vs run", length, ber);
         expect_same_results(nd, fused, "run_nd vs run_fused", length, ber);
       }
@@ -94,7 +94,7 @@ TEST(SeparableRunNdBitIdentity, MatchesUnivariateRunAndFused) {
   }
 }
 
-/// The N=2 dense delegation against run2() and one-program run2_fused().
+/// The N=2 dense delegation against run2() and a one-program run_fused().
 TEST(SeparableRunNdBitIdentity, MatchesBivariateRun2AndFused) {
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(2));
   const PackedKernel kernel(circuit, 2, 2);
@@ -113,9 +113,9 @@ TEST(SeparableRunNdBitIdentity, MatchesBivariateRun2AndFused) {
         const PackedRunResult nd = kernel.run_nd(program, {0.4, 0.7}, cfg);
         const PackedRunResult legacy = kernel.run2(poly, 0.4, 0.7, cfg);
         const PackedRunResult fused =
-            kernel.run2_fused({poly}, 0.4, 0.7, cfg).front();
+            kernel.run_fused(std::vector{program}, {0.4, 0.7}, cfg).front();
         expect_same_results(nd, legacy, "run_nd vs run2", length, ber);
-        expect_same_results(nd, fused, "run_nd vs run2_fused", length, ber);
+        expect_same_results(nd, fused, "run_nd vs run_fused", length, ber);
       }
     }
   }

@@ -2,7 +2,7 @@
 /// \brief SIMD-vs-scalar equivalence suite for the packed kernel: the
 ///        AVX2 backend must be bit-identical to the scalar reference at
 ///        the primitive level (random word blocks, tail counts) and end
-///        to end (run/run_fused/run2/run2_fused across word-boundary
+///        to end (run/run2 and the fused run across word-boundary
 ///        stream lengths, fused widths and nonzero BER, pinned seeds).
 
 #include "engine/simd_kernel.hpp"
@@ -17,6 +17,7 @@
 #include "engine/packed_sim.hpp"
 #include "optsc/defaults.hpp"
 #include "stochastic/bernstein.hpp"
+#include "stochastic/separable.hpp"
 
 namespace oscs::engine {
 namespace {
@@ -172,20 +173,20 @@ TEST(SimdKernelEquivalence, RunsAreBitIdenticalAcrossBackends) {
       cfg.stimulus_seed = 17;
       cfg.noise_seed = 23;
       for (std::size_t fused_k : {1u, 8u}) {
-        const std::vector<sc::BernsteinPoly> progs1(
+        const std::vector<sc::SeparableProgram> progs1(
             polys1.begin(), polys1.begin() + fused_k);
-        const std::vector<sc::BernsteinPoly2> progs2(
+        const std::vector<sc::SeparableProgram> progs2(
             polys2.begin(), polys2.begin() + fused_k);
         std::vector<PackedRunResult> scalar1, avx21, scalar2, avx22;
         {
           ScopedBackend scalar(oscs::SimdBackend::kScalar);
-          scalar1 = kernel1.run_fused(progs1, 0.4, cfg);
-          scalar2 = kernel2.run2_fused(progs2, 0.4, 0.7, cfg);
+          scalar1 = kernel1.run_fused(progs1, {0.4}, cfg);
+          scalar2 = kernel2.run_fused(progs2, {0.4, 0.7}, cfg);
         }
         {
           ScopedBackend avx2(oscs::SimdBackend::kAvx2);
-          avx21 = kernel1.run_fused(progs1, 0.4, cfg);
-          avx22 = kernel2.run2_fused(progs2, 0.4, 0.7, cfg);
+          avx21 = kernel1.run_fused(progs1, {0.4}, cfg);
+          avx22 = kernel2.run_fused(progs2, {0.4, 0.7}, cfg);
         }
         ASSERT_EQ(scalar1.size(), avx21.size());
         ASSERT_EQ(scalar2.size(), avx22.size());
