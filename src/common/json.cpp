@@ -13,9 +13,12 @@ namespace oscs {
 
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
+  // The "%.17g" rendering (17 significant digits, %g's exponent switch),
+  // without printf's locale and format-string parsing.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  return std::string(buf, r.ptr);
 }
 
 std::string json_escape(std::string_view text) {

@@ -23,8 +23,9 @@
 
 namespace oscs {
 
-/// Round-trip double formatting shared by every JSON emitter ("%.17g";
-/// non-finite values are emitted as null, which strict JSON requires).
+/// Round-trip double formatting shared by every JSON emitter: the
+/// "%.17g" text, produced by std::to_chars (non-finite values are emitted
+/// as null, which strict JSON requires).
 [[nodiscard]] std::string json_number(double value);
 
 /// Escape a string body per RFC 8259 (quotes, backslash, the short

@@ -71,7 +71,8 @@ constexpr std::size_t kSlabTargetBits = std::size_t{1} << 20;
 constexpr std::size_t kSlabsPerWorker = 4;
 
 /// Tasks per slab for this request. `passes_per_task` scales the per-task
-/// work estimate: the fused mode evaluates every program in one task.
+/// work estimate: the fused mode evaluates every program in one task, and
+/// a general separable program makes one kernel pass per factor axis.
 std::size_t slab_size(const BatchRequest& request, std::size_t workers,
                       std::size_t n_tasks, std::size_t passes_per_task) {
   if (n_tasks == 0) return 1;
@@ -87,9 +88,10 @@ std::size_t slab_size(const BatchRequest& request, std::size_t workers,
   return std::min({by_target, by_balance, n_tasks});
 }
 
-/// Export one finished batch into the engine counters. `passes` is the
-/// number of kernel passes per (point, length, repeat) task: the
-/// per-program count for run(), 1 for the fused mode (shared stimulus).
+/// Export one finished batch into the engine counters. `passes_per_task`
+/// is the number of kernel passes per (point, length, repeat): the sum of
+/// kernel_passes() over the programs for run(), 1 for the fused mode
+/// (shared stimulus).
 void record_batch(const BatchRequest& request, const BatchSummary& summary,
                   std::size_t passes_per_task) {
   bits_counter().inc(summary.total_bits);
@@ -355,7 +357,15 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
   const std::size_t repeats = request.repeats;
   const std::size_t n_tasks = request.tasks() / per_task;
   std::vector<TaskOut> outs(n_tasks * per_task);
-  const std::size_t slab = slab_size(request, pool.size(), n_tasks, per_task);
+  // Kernel passes per (point, length, repeat) across the unfused programs;
+  // a task runs one program, so the slab estimate takes their mean.
+  std::size_t passes = 0;
+  for (const sc::SeparableProgram& program : programs) {
+    passes += kernel_passes(program);
+  }
+  const std::size_t slab = slab_size(
+      request, pool.size(), n_tasks,
+      fused ? n_programs : (passes + n_programs - 1) / n_programs);
   slab_tasks_histogram().record(static_cast<double>(slab));
   pool.submit_range((n_tasks + slab - 1) / slab, [&](std::size_t si) {
     const std::size_t end = std::min(n_tasks, (si + 1) * slab);
@@ -396,7 +406,7 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
       });
   // A fused task is one shared stimulus pass for all K programs - that is
   // the point of fusion, and the words counter reflects it.
-  record_batch(request, summary, fused ? 1 : n_programs);
+  record_batch(request, summary, fused ? 1 : passes);
   if (fused) fused_k_histogram().record(static_cast<double>(n_programs));
   return summary;
 }

@@ -15,10 +15,10 @@ namespace sc = oscs::stochastic;
 
 namespace {
 
-/// Words per packed-evaluation block. The plane-major scratch buffers stay
-/// small enough to live in L1/L2 (a full select set at kMaxOrder is
-/// 13 * 256 * 8 B = 26 KiB) while giving the SIMD primitives contiguous
-/// runs long enough to amortize dispatch.
+/// Most words per packed-evaluation block. The plane-major scratch buffers
+/// stay small enough to live in L1/L2 (a full select set at kMaxOrder is
+/// at most 13 * 256 * 8 B = 26 KiB) while giving the SIMD primitives
+/// contiguous runs long enough to amortize dispatch.
 constexpr std::size_t kBlockWords = 256;
 
 std::vector<const std::uint64_t*> word_pointers(
@@ -82,14 +82,14 @@ FlipMask sample_flip_mask(const oscs::OperatingPoint& op,
   return mask;
 }
 
-/// Decorrelated per-factor seed stream, mirroring the engine's task-seed
-/// derivation: factors of one evaluation must be mutually independent for
-/// the AND of their streams to multiply probabilities, so each expands
-/// its own SplitMix64 state instead of taking consecutive source salts.
-std::uint64_t derive_factor_seed(std::uint64_t master,
-                                 std::size_t factor_index) {
-  oscs::SplitMix64 sm(master ^
-                      (0x9E3779B97F4A7C15ULL * (factor_index + 1)));
+/// Decorrelated seed stream for run_nd's axis passes (stimulus, indexed by
+/// axis) and factor flip masks (noise, indexed by factor), mirroring the
+/// engine's task-seed derivation: factors ANDed in one term must be
+/// mutually independent for the AND to multiply probabilities, so each
+/// index expands its own SplitMix64 state instead of taking consecutive
+/// source salts.
+std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
+  oscs::SplitMix64 sm(master ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
   return sm.next();
 }
 
@@ -149,6 +149,17 @@ KernelShape kernel_shape(const sc::SeparableProgram& program) noexcept {
     return {program.dense2().deg_x(), program.dense2().deg_y()};
   }
   return {program.factor_degree(), 0};
+}
+
+std::size_t kernel_passes(const sc::SeparableProgram& program) {
+  if (program.has_dense1() || program.has_dense2()) return 1;
+  std::vector<bool> read(program.arity(), false);
+  for (const sc::SeparableTerm& term : program.terms()) {
+    for (const sc::SeparableFactor& factor : term.factors) {
+      read[factor.axis] = true;
+    }
+  }
+  return static_cast<std::size_t>(std::count(read.begin(), read.end(), true));
 }
 
 PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,
@@ -285,17 +296,19 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
     zw[prog] = word_pointers(z_sets[prog]);
   }
 
-  // Plane-major block scratch: entry (j, i) at j*kBlockWords + i. Sized by
-  // kMaxOrder so one allocation serves any circuit; the planes buffer is
-  // reused per bank, and the y bank's select masks exist only when the
-  // kernel has a y bank.
-  constexpr std::size_t kMaxPlanes = std::bit_width(PackedKernel::kMaxOrder);
-  std::vector<std::uint64_t> planes(kMaxPlanes * kBlockWords);
-  std::vector<std::uint64_t> sel_x((kMaxOrder + 1) * kBlockWords);
-  std::vector<std::uint64_t> sel_y(m > 0 ? (kMaxOrder + 1) * kBlockWords : 0);
+  // Plane-major block scratch: entry (j, i) at j*stride + i. Sized to this
+  // kernel's banks and to the stream (a block never exceeds the stream's
+  // words), so short streams and low orders touch little memory; the
+  // planes buffer is reused per bank, and the y bank's select masks exist
+  // only when the kernel has a y bank.
+  const std::size_t stride = std::min(kBlockWords, nwords);
+  std::vector<std::uint64_t> planes(
+      static_cast<std::size_t>(std::bit_width(std::max(n, m))) * stride);
+  std::vector<std::uint64_t> sel_x((n + 1) * stride);
+  std::vector<std::uint64_t> sel_y(m > 0 ? (m + 1) * stride : 0);
 
-  for (std::size_t w0 = 0; w0 < nwords; w0 += kBlockWords) {
-    const std::size_t count = std::min(kBlockWords, nwords - w0);
+  for (std::size_t w0 = 0; w0 < nwords; w0 += stride) {
+    const std::size_t count = std::min(stride, nwords - w0);
 
     // 1-2. Per bank: a carry-save adder over the shared data words leaves
     //      bit j of the per-lane ones count in plane (j, i) for word w0+i;
@@ -304,11 +317,11 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
     const auto select = [&](const std::vector<const std::uint64_t*>& words,
                             std::size_t order, std::uint64_t* sel) {
       const auto plane_count = static_cast<std::size_t>(std::bit_width(order));
-      std::fill_n(planes.begin(), plane_count * kBlockWords, 0);
+      std::fill_n(planes.begin(), plane_count * stride, 0);
       ops.accumulate_planes(words.data(), order, w0, count, planes.data(),
-                            plane_count, kBlockWords);
+                            plane_count, stride);
       ops.select_masks(planes.data(), plane_count, count, order + 1, sel,
-                       kBlockWords);
+                       stride);
     };
     select(xw, n, sel_x.data());
     if (m > 0) select(yw, m, sel_y.data());
@@ -319,11 +332,11 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
     for (std::size_t prog = 0; prog < programs; ++prog) {
       std::uint64_t* mux = electronic[prog].data() + w0;
       if (m == 0) {
-        ops.mux_or_reduce(sel_x.data(), n + 1, kBlockWords, count,
+        ops.mux_or_reduce(sel_x.data(), n + 1, stride, count,
                           zw[prog].data(), w0, mux);
       } else {
-        ops.mux2_or_reduce(sel_x.data(), n + 1, sel_y.data(), m + 1,
-                           kBlockWords, count, zw[prog].data(), w0, mux);
+        ops.mux2_or_reduce(sel_x.data(), n + 1, sel_y.data(), m + 1, stride,
+                           count, zw[prog].data(), w0, mux);
       }
       if (mux_exact_) {
         std::copy_n(mux, count, optical[prog].data() + w0);
@@ -346,7 +359,7 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
           if (zmask == 0) continue;
           std::uint64_t decided = 0;
           for (std::size_t k = 0; k <= n; ++k) {
-            if ((dmask >> k) & 1u) decided |= sel_x[k * kBlockWords + i];
+            if ((dmask >> k) & 1u) decided |= sel_x[k * stride + i];
           }
           opt |= zmask & decided;
         }
@@ -442,10 +455,30 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
   const std::size_t length = config.op.stream_length;
   const std::size_t nwords = (length + 63) / 64;
 
+  // One stimulus pass per axis: every factor on axis a (term-major order)
+  // is one coefficient set over the axis's shared x bank, seeded by the
+  // axis index. A term's factors sit on strictly increasing axes, so they
+  // still come from distinct passes with decorrelated seeds; the shared
+  // bank only correlates terms, which fold arithmetically.
+  std::vector<std::vector<std::vector<double>>> axis_coeffs(program.arity());
+  for (const sc::SeparableTerm& term : program.terms()) {
+    for (const sc::SeparableFactor& factor : term.factors) {
+      axis_coeffs[factor.axis].push_back(factor.poly.coeffs());
+    }
+  }
+  std::vector<std::vector<Streams>> axis_streams(program.arity());
+  for (std::size_t a = 0; a < program.arity(); ++a) {
+    if (axis_coeffs[a].empty()) continue;
+    axis_streams[a] =
+        evaluate_at(point[a], 0.0, axis_coeffs[a],
+                    derive_factor_seed(config.stimulus_seed, a), config);
+  }
+
   PackedRunResult result;
   result.length = length;
   double optical_sum = 0.0;
   double electronic_sum = 0.0;
+  std::vector<std::size_t> next_set(program.arity(), 0);
   std::size_t factor_index = 0;
   for (const sc::SeparableTerm& term : program.terms()) {
     // Term product: AND of the term's independent factor streams. An
@@ -455,13 +488,9 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
     std::vector<std::uint64_t> optical(nwords, ~std::uint64_t{0});
     std::vector<std::uint64_t> electronic(nwords, ~std::uint64_t{0});
     for (const sc::SeparableFactor& factor : term.factors) {
-      Streams streams = std::move(
-          evaluate_at(point[factor.axis], 0.0, {factor.poly.coeffs()},
-                      derive_factor_seed(config.stimulus_seed, factor_index),
-                      config)
-              .front());
+      Streams& streams = axis_streams[factor.axis][next_set[factor.axis]++];
       // Per-factor receiver noise: each factor stream is its own optical
-      // evaluation, so each gets its own Eq. 9 flip mask.
+      // decision stream, so each gets its own Eq. 9 flip mask.
       const FlipMask mask = sample_flip_mask(
           config.op, derive_factor_seed(config.noise_seed, factor_index));
       mask.apply(streams.optical);

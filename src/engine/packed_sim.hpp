@@ -104,6 +104,11 @@ struct KernelShape {
 [[nodiscard]] KernelShape kernel_shape(
     const stochastic::SeparableProgram& program) noexcept;
 
+/// Kernel passes one run_nd() evaluation of `program` makes: 1 for a dense
+/// program, else one per distinct factor axis (see run_nd()).
+[[nodiscard]] std::size_t kernel_passes(
+    const stochastic::SeparableProgram& program);
+
 /// Word-parallel evaluation kernel bound to one circuit. Construction
 /// snapshots the eye geometry the hot loop needs (decision model, slicer
 /// threshold); evaluation is const and safe to share across threads.
@@ -205,19 +210,29 @@ class PackedKernel {
   /// point.size() == program.arity() coordinates.
   ///
   /// A dense program is a one-program run_fused(). A general
-  /// sum-of-rank-1 program runs each factor as one pass on this kernel's
-  /// one-input shape - the factor's coefficients are its SNG
-  /// probabilities - ANDs the independent factor streams of every term
-  /// (stochastic multiply), and folds the weighted term estimates
-  /// arithmetically:
+  /// sum-of-rank-1 program makes one fused pass per axis that carries
+  /// factors, on this kernel's one-input shape: the axis's x bank is
+  /// generated once (seed decorrelated per axis from
+  /// config.stimulus_seed) and every factor on that axis, in term-major
+  /// order, is one coefficient set over it - the factor's coefficients
+  /// are its SNG probabilities. run_nd then ANDs the factor streams of
+  /// every term (stochastic multiply) and folds the weighted term
+  /// estimates arithmetically:
   ///
   ///   estimate = sum_t w_t * popcount(AND_j stream_{t,j}) / length.
   ///
+  /// Independence: the AND needs independent operands, and a term's
+  /// factors sit on strictly increasing axes, so they come from distinct
+  /// axis passes with decorrelated seeds. The shared x bank only
+  /// correlates factors of different terms, whose estimates are summed
+  /// arithmetically, so the estimator stays unbiased.
+  ///
   /// Per-factor receiver noise: each factor stream gets its own Eq. 9
-  /// flip mask at config.op.ber (seeds decorrelated per factor from
-  /// config.noise_seed); noise_flips totals the injected flips and
-  /// transmission_flips counts, per term, the bits where the noisy
-  /// optical product differs from the ideal electronic product.
+  /// flip mask at config.op.ber (seeds decorrelated per factor, in
+  /// term-major order, from config.noise_seed); noise_flips totals the
+  /// injected flips and transmission_flips counts, per term, the bits
+  /// where the noisy optical product differs from the ideal electronic
+  /// product.
   /// \throws std::invalid_argument on a point arity mismatch, a program
   ///         that does not run on this kernel (check_program), or an
   ///         invalid operating point.

@@ -20,7 +20,9 @@
 ///      masked product only depends on the low 16 bits of each operand -
 ///      exactly `_mm256_mullo_epi16`. The AVX2 backend compares 16 lanes
 ///      per instruction and packs comparator decisions into 64-bit words
-///      16 bits at a time.
+///      32 bits at a time (one pack + permute + movemask per 32 lanes),
+///      advancing the cycle index by subtraction rather than a division
+///      per word.
 ///
 /// Both fills are bit-identical to the per-bit reference loop
 /// (`Sng::generate_reference`) by construction; the equivalence suite

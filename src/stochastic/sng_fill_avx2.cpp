@@ -20,24 +20,34 @@ namespace oscs::stochastic::detail {
 
 namespace {
 
-/// 16 comparator bits (stream order, bit 0 = lane 0) for 16 consecutive
-/// states: ((state * scramble) & mask) < threshold, threshold in 1..mask.
-inline std::uint32_t comparator_bits16(const std::uint16_t* states,
-                                       __m256i scramble16, __m256i mask16,
-                                       __m256i threshold_minus_1) {
+/// 16-lane comparator masks for 16 consecutive states: lane i is 0xFFFF
+/// iff ((state * scramble) & mask) < threshold, threshold in 1..mask.
+inline __m256i comparator_lanes16(const std::uint16_t* states,
+                                  __m256i scramble16, __m256i mask16,
+                                  __m256i threshold_minus_1) {
   const __m256i v = _mm256_and_si256(
       _mm256_mullo_epi16(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states)),
           scramble16),
       mask16);
   // Unsigned v < t  <=>  min(v, t-1) == v.
-  const __m256i lt =
-      _mm256_cmpeq_epi16(_mm256_min_epu16(v, threshold_minus_1), v);
-  // Compact the 16 lane masks to 16 ordered bits: pack words to bytes
-  // (per 128-bit lane), undo the lane interleave, movemask.
+  return _mm256_cmpeq_epi16(_mm256_min_epu16(v, threshold_minus_1), v);
+}
+
+/// 32 comparator bits (stream order, bit 0 = lane 0) for 32 consecutive
+/// states. One pack compacts both 16-lane masks to bytes; it interleaves
+/// them per 128-bit lane as (a0-7, b0-7 | a8-15, b8-15), the 64-bit
+/// permute restores stream order, and one movemask emits all 32 bits.
+inline std::uint32_t comparator_bits32(const std::uint16_t* states,
+                                       __m256i scramble16, __m256i mask16,
+                                       __m256i threshold_minus_1) {
   const __m256i packed = _mm256_permute4x64_epi64(
-      _mm256_packs_epi16(lt, _mm256_setzero_si256()), 0xD8);
-  return static_cast<std::uint32_t>(_mm256_movemask_epi8(packed)) & 0xFFFFu;
+      _mm256_packs_epi16(
+          comparator_lanes16(states, scramble16, mask16, threshold_minus_1),
+          comparator_lanes16(states + 16, scramble16, mask16,
+                             threshold_minus_1)),
+      0xD8);
+  return static_cast<std::uint32_t>(_mm256_movemask_epi8(packed));
 }
 
 }  // namespace
@@ -95,17 +105,20 @@ void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
       }
       src = staged;
     }
-    std::uint64_t word = 0;
-    for (std::size_t q = 0; q < 4; ++q) {
-      word |= static_cast<std::uint64_t>(
-                  comparator_bits16(src + 16 * q, scramble16, mask16, tm1))
-              << (16 * q);
-    }
+    std::uint64_t word =
+        comparator_bits32(src, scramble16, mask16, tm1) |
+        static_cast<std::uint64_t>(
+            comparator_bits32(src + 32, scramble16, mask16, tm1))
+            << 32;
     const std::size_t limit = length - bit < 64 ? length - bit : 64;
     if (limit < 64) word &= (~std::uint64_t{0}) >> (64 - limit);
     words[w] = word;
     bit += limit;
-    idx = (idx + limit) % period;
+    // Advance by subtraction: limit <= 64, so this is at most one step
+    // once period >= 64 and a few for the short periods of widths 3..5 -
+    // no 64-bit division per word.
+    idx += limit;
+    while (idx >= period) idx -= period;
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -23,6 +25,38 @@ TEST(JsonNumber, RoundTripsDoublesAndMapsNonFiniteToNull) {
   EXPECT_EQ(std::stod(json_number(1.0 / 3.0)), 1.0 / 3.0);
   EXPECT_EQ(json_number(std::nan("")), "null");
   EXPECT_EQ(json_number(INFINITY), "null");
+}
+
+/// json_number's text is the printf "%.17g" rendering, byte for byte: a
+/// seeded sweep over unit-interval values, raw finite bit patterns,
+/// subnormals and the decimal-exponent edges.
+TEST(JsonNumber, ByteIdenticalToPrintf17g) {
+  const auto printf17g = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, 0.5, 1e21, 1e22, -1e21, 1e-5, 1e-4, 1e16, 1e17,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon()};
+  Xoshiro256 rng(0x17C0FFEE);
+  for (int i = 0; i < 20000; ++i) values.push_back(rng.uniform01());
+  for (int i = 0; i < 20000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (int i = 0; i < 5000; ++i) {
+    // Subnormals: zero exponent field, random sign and mantissa.
+    values.push_back(
+        std::bit_cast<double>(rng() & 0x800FFFFFFFFFFFFFULL));
+  }
+  for (double v : values) {
+    ASSERT_EQ(json_number(v), printf17g(v)) << std::hexfloat << v;
+  }
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {

@@ -5,21 +5,29 @@
 ///        same seeds, same flip masks - across word-boundary stream
 ///        lengths, zero and nonzero BER, and both SIMD backends; the
 ///        general sum-of-rank-1 path must track its arithmetic
-///        expectation and reject malformed requests. BatchRunner's
-///        unified lattice (run_nd) is pinned against the legacy per-cell
-///        decomposition the same way.
+///        expectation, match the per-factor estimator in distribution
+///        (its one-pass-per-axis stimulus shares data banks across
+///        terms) and reject malformed requests. BatchRunner's unified
+///        lattice (run_nd) is pinned against the legacy per-cell
+///        decomposition the same way, and its words counter charges one
+///        kernel pass per factor axis.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "common/stats.hpp"
 #include "engine/batch.hpp"
 #include "engine/packed_sim.hpp"
+#include "obs/metrics.hpp"
 #include "optsc/defaults.hpp"
 #include "stochastic/bernstein.hpp"
+#include "stochastic/resc.hpp"
 #include "stochastic/separable.hpp"
 
 namespace oscs::engine {
@@ -180,6 +188,98 @@ TEST(SeparableRunNdGeneral, GeneralProgramBitIdenticalAcrossBackends) {
   }
 }
 
+/// A rank-3 program over all three axes with degree-3 factors: every
+/// axis carries one factor per term.
+sc::SeparableProgram rank3_cubic() {
+  const auto term = [](double weight, std::vector<double> cx,
+                       std::vector<double> cy, std::vector<double> cz) {
+    sc::SeparableTerm t;
+    t.weight = weight;
+    t.factors = {{0, sc::BernsteinPoly(std::move(cx))},
+                 {1, sc::BernsteinPoly(std::move(cy))},
+                 {2, sc::BernsteinPoly(std::move(cz))}};
+    return t;
+  };
+  return sc::SeparableProgram(
+      3, {term(0.5, {0.1, 0.6, 0.8, 0.9}, {0.9, 0.4, 0.3, 0.2},
+               {0.2, 0.7, 0.5, 1.0}),
+          term(0.3, {0.8, 0.2, 0.4, 0.1}, {0.3, 0.9, 0.6, 0.7},
+               {1.0, 0.5, 0.2, 0.0}),
+          term(0.2, {0.4, 0.4, 0.9, 0.6}, {0.0, 0.3, 0.8, 1.0},
+               {0.6, 0.1, 0.9, 0.3})});
+}
+
+/// The per-factor estimator, written with public calls: every factor
+/// draws its own stimulus (make_sc_inputs) and its own receiver flips
+/// (apply_noise_flips) from independent seeds, the factor streams of a
+/// term are ANDed, and the weighted term densities are summed.
+double per_factor_estimate(const PackedKernel& kernel,
+                           const sc::SeparableProgram& program,
+                           const std::vector<double>& point,
+                           std::size_t length, double ber,
+                           std::uint64_t seed) {
+  oscs::SplitMix64 seeds(seed);
+  double estimate = 0.0;
+  for (const sc::SeparableTerm& term : program.terms()) {
+    sc::Bitstream product;
+    for (const sc::SeparableFactor& factor : term.factors) {
+      const sc::ScInputs inputs = sc::make_sc_inputs(
+          point[factor.axis], factor.poly.coeffs(), kernel.order(), length,
+          {sc::SourceKind::kLfsr, 16, seeds.next()});
+      sc::Bitstream stream = kernel.evaluate(inputs).optical;
+      oscs::Xoshiro256 rng(seeds.next());
+      (void)apply_noise_flips(stream, ber, rng);
+      product = product.empty() ? std::move(stream) : product & stream;
+    }
+    estimate += term.weight * product.probability();
+  }
+  return estimate;
+}
+
+/// run_nd on a general program against the per-factor estimator over many
+/// seeds: factors within a term are independent either way, so the two
+/// estimators must agree in mean, and sharing a data bank across terms
+/// must not widen the spread beyond sampling noise (1.15x).
+TEST(SeparableRunNdFusion, PerAxisEstimatorMatchesPerFactorInDistribution) {
+  constexpr std::size_t kSeeds = 400;
+  constexpr std::size_t kLength = 4096;
+  struct Case {
+    const char* name;
+    sc::SeparableProgram program;
+    std::size_t order;
+    std::vector<double> point;
+  };
+  const std::vector<Case> cases = {
+      {"rank2_trilinear", rank2_trilinear(), 1, {0.3, 0.8, 0.6}},
+      {"rank3_cubic", rank3_cubic(), 3, {0.35, 0.6, 0.8}}};
+  for (const Case& c : cases) {
+    const optsc::OpticalScCircuit circuit(optsc::paper_defaults(c.order));
+    const PackedKernel kernel(circuit);
+    for (double ber : {0.0, 1e-2}) {
+      PackedRunConfig cfg;
+      cfg.op = test_op(ber, kLength);
+      oscs::Accumulator fused;
+      oscs::Accumulator reference;
+      for (std::size_t s = 0; s < kSeeds; ++s) {
+        cfg.stimulus_seed = derive_task_seed(2024, s, 0);
+        cfg.noise_seed = derive_task_seed(2024, s, 1);
+        fused.add(kernel.run_nd(c.program, c.point, cfg).optical_estimate);
+        reference.add(per_factor_estimate(kernel, c.program, c.point,
+                                          kLength, ber,
+                                          derive_task_seed(4048, s, 0)));
+      }
+      const double n = static_cast<double>(kSeeds);
+      const double se =
+          std::sqrt(fused.variance() / n + reference.variance() / n);
+      EXPECT_LE(std::abs(fused.mean() - reference.mean()), 4.0 * se)
+          << c.name << " ber " << ber << " fused " << fused.mean()
+          << " reference " << reference.mean();
+      EXPECT_LE(fused.stddev(), 1.15 * reference.stddev())
+          << c.name << " ber " << ber;
+    }
+  }
+}
+
 TEST(SeparableRunNdGeneral, RejectsMalformedRequests) {
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(1));
   const PackedKernel kernel(circuit);
@@ -238,6 +338,41 @@ TEST(SeparableBatchRunNd, DenseWrappedBatchMatchesLegacyRun) {
   }
   EXPECT_EQ(a.optical_mae, b.optical_mae);
   EXPECT_EQ(a.total_bits, b.total_bits);
+}
+
+/// The words counter charges a general program one kernel pass per factor
+/// axis (rank2_trilinear reads axes 0, 1 and 2), a dense program one pass
+/// unfused, and a fused dense batch one shared pass.
+TEST(SeparableBatchRunNd, WordsCounterChargesOnePassPerFactorAxis) {
+  obs::Counter& words = obs::Registry::global().counter(
+      "oscs_engine_words_processed_total",
+      "64-bit stimulus words processed by the packed kernel");
+  const optsc::OpticalScCircuit circuit(optsc::paper_defaults(1));
+  const BatchRunner runner(circuit);
+  // 100 + 256 bits = 2 + 4 words per (point, repeat); 2 points x 3 repeats.
+  constexpr std::uint64_t kWordsPerPass = (2 + 4) * 2 * 3;
+
+  BatchRequest nd;
+  nd.programs_nd = {rank2_trilinear()};
+  nd.inputs = {{0.1, 0.5}, {0.2, 0.6}, {0.3, 0.7}};
+  nd.stream_lengths = {100, 256};
+  nd.repeats = 3;
+  std::uint64_t before = words.value();
+  (void)runner.run_nd(nd, 1);
+  EXPECT_EQ(words.value() - before, 3 * kWordsPerPass);
+
+  BatchRequest dense;
+  dense.polynomials = {sc::BernsteinPoly({0.2, 0.7}),
+                       sc::BernsteinPoly({0.9, 0.1})};
+  dense.xs = {0.25, 0.75};
+  dense.stream_lengths = {100, 256};
+  dense.repeats = 3;
+  before = words.value();
+  (void)runner.run(dense, 1);
+  EXPECT_EQ(words.value() - before, 2 * kWordsPerPass);
+  before = words.value();
+  (void)runner.run_fused(dense, 1);
+  EXPECT_EQ(words.value() - before, kWordsPerPass);
 }
 
 TEST(SeparableBatchValidation, NdRequestGuardsFire) {

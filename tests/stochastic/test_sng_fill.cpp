@@ -93,6 +93,47 @@ TEST(SngFill, Avx2AndScalarStreamsAreBitIdentical) {
   }
 }
 
+/// The AVX2 fill against the scalar reference across the cycle wrap.
+/// Phases just short of the period make a 64-state word straddle the wrap
+/// at every offset the staged copy handles; the short periods of widths
+/// 3..5 wrap several times inside one word. Thresholds cover both
+/// degenerate exits (0, mask + 1) and the vector loop's edges (1, mask).
+TEST(SngFill, Avx2FillMatchesScalarAcrossCycleWrap) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 backend not available";
+#if defined(OSCS_HAVE_AVX2)
+  for (unsigned width : {3u, 4u, 5u, 8u, 16u}) {
+    const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
+    const std::size_t period = cycle.states.size();
+    const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+    std::vector<std::size_t> phases = {0};
+    for (std::size_t back : {1u, 31u, 32u, 33u, 63u, 64u, 65u}) {
+      phases.push_back((period - back % period) % period);
+    }
+    for (std::size_t phase0 : phases) {
+      for (std::size_t length :
+           {1u, 31u, 32u, 33u, 63u, 64u, 65u, 4095u, 4096u}) {
+        const std::size_t nwords = (length + 63) / 64;
+        for (std::uint64_t threshold :
+             {std::uint64_t{0}, std::uint64_t{1}, mask / 2, mask, mask + 1}) {
+          for (std::uint64_t scramble : {0x1u, 0x9E37u, 0xFFFFu}) {
+            std::vector<std::uint64_t> want(nwords, 0xA5A5A5A5A5A5A5A5ULL);
+            std::vector<std::uint64_t> got(nwords, 0x5A5A5A5A5A5A5A5AULL);
+            detail::fill_lfsr_words_scalar(cycle, phase0, scramble, mask,
+                                           threshold, length, want.data());
+            detail::fill_lfsr_words_avx2(cycle, phase0, scramble, mask,
+                                         threshold, length, got.data());
+            ASSERT_EQ(got, want)
+                << "width " << width << " phase0 " << phase0 << " length "
+                << length << " threshold " << threshold << " scramble "
+                << scramble;
+          }
+        }
+      }
+    }
+  }
+#endif
+}
+
 TEST(SngFill, WideLfsrFallsBackToReferenceLoop) {
   // Width 20 exceeds the cycle-table limit: the bulk fill must decline
   // and generate() must still match the reference bit for bit.
