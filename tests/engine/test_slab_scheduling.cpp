@@ -1,7 +1,7 @@
 /// \file test_slab_scheduling.cpp
 /// \brief Determinism contract of the slab-grained batch scheduler: every
 ///        summary field must be bit-identical for ANY thread count and ANY
-///        slab grain (auto or forced), in both arities and both entry
+///        slab grain (auto or forced), in every arity and both entry
 ///        points, with noise on - because each task's seeds and output
 ///        slot derive from its global task index alone, never from the
 ///        slab decomposition.
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "optsc/defaults.hpp"
@@ -108,6 +109,47 @@ TEST(SlabScheduling, BivariateRunIsGrainInvariant) {
   req.seed = 29;
   expect_grain_invariance(runner, req, /*fused=*/false);
   expect_grain_invariance(runner, req, /*fused=*/true);
+}
+
+/// A general 3-input request: a rank-3 cubic that reads every axis beside
+/// a sparse program whose terms read different axis subsets (axis 0
+/// carries three factors, axis 1 one, axis 2 two), so every axis pass
+/// fills a different number of coefficient sets.
+TEST(SlabScheduling, SeparableRunNdIsGrainInvariant) {
+  const BatchRunner runner{optsc::OpticalScCircuit(optsc::paper_defaults(3))};
+  const auto factor = [](std::size_t axis, std::vector<double> coeffs) {
+    return sc::SeparableFactor{axis, sc::BernsteinPoly(std::move(coeffs))};
+  };
+  const auto term = [](double weight, std::vector<sc::SeparableFactor> fs) {
+    sc::SeparableTerm t;
+    t.weight = weight;
+    t.factors = std::move(fs);
+    return t;
+  };
+  const sc::SeparableProgram cubic(
+      3, {term(0.5, {factor(0, {0.1, 0.6, 0.8, 0.9}),
+                     factor(1, {0.9, 0.4, 0.3, 0.2}),
+                     factor(2, {0.2, 0.7, 0.5, 1.0})}),
+          term(0.3, {factor(0, {0.8, 0.2, 0.4, 0.1}),
+                     factor(1, {0.3, 0.9, 0.6, 0.7}),
+                     factor(2, {1.0, 0.5, 0.2, 0.0})}),
+          term(0.2, {factor(0, {0.4, 0.4, 0.9, 0.6}),
+                     factor(1, {0.0, 0.3, 0.8, 1.0}),
+                     factor(2, {0.6, 0.1, 0.9, 0.3})})});
+  const sc::SeparableProgram sparse(
+      3, {term(0.4, {factor(0, {0.2, 0.5, 0.7, 1.0})}),
+          term(0.3, {factor(0, {0.9, 0.6, 0.3, 0.1}),
+                     factor(1, {0.1, 0.4, 0.8, 0.9})}),
+          term(0.2, {factor(0, {0.5, 0.5, 0.2, 0.8}),
+                     factor(2, {0.3, 0.9, 0.1, 0.6})}),
+          term(0.1, {factor(2, {1.0, 0.7, 0.4, 0.0})})});
+  BatchRequest req;
+  req.programs_nd = {cubic, sparse};
+  req.inputs = {{0.2, 0.5, 0.85}, {0.7, 0.1, 0.45}, {0.35, 0.95, 0.6}};
+  req.stream_lengths = {65, 256};
+  req.repeats = 3;
+  req.seed = 41;
+  expect_grain_invariance(runner, req, /*fused=*/false);
 }
 
 TEST(SlabScheduling, SlabKnobDoesNotChangeTaskAccounting) {
