@@ -44,13 +44,16 @@ std::string member_string(const JsonValue& v, const std::string& name) {
   return v.as_string();
 }
 
-/// SNG width with the [1, 62] range enforced before any narrowing cast -
+/// SNG width with the serving range enforced before any narrowing cast -
 /// a silent wrap would run the request at a width the client never asked
-/// for (and poison the cache key).
+/// for (and poison the cache key). Serving always drives its SNGs from an
+/// LFSR, whose primitive taps exist for 3..32 bits; rejecting here costs
+/// no cold compile, cache traffic or in-flight slot. (OperatingPoint
+/// itself admits [1, 62] for the counter and low-discrepancy sources.)
 unsigned member_width(const JsonValue& v, const std::string& name) {
   const std::uint64_t width = member_uint(v, name);
-  if (width == 0 || width > 62) {
-    bad_request("'" + name + "' must lie in [1, 62]");
+  if (width < 3 || width > 32) {
+    bad_request("'" + name + "' must lie in [3, 32]");
   }
   return static_cast<unsigned>(width);
 }

@@ -281,6 +281,32 @@ TEST(ProgramServerTest, OutOfRangeCoordinatesAreRejectedBeforeResolve) {
   EXPECT_EQ(m.in_flight, 0u);
 }
 
+TEST(ProgramServerTest, UnsupportedSngWidthIsRejectedBeforeResolve) {
+  // Serving SNGs are LFSRs, whose taps cover 3..32 bits: a width outside
+  // that range answers 400 naming the wire member, before any cold
+  // compile attempt, cache traffic or in-flight slot.
+  ProgramServer server(fast_options());
+  const char* lines[] = {
+      R"({"function": "sigmoid", "xs": [0.5], "sng_width": 40})",
+      R"({"function": "sigmoid", "xs": [0.5],
+          "operating_point": {"sng_width": 40}})",
+      R"({"coefficients": [0.1, 0.5, 0.9], "xs": [0.5], "sng_width": 2})",
+  };
+  for (const char* line : lines) {
+    const JsonValue doc = json_parse(server.handle_json(line));
+    ASSERT_FALSE(doc.find("ok")->as_bool()) << line;
+    EXPECT_EQ(doc.find("error")->find("status")->as_number(), 400.0) << line;
+    EXPECT_EQ(doc.find("error")->find("message")->as_string(),
+              "'sng_width' must lie in [3, 32]")
+        << line;
+  }
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.cache.misses, 0u);
+  EXPECT_EQ(m.cache.inserts, 0u);
+  EXPECT_EQ(m.resolve.count, 0u);
+  EXPECT_EQ(m.in_flight, 0u);
+}
+
 TEST(ProgramServerTest, ColdCompileBudgetRejectsThenServesWhenWarm) {
   ServerOptions options = fast_options();
   options.max_cold_degree = 2;  // sigmoid's registry degree is above this
