@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -129,7 +130,10 @@ TEST(TraceScope, IsPerThread) {
 class TraceLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "oscs_trace_test";
+    // Per process: ctest -j runs this fixture's tests as parallel
+    // processes, which must not remove each other's trace files.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("oscs_trace_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "traces.jsonl").string();
     std::filesystem::remove(path_);
