@@ -62,9 +62,9 @@ std::size_t words_for(std::size_t length) noexcept {
 }
 
 /// Stream-bit budget per slab in auto mode: chunky enough that a slab is
-/// on the order of a millisecond of packed-kernel work, so queue overhead
-/// (one lock hand-off + one std::function dispatch per slab) disappears
-/// into the noise even for dense grids of short streams.
+/// on the order of a millisecond of packed-kernel work, so scheduling
+/// overhead (one shared-counter claim per slab, one wake-up per helper)
+/// disappears into the noise even for dense grids of short streams.
 constexpr std::size_t kSlabTargetBits = std::size_t{1} << 20;
 
 /// Slabs-per-worker floor in auto mode, for load balance on ragged work.
@@ -249,6 +249,7 @@ template <typename SlotFn>
 BatchSummary BatchRunner::aggregate(
     const BatchRequest& request,
     const std::vector<sc::SeparableProgram>& programs,
+    const std::vector<std::vector<double>>& points,
     const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
     SlotFn&& slot) const {
   BatchSummary summary;
@@ -262,7 +263,7 @@ BatchSummary BatchRunner::aggregate(
   for (std::size_t pi = 0; pi < request.program_count(); ++pi) {
     ProgramAccuracy& acc = summary.program_accuracy[pi];
     for (std::size_t xi = 0; xi < n_xs; ++xi) {
-      const std::vector<double> point = request.point(xi);
+      const std::vector<double>& point = points[xi];
       // For dense delegation forms operator() is the same arithmetic the
       // legacy per-arity paths evaluated, so roll-ups are bit-identical.
       const double expected = programs[pi](point);
@@ -367,7 +368,12 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
       request, pool.size(), n_tasks,
       fused ? n_programs : (passes + n_programs - 1) / n_programs);
   slab_tasks_histogram().record(static_cast<double>(slab));
-  pool.submit_range((n_tasks + slab - 1) / slab, [&](std::size_t si) {
+  // The evaluation points, materialized once for every task and the
+  // aggregation pass.
+  std::vector<std::vector<double>> points;
+  points.reserve(n_xs);
+  for (std::size_t xi = 0; xi < n_xs; ++xi) points.push_back(request.point(xi));
+  pool.run_range((n_tasks + slab - 1) / slab, [&](std::size_t si) {
     const std::size_t end = std::min(n_tasks, (si + 1) * slab);
     for (std::size_t t = si * slab; t < end; ++t) {
       const std::size_t cell = t / repeats;
@@ -384,20 +390,19 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
       };
       if (!fused) {
         store(t, kernel_->run_nd(programs[cell / (n_lengths * n_xs)],
-                                 request.point(xi), cfg));
+                                 points[xi], cfg));
         continue;
       }
       const std::vector<PackedRunResult> results =
-          kernel_->run_fused(programs, request.point(xi), cfg);
+          kernel_->run_fused(programs, points[xi], cfg);
       for (std::size_t k = 0; k < per_task; ++k) {
         store(t * per_task + k, results[k]);
       }
     }
   });
-  pool.wait_idle();
 
   BatchSummary summary = aggregate(
-      request, programs, outs, base,
+      request, programs, points, outs, base,
       [=](std::size_t pi, std::size_t xi, std::size_t li, std::size_t rep) {
         const std::size_t g = fused ? 0 : pi;
         const std::size_t t =

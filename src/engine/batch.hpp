@@ -8,8 +8,9 @@
 /// from the request seed and its own grid coordinates alone, and writes
 /// into a preallocated slot; results are therefore bit-identical for any
 /// thread count (including 1) and any slab grain. Tasks are scheduled in
-/// contiguous-index SLABS (see BatchRequest::slab_tasks) so each pool job
-/// carries enough work to amortize queue overhead.
+/// contiguous-index SLABS (see BatchRequest::slab_tasks) through
+/// ThreadPool::run_range, where the calling thread computes beside the
+/// pool's helpers and a one-slab request never touches the queue.
 ///
 /// Noise model: the runner evaluates at an `oscs::OperatingPoint` - either
 /// the one the request carries or the runner's design point (derived from
@@ -276,11 +277,12 @@ class BatchRunner {
   /// (program, point, length, repeat) indices to a TaskOut slot;
   /// `programs` is the unified separable view used for the exact
   /// expected values (dense forms evaluate the identical legacy
-  /// arithmetic).
+  /// arithmetic) and `points` the request's evaluation points.
   template <typename SlotFn>
   [[nodiscard]] BatchSummary aggregate(
       const BatchRequest& request,
       const std::vector<stochastic::SeparableProgram>& programs,
+      const std::vector<std::vector<double>>& points,
       const std::vector<TaskOut>& outs, const oscs::OperatingPoint& op,
       SlotFn&& slot) const;
 

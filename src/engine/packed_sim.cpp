@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "engine/simd_kernel.hpp"
 #include "optsc/link_budget.hpp"
@@ -21,13 +22,53 @@ namespace {
 /// contiguous runs long enough to amortize dispatch.
 constexpr std::size_t kBlockWords = 256;
 
-std::vector<const std::uint64_t*> word_pointers(
-    const std::vector<sc::Bitstream>& streams) {
-  std::vector<const std::uint64_t*> ptrs;
-  ptrs.reserve(streams.size());
-  for (const sc::Bitstream& s : streams) ptrs.push_back(s.words_data());
-  return ptrs;
-}
+/// Run-path scratch a thread keeps between evaluations [bytes]. A longer
+/// evaluation's buffers are released when it ends, so one admissible
+/// 2^26-bit order-6 request cannot pin ~120 MiB in a pooled thread.
+constexpr std::size_t kArenaKeepBytes = std::size_t{256} << 10;
+
+/// Per-thread buffers of the run paths: word rows (stimulus, decisions,
+/// block scratch), row pointer tables and coefficient pointers. They grow
+/// to an evaluation's shape and length and are reused by the next one.
+struct Arena {
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t*> rows;
+  std::vector<const double*> coeffs;
+};
+
+/// The calling thread's arena for one evaluation. Each buffer is taken
+/// once per evaluation (a later take may move it); on the way out, by
+/// return or throw, buffers past kArenaKeepBytes are released.
+class ArenaLease {
+ public:
+  ArenaLease() : arena_(thread_arena()) {}
+  ~ArenaLease() {
+    const std::size_t bytes =
+        arena_.words.capacity() * sizeof(std::uint64_t) +
+        arena_.rows.capacity() * sizeof(std::uint64_t*) +
+        arena_.coeffs.capacity() * sizeof(const double*);
+    if (bytes > kArenaKeepBytes) arena_ = Arena{};
+  }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+
+  std::uint64_t* words(std::size_t n) { return take(arena_.words, n); }
+  std::uint64_t** rows(std::size_t n) { return take(arena_.rows, n); }
+  const double** coeffs(std::size_t n) { return take(arena_.coeffs, n); }
+
+ private:
+  static Arena& thread_arena() {
+    thread_local Arena arena;
+    return arena;
+  }
+  template <typename T>
+  static T* take(std::vector<T>& buffer, std::size_t n) {
+    if (buffer.size() < n) buffer.resize(n);
+    return buffer.data();
+  }
+
+  Arena& arena_;
+};
 
 std::vector<bool> pattern_bits(std::uint32_t pattern, std::size_t count) {
   std::vector<bool> bits(count, false);
@@ -51,39 +92,49 @@ void check_point(const sc::SeparableProgram& program,
   }
 }
 
-/// One Eq. 9 receiver flip mask over a decision stream: positions sampled
-/// at the operating point's BER and packed into stream words. Positions
-/// are distinct, so XOR == per-bit toggle, and padding bits stay zero
-/// because every position is below the stream length.
-struct FlipMask {
-  std::vector<std::uint64_t> words;  ///< empty when nothing flips
-  std::size_t flips = 0;
-
-  void apply(sc::Bitstream& decisions) const {
-    if (words.empty()) return;
-    simd::kernel_ops().xor_inplace(decisions.words_data(), words.data(),
-                                   words.size());
+/// Geometric gap sampling of independent per-bit flips with probability
+/// `flip_p` over `length` bits: on_flip(pos) sees strictly increasing
+/// positions. The index of the next flipped bit advances by
+/// 1 + Geometric(p), so the cost scales with the number of flips
+/// (~p * N) rather than the stream length.
+template <typename OnFlip>
+void for_each_flip(std::size_t length, double flip_p, oscs::Xoshiro256& rng,
+                   OnFlip&& on_flip) {
+  if (flip_p <= 0.0 || length == 0) return;
+  const double log_keep = std::log1p(-flip_p);
+  std::size_t pos = 0;
+  for (;;) {
+    const double u = rng.uniform01();
+    const double gap = std::floor(std::log1p(-u) / log_keep);
+    if (gap >= static_cast<double>(length - pos)) break;
+    pos += static_cast<std::size_t>(gap);
+    on_flip(pos);
+    ++pos;
+    if (pos >= length) break;
   }
-};
+}
 
-FlipMask sample_flip_mask(const oscs::OperatingPoint& op,
-                          std::uint64_t noise_seed) {
-  FlipMask mask;
-  if (!op.noisy()) return mask;
+/// Eq. 9 receiver noise on decision rows: flip positions sampled at the
+/// operating point's BER from `noise_seed`, each toggled in place in
+/// every one of `rows` (positions are below the stream length, so
+/// padding stays untouched). Returns the number of positions.
+std::size_t apply_receiver_flips(const oscs::OperatingPoint& op,
+                                 std::uint64_t noise_seed,
+                                 std::uint64_t* const* rows,
+                                 std::size_t row_count) {
+  if (!op.noisy()) return 0;
   oscs::Xoshiro256 rng(noise_seed);
-  const std::vector<std::size_t> positions =
-      sample_flip_positions(op.stream_length, op.ber, rng);
-  mask.flips = positions.size();
-  if (positions.empty()) return mask;
-  mask.words.assign((op.stream_length + 63) / 64, 0);
-  for (std::size_t pos : positions) {
-    mask.words[pos / 64] |= std::uint64_t{1} << (pos % 64);
-  }
-  return mask;
+  std::size_t flips = 0;
+  for_each_flip(op.stream_length, op.ber, rng, [&](std::size_t pos) {
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    for (std::size_t r = 0; r < row_count; ++r) rows[r][pos / 64] ^= bit;
+    ++flips;
+  });
+  return flips;
 }
 
 /// Decorrelated seed stream for run_nd's axis passes (stimulus, indexed by
-/// axis) and factor flip masks (noise, indexed by factor), mirroring the
+/// axis) and factor flips (noise, indexed by factor), mirroring the
 /// engine's task-seed derivation: factors ANDed in one term must be
 /// mutually independent for the AND to multiply probabilities, so each
 /// index expands its own SplitMix64 state instead of taking consecutive
@@ -93,18 +144,42 @@ std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
   return sm.next();
 }
 
-/// Ones count over the first `length` bits of a packed word buffer.
-std::size_t count_ones_packed(const std::vector<std::uint64_t>& words,
-                              std::size_t length) {
-  std::size_t ones = 0;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    std::uint64_t w = words[i];
-    if (i + 1 == words.size() && (length % 64) != 0) {
-      w &= (std::uint64_t{1} << (length % 64)) - 1;
+/// Ones counts of one product over the first `length` bits.
+struct ProductCounts {
+  std::size_t optical = 0;     ///< ones of the AND of the optical rows
+  std::size_t electronic = 0;  ///< ones of the AND of the electronic rows
+  std::size_t differ = 0;      ///< bits where the two products differ
+};
+
+/// Count the AND of `factors` optical rows against the AND of the matching
+/// electronic rows (one row each for a dense program). An empty product is
+/// the constant 1; padding past `length` is masked off.
+ProductCounts count_product(const std::uint64_t* const* optical,
+                            const std::uint64_t* const* electronic,
+                            std::size_t factors, std::size_t length) {
+  ProductCounts counts;
+  const std::size_t nwords = (length + 63) / 64;
+  for (std::size_t w = 0; w < nwords; ++w) {
+    std::uint64_t opt = ~std::uint64_t{0};
+    std::uint64_t elec = ~std::uint64_t{0};
+    for (std::size_t f = 0; f < factors; ++f) {
+      opt &= optical[f][w];
+      elec &= electronic[f][w];
     }
-    ones += static_cast<std::size_t>(std::popcount(w));
+    if (w + 1 == nwords && length % 64 != 0) {
+      const std::uint64_t tail = (std::uint64_t{1} << (length % 64)) - 1;
+      opt &= tail;
+      elec &= tail;
+    }
+    counts.optical += static_cast<std::size_t>(std::popcount(opt));
+    counts.electronic += static_cast<std::size_t>(std::popcount(elec));
+    counts.differ += static_cast<std::size_t>(std::popcount(opt ^ elec));
   }
-  return ones;
+  return counts;
+}
+
+double density(std::size_t ones, std::size_t length) {
+  return static_cast<double>(ones) / static_cast<double>(length);
 }
 
 }  // namespace
@@ -113,21 +188,8 @@ std::vector<std::size_t> sample_flip_positions(std::size_t length,
                                                double flip_p,
                                                oscs::Xoshiro256& rng) {
   std::vector<std::size_t> positions;
-  if (flip_p <= 0.0 || length == 0) return positions;
-  // Geometric gap sampling: the index of the next flipped bit advances by
-  // 1 + Geometric(p), so the cost scales with the number of flips (~p * N)
-  // rather than the stream length.
-  const double log_keep = std::log1p(-flip_p);
-  std::size_t pos = 0;
-  for (;;) {
-    const double u = rng.uniform01();
-    const double gap = std::floor(std::log1p(-u) / log_keep);
-    if (gap >= static_cast<double>(length - pos)) break;
-    pos += static_cast<std::size_t>(gap);
-    positions.push_back(pos);
-    ++pos;
-    if (pos >= length) break;
-  }
+  for_each_flip(length, flip_p, rng,
+                [&positions](std::size_t pos) { positions.push_back(pos); });
   return positions;
 }
 
@@ -236,76 +298,92 @@ void PackedKernel::check_program(const sc::SeparableProgram& program) const {
 
 PackedKernel::Streams PackedKernel::evaluate(
     const sc::ScInputs& inputs) const {
-  return std::move(
-      evaluate_core(inputs.x_streams, {}, {&inputs.z_streams, 1}).front());
+  return evaluate_streams(inputs.x_streams, {}, inputs.z_streams);
 }
 
 PackedKernel::Streams PackedKernel::evaluate2(
     const sc::ScInputs2& inputs) const {
-  return std::move(evaluate_core(inputs.x_streams, inputs.y_streams,
-                                 {&inputs.z_streams, 1})
-                       .front());
+  return evaluate_streams(inputs.x_streams, inputs.y_streams,
+                          inputs.z_streams);
 }
 
-std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
+PackedKernel::Streams PackedKernel::evaluate_streams(
     const std::vector<sc::Bitstream>& x_streams,
     const std::vector<sc::Bitstream>& y_streams,
-    std::span<const std::vector<sc::Bitstream>> z_sets) const {
+    const std::vector<sc::Bitstream>& z_streams) const {
   const std::size_t n = order_;
   const std::size_t m = order_y_;
-  const std::size_t programs = z_sets.size();
-  if (x_streams.size() != n || y_streams.size() != m || programs == 0) {
-    throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-  }
   // Shape before length: with both banks empty the stream length comes
   // from the first coefficient stream, so its presence must be validated
   // before it is dereferenced.
-  for (const std::vector<sc::Bitstream>& zs : z_sets) {
-    if (zs.size() != (n + 1) * (m + 1)) {
-      throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
-    }
+  if (x_streams.size() != n || y_streams.size() != m ||
+      z_streams.size() != (n + 1) * (m + 1)) {
+    throw std::invalid_argument("PackedKernel: stimulus shape mismatch");
   }
   const std::size_t length =
       !x_streams.empty()   ? x_streams.front().size()
       : !y_streams.empty() ? y_streams.front().size()
-                           : z_sets.front().front().size();
-  const auto check_ragged = [length](const std::vector<sc::Bitstream>& bank,
-                                     const char* name) {
+                           : z_streams.front().size();
+  std::vector<const std::uint64_t*> rows;
+  rows.reserve(n + m + z_streams.size());
+  const auto add_bank = [&](const std::vector<sc::Bitstream>& bank,
+                            const char* name) {
     for (const sc::Bitstream& s : bank) {
       if (s.size() != length) {
         throw std::invalid_argument(std::string("PackedKernel: ragged ") +
                                     name + " streams");
       }
+      rows.push_back(s.words_data());
     }
   };
-  check_ragged(x_streams, "x");
-  check_ragged(y_streams, "y");
-  for (const std::vector<sc::Bitstream>& zs : z_sets) check_ragged(zs, "z");
+  add_bank(x_streams, "x");
+  add_bank(y_streams, "y");
+  add_bank(z_streams, "z");
 
   const std::size_t nwords = (length + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> optical(
-      programs, std::vector<std::uint64_t>(nwords, 0));
-  std::vector<std::vector<std::uint64_t>> electronic(
-      programs, std::vector<std::uint64_t>(nwords, 0));
+  std::vector<std::uint64_t> optical(nwords);
+  std::vector<std::uint64_t> electronic(nwords);
+  std::vector<std::uint64_t> scratch(core_scratch_words(nwords));
+  std::uint64_t* opt = optical.data();
+  std::uint64_t* elec = electronic.data();
+  evaluate_core(rows.data(), rows.data() + n, rows.data() + n + m, 1, nwords,
+                &opt, &elec, scratch.data());
+  return {sc::Bitstream::from_words(std::move(optical), length),
+          sc::Bitstream::from_words(std::move(electronic), length)};
+}
 
+std::size_t PackedKernel::core_scratch_words(
+    std::size_t nwords) const noexcept {
+  const std::size_t stride = std::min(kBlockWords, nwords);
+  const auto planes =
+      static_cast<std::size_t>(std::bit_width(std::max(order_, order_y_)));
+  return stride *
+         (planes + (order_ + 1) + (order_y_ > 0 ? order_y_ + 1 : 0));
+}
+
+void PackedKernel::evaluate_core(const std::uint64_t* const* x,
+                                 const std::uint64_t* const* y,
+                                 const std::uint64_t* const* z,
+                                 std::size_t programs, std::size_t nwords,
+                                 std::uint64_t* const* optical,
+                                 std::uint64_t* const* electronic,
+                                 std::uint64_t* scratch) const {
+  const std::size_t n = order_;
+  const std::size_t m = order_y_;
+  const std::size_t cells = (n + 1) * (m + 1);
   const simd::KernelOps& ops = simd::kernel_ops();
-  const std::vector<const std::uint64_t*> xw = word_pointers(x_streams);
-  const std::vector<const std::uint64_t*> yw = word_pointers(y_streams);
-  std::vector<std::vector<const std::uint64_t*>> zw(programs);
-  for (std::size_t prog = 0; prog < programs; ++prog) {
-    zw[prog] = word_pointers(z_sets[prog]);
-  }
 
   // Plane-major block scratch: entry (j, i) at j*stride + i. Sized to this
   // kernel's banks and to the stream (a block never exceeds the stream's
   // words), so short streams and low orders touch little memory; the
-  // planes buffer is reused per bank, and the y bank's select masks exist
+  // planes rows are reused per bank, and the y bank's select masks exist
   // only when the kernel has a y bank.
   const std::size_t stride = std::min(kBlockWords, nwords);
-  std::vector<std::uint64_t> planes(
-      static_cast<std::size_t>(std::bit_width(std::max(n, m))) * stride);
-  std::vector<std::uint64_t> sel_x((n + 1) * stride);
-  std::vector<std::uint64_t> sel_y(m > 0 ? (m + 1) * stride : 0);
+  const auto plane_rows =
+      static_cast<std::size_t>(std::bit_width(std::max(n, m)));
+  std::uint64_t* planes = scratch;
+  std::uint64_t* sel_x = planes + plane_rows * stride;
+  std::uint64_t* sel_y = sel_x + (n + 1) * stride;
 
   for (std::size_t w0 = 0; w0 < nwords; w0 += stride) {
     const std::size_t count = std::min(stride, nwords - w0);
@@ -314,32 +392,32 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
     //      bit j of the per-lane ones count in plane (j, i) for word w0+i;
     //      bitwise equality k(t) == k then gives the select masks.
     //      Computed once per block and reused by every fused program.
-    const auto select = [&](const std::vector<const std::uint64_t*>& words,
+    const auto select = [&](const std::uint64_t* const* words,
                             std::size_t order, std::uint64_t* sel) {
       const auto plane_count = static_cast<std::size_t>(std::bit_width(order));
-      std::fill_n(planes.begin(), plane_count * stride, 0);
-      ops.accumulate_planes(words.data(), order, w0, count, planes.data(),
-                            plane_count, stride);
-      ops.select_masks(planes.data(), plane_count, count, order + 1, sel,
-                       stride);
+      std::fill_n(planes, plane_count * stride, 0);
+      ops.accumulate_planes(words, order, w0, count, planes, plane_count,
+                            stride);
+      ops.select_masks(planes, plane_count, count, order + 1, sel, stride);
     };
-    select(xw, n, sel_x.data());
-    if (m > 0) select(yw, m, sel_y.data());
+    select(x, n, sel_x);
+    if (m > 0) select(y, m, sel_y);
 
     // 3. Per program: ideal MUX words (with a y bank the (i, j) select is
     //    the AND of the row and column masks), then the optical decision
     //    words.
     for (std::size_t prog = 0; prog < programs; ++prog) {
-      std::uint64_t* mux = electronic[prog].data() + w0;
+      const std::uint64_t* const* zs = z + prog * cells;
+      std::uint64_t* mux = electronic[prog] + w0;
+      std::fill_n(mux, count, 0);
       if (m == 0) {
-        ops.mux_or_reduce(sel_x.data(), n + 1, stride, count,
-                          zw[prog].data(), w0, mux);
+        ops.mux_or_reduce(sel_x, n + 1, stride, count, zs, w0, mux);
       } else {
-        ops.mux2_or_reduce(sel_x.data(), n + 1, sel_y.data(), m + 1, stride,
-                           count, zw[prog].data(), w0, mux);
+        ops.mux2_or_reduce(sel_x, n + 1, sel_y, m + 1, stride, count, zs, w0,
+                           mux);
       }
       if (mux_exact_) {
-        std::copy_n(mux, count, optical[prog].data() + w0);
+        std::copy_n(mux, count, optical[prog] + w0);
         continue;
       }
       // Physics LUT path (one-input kernels whose eye is closed in some
@@ -353,7 +431,7 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
           if (dmask == 0) continue;
           std::uint64_t zmask = ~std::uint64_t{0};
           for (std::size_t j = 0; j <= n && zmask != 0; ++j) {
-            const std::uint64_t zj = zw[prog][j][w];
+            const std::uint64_t zj = zs[j][w];
             zmask &= ((p >> j) & 1u) ? zj : ~zj;
           }
           if (zmask == 0) continue;
@@ -367,26 +445,6 @@ std::vector<PackedKernel::Streams> PackedKernel::evaluate_core(
       }
     }
   }
-
-  std::vector<Streams> out;
-  out.reserve(programs);
-  for (std::size_t prog = 0; prog < programs; ++prog) {
-    out.push_back(
-        {sc::Bitstream::from_words(std::move(optical[prog]), length),
-         sc::Bitstream::from_words(std::move(electronic[prog]), length)});
-  }
-  return out;
-}
-
-std::vector<PackedKernel::Streams> PackedKernel::evaluate_at(
-    double x, double y, const std::vector<std::vector<double>>& coeffs,
-    std::uint64_t stimulus_seed, const PackedRunConfig& config) const {
-  // The one fused stimulus builder: without a y bank it draws the same
-  // salts (x bank, empty y bank, coefficients) as the one-input builder.
-  const sc::FusedScInputs2 inputs = sc::make_fused_sc_inputs2(
-      x, y, coeffs, order_, order_y_, config.op.stream_length,
-      {config.source_kind, config.op.sng_width, stimulus_seed});
-  return evaluate_core(inputs.x_streams, inputs.y_streams, inputs.z_streams);
 }
 
 PackedRunResult PackedKernel::run(const sc::BernsteinPoly& poly, double x,
@@ -400,14 +458,10 @@ PackedRunResult PackedKernel::run2(const sc::BernsteinPoly2& poly, double x,
   return run_nd(sc::SeparableProgram(poly), {x, y}, config);
 }
 
-std::vector<PackedRunResult> PackedKernel::run_fused(
-    std::span<const sc::SeparableProgram> programs,
-    const std::vector<double>& point, const PackedRunConfig& config) const {
-  if (programs.empty()) {
-    throw std::invalid_argument("PackedKernel: no programs to run");
-  }
-  std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(programs.size());
+void PackedKernel::run_dense(std::span<const sc::SeparableProgram> programs,
+                             const std::vector<double>& point,
+                             const PackedRunConfig& config,
+                             PackedRunResult* results) const {
   for (const sc::SeparableProgram& program : programs) {
     if (!program.has_dense1() && !program.has_dense2()) {
       throw std::invalid_argument(
@@ -415,30 +469,64 @@ std::vector<PackedRunResult> PackedKernel::run_fused(
     }
     check_point(program, point);
     check_program(program);
-    coeffs.push_back(program.has_dense1() ? program.dense1().coeffs()
-                                          : program.dense2().coeffs());
   }
   config.op.validate();
 
-  std::vector<Streams> streams =
-      evaluate_at(point[0], point.size() > 1 ? point[1] : 0.0, coeffs,
-                  config.stimulus_seed, config);
-  // One flip-mask pass: positions are sampled once at the operating
-  // point's BER and applied to every program's decision stream. Marginal
-  // per-program statistics are unchanged; programs share the flip pattern
-  // the way fused hardware would share the receiver.
-  const FlipMask mask = sample_flip_mask(config.op, config.noise_seed);
-  std::vector<PackedRunResult> results(streams.size());
-  for (std::size_t prog = 0; prog < streams.size(); ++prog) {
-    Streams& s = streams[prog];
-    mask.apply(s.optical);
-    PackedRunResult& r = results[prog];
-    r.length = config.op.stream_length;
-    r.noise_flips = mask.flips;
-    r.optical_estimate = s.optical.probability();
-    r.electronic_estimate = s.electronic.probability();
-    r.transmission_flips = (s.optical ^ s.electronic).count_ones();
+  const std::size_t n = order_;
+  const std::size_t m = order_y_;
+  const std::size_t k = programs.size();
+  const std::size_t length = config.op.stream_length;
+  const std::size_t nwords = (length + 63) / 64;
+  // Rows: the x bank, the y bank and K coefficient grids (stimulus, in
+  // salt order), then K optical and K electronic decision rows.
+  const std::size_t stimulus_rows = n + m + k * (n + 1) * (m + 1);
+  const std::size_t row_count = stimulus_rows + 2 * k;
+  ArenaLease arena;
+  std::uint64_t* words =
+      arena.words(row_count * nwords + core_scratch_words(nwords));
+  std::uint64_t** rows = arena.rows(row_count);
+  for (std::size_t r = 0; r < row_count; ++r) rows[r] = words + r * nwords;
+  const double** coeff_sets = arena.coeffs(k);
+  for (std::size_t p = 0; p < k; ++p) {
+    coeff_sets[p] = programs[p].has_dense1()
+                        ? programs[p].dense1().coeffs().data()
+                        : programs[p].dense2().coeffs().data();
   }
+  sc::fill_fused_stimulus(
+      point[0], point.size() > 1 ? point[1] : 0.0, {coeff_sets, k}, n, m,
+      length, {config.source_kind, config.op.sng_width, config.stimulus_seed},
+      rows);
+  std::uint64_t* const* optical = rows + stimulus_rows;
+  std::uint64_t* const* electronic = optical + k;
+  evaluate_core(rows, rows + n, rows + n + m, k, nwords, optical, electronic,
+                words + row_count * nwords);
+
+  // One flip pass: positions are sampled once at the operating point's BER
+  // and toggled in every program's decision row. Marginal per-program
+  // statistics are unchanged; programs share the flip pattern the way
+  // fused hardware would share the receiver.
+  const std::size_t flips =
+      apply_receiver_flips(config.op, config.noise_seed, optical, k);
+  for (std::size_t p = 0; p < k; ++p) {
+    const ProductCounts counts =
+        count_product(optical + p, electronic + p, 1, length);
+    PackedRunResult& r = results[p];
+    r.length = length;
+    r.noise_flips = flips;
+    r.optical_estimate = density(counts.optical, length);
+    r.electronic_estimate = density(counts.electronic, length);
+    r.transmission_flips = counts.differ;
+  }
+}
+
+std::vector<PackedRunResult> PackedKernel::run_fused(
+    std::span<const sc::SeparableProgram> programs,
+    const std::vector<double>& point, const PackedRunConfig& config) const {
+  if (programs.empty()) {
+    throw std::invalid_argument("PackedKernel: no programs to run");
+  }
+  std::vector<PackedRunResult> results(programs.size());
+  run_dense(programs, point, config, results.data());
   return results;
 }
 
@@ -446,75 +534,101 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
                                      const std::vector<double>& point,
                                      const PackedRunConfig& config) const {
   check_point(program, point);
+  PackedRunResult result;
   if (program.has_dense1() || program.has_dense2()) {
-    return run_fused({&program, 1}, point, config).front();
+    run_dense({&program, 1}, point, config, &result);
+    return result;
   }
   check_program(program);
   config.op.validate();
 
+  const std::size_t n = order_;
   const std::size_t length = config.op.stream_length;
   const std::size_t nwords = (length + 63) / 64;
+  const std::vector<sc::SeparableTerm>& terms = program.terms();
+  // Factors are numbered term-major; the widest axis pass sizes the
+  // stimulus rows every pass reuses.
+  std::size_t factors = 0;
+  for (const sc::SeparableTerm& term : terms) factors += term.factors.size();
+  std::size_t widest = 0;
+  for (std::size_t a = 0; a < program.arity(); ++a) {
+    std::size_t on_axis = 0;
+    for (const sc::SeparableTerm& term : terms) {
+      for (const sc::SeparableFactor& factor : term.factors) {
+        on_axis += factor.axis == a ? 1 : 0;
+      }
+    }
+    widest = std::max(widest, on_axis);
+  }
+
+  // Rows: one axis pass's stimulus (x bank + its coefficient sets), then
+  // every factor's optical and electronic decision row, term-major.
+  // Pointers: the stimulus rows, the factor rows, and the current axis
+  // pass's view of its factors' decision rows.
+  const std::size_t stimulus_rows = n + widest * (n + 1);
+  const std::size_t row_count = stimulus_rows + 2 * factors;
+  ArenaLease arena;
+  std::uint64_t* words =
+      arena.words(row_count * nwords + core_scratch_words(nwords));
+  std::uint64_t** rows = arena.rows(row_count + 2 * widest);
+  for (std::size_t r = 0; r < row_count; ++r) rows[r] = words + r * nwords;
+  std::uint64_t* const* optical = rows + stimulus_rows;
+  std::uint64_t* const* electronic = optical + factors;
+  std::uint64_t** pass_optical = rows + row_count;
+  std::uint64_t** pass_electronic = pass_optical + widest;
+  const double** coeff_sets = arena.coeffs(widest);
+  std::uint64_t* scratch = words + row_count * nwords;
 
   // One stimulus pass per axis: every factor on axis a (term-major order)
   // is one coefficient set over the axis's shared x bank, seeded by the
   // axis index. A term's factors sit on strictly increasing axes, so they
   // still come from distinct passes with decorrelated seeds; the shared
   // bank only correlates terms, which fold arithmetically.
-  std::vector<std::vector<std::vector<double>>> axis_coeffs(program.arity());
-  for (const sc::SeparableTerm& term : program.terms()) {
-    for (const sc::SeparableFactor& factor : term.factors) {
-      axis_coeffs[factor.axis].push_back(factor.poly.coeffs());
-    }
-  }
-  std::vector<std::vector<Streams>> axis_streams(program.arity());
   for (std::size_t a = 0; a < program.arity(); ++a) {
-    if (axis_coeffs[a].empty()) continue;
-    axis_streams[a] =
-        evaluate_at(point[a], 0.0, axis_coeffs[a],
-                    derive_factor_seed(config.stimulus_seed, a), config);
+    std::size_t sets = 0;
+    std::size_t f = 0;
+    for (const sc::SeparableTerm& term : terms) {
+      for (const sc::SeparableFactor& factor : term.factors) {
+        if (factor.axis == a) {
+          coeff_sets[sets] = factor.poly.coeffs().data();
+          pass_optical[sets] = optical[f];
+          pass_electronic[sets] = electronic[f];
+          ++sets;
+        }
+        ++f;
+      }
+    }
+    if (sets == 0) continue;
+    sc::fill_fused_stimulus(
+        point[a], 0.0, {coeff_sets, sets}, n, 0, length,
+        {config.source_kind, config.op.sng_width,
+         derive_factor_seed(config.stimulus_seed, a)},
+        rows);
+    evaluate_core(rows, nullptr, rows + n, sets, nwords, pass_optical,
+                  pass_electronic, scratch);
   }
 
-  PackedRunResult result;
+  // Per-factor receiver noise: each factor stream is its own optical
+  // decision stream, so each gets its own Eq. 9 flips.
   result.length = length;
+  for (std::size_t f = 0; f < factors; ++f) {
+    result.noise_flips += apply_receiver_flips(
+        config.op, derive_factor_seed(config.noise_seed, f), optical + f, 1);
+  }
+
+  // Term product: AND of the term's independent factor rows, whose
+  // pointers sit together because factors are numbered term-major. An
+  // omitted axis contributes the constant 1 (the AND identity).
   double optical_sum = 0.0;
   double electronic_sum = 0.0;
-  std::vector<std::size_t> next_set(program.arity(), 0);
-  std::size_t factor_index = 0;
-  for (const sc::SeparableTerm& term : program.terms()) {
-    // Term product: AND of the term's independent factor streams. An
-    // omitted axis contributes the constant 1 (the AND identity), so the
-    // product starts all-ones; the tail mask in count_ones_packed keeps
-    // padding lanes out of the estimate.
-    std::vector<std::uint64_t> optical(nwords, ~std::uint64_t{0});
-    std::vector<std::uint64_t> electronic(nwords, ~std::uint64_t{0});
-    for (const sc::SeparableFactor& factor : term.factors) {
-      Streams& streams = axis_streams[factor.axis][next_set[factor.axis]++];
-      // Per-factor receiver noise: each factor stream is its own optical
-      // decision stream, so each gets its own Eq. 9 flip mask.
-      const FlipMask mask = sample_flip_mask(
-          config.op, derive_factor_seed(config.noise_seed, factor_index));
-      mask.apply(streams.optical);
-      result.noise_flips += mask.flips;
-      const std::uint64_t* opt_words = streams.optical.words_data();
-      const std::uint64_t* elec_words = streams.electronic.words_data();
-      for (std::size_t w = 0; w < nwords; ++w) {
-        optical[w] &= opt_words[w];
-        electronic[w] &= elec_words[w];
-      }
-      ++factor_index;
-    }
-    const double opt_p =
-        static_cast<double>(count_ones_packed(optical, length)) /
-        static_cast<double>(length);
-    const double elec_p =
-        static_cast<double>(count_ones_packed(electronic, length)) /
-        static_cast<double>(length);
-    optical_sum += term.weight * opt_p;
-    electronic_sum += term.weight * elec_p;
-    for (std::size_t w = 0; w < nwords; ++w) {
-      optical[w] ^= electronic[w];
-    }
-    result.transmission_flips += count_ones_packed(optical, length);
+  std::size_t f = 0;
+  for (const sc::SeparableTerm& term : terms) {
+    const ProductCounts counts = count_product(
+        optical + f, electronic + f, term.factors.size(), length);
+    optical_sum += term.weight * density(counts.optical, length);
+    electronic_sum += term.weight * density(counts.electronic, length);
+    result.transmission_flips += counts.differ;
+    f += term.factors.size();
   }
   result.optical_estimate = optical_sum;
   result.electronic_estimate = electronic_sum;

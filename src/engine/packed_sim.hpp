@@ -34,7 +34,16 @@
 /// sampling) instead of one Gaussian per bit. The kernel holds NO noise
 /// model of its own: `optsc::LinkBudget` (the one place that owns the
 /// physics-to-BER mapping) produced the operating point. The fused mode
-/// evaluates K programs on one shared stimulus with one flip-mask pass.
+/// evaluates K programs on one shared stimulus with one flip pass.
+///
+/// Run paths vs streams-out API. run_fused()/run_nd() (and the run/run2
+/// adapters) need only three counts per product - optical ones after
+/// noise, electronic ones, and the bits where they differ - so they fill
+/// stimulus straight into per-thread scratch rows, toggle flips in place
+/// and popcount the rows: a warm evaluation with an LFSR source of at most
+/// 16 bits makes no heap allocation. A thread keeps at most 256 KiB of
+/// that scratch between evaluations. evaluate()/evaluate2() are the
+/// streams-out reference over the same core.
 
 #include <cstdint>
 #include <span>
@@ -195,10 +204,10 @@ class PackedKernel {
                                      const PackedRunConfig& config) const;
 
   /// Fused full evaluation of K dense programs at one point: the programs
-  /// share one SNG stimulus (data banks generated once) and one flip-mask
-  /// pass (positions sampled once at config.op.ber, applied to every
-  /// program's decision stream). Program 0 is bit-identical to a
-  /// one-program run.
+  /// share one SNG stimulus (data banks generated once) and one flip pass
+  /// (positions sampled once at config.op.ber, applied to every program's
+  /// decision stream). Program 0 is bit-identical to a one-program run.
+  /// Allocates only the returned vector.
   /// \throws std::invalid_argument on an empty program list, a general
   ///         separable program, a point arity or kernel shape mismatch, or
   ///         an invalid operating point.
@@ -228,11 +237,10 @@ class PackedKernel {
   /// arithmetically, so the estimator stays unbiased.
   ///
   /// Per-factor receiver noise: each factor stream gets its own Eq. 9
-  /// flip mask at config.op.ber (seeds decorrelated per factor, in
-  /// term-major order, from config.noise_seed); noise_flips totals the
-  /// injected flips and transmission_flips counts, per term, the bits
-  /// where the noisy optical product differs from the ideal electronic
-  /// product.
+  /// flips at config.op.ber (seeds decorrelated per factor, in term-major
+  /// order, from config.noise_seed); noise_flips totals the injected
+  /// flips and transmission_flips counts, per term, the bits where the
+  /// noisy optical product differs from the ideal electronic product.
   /// \throws std::invalid_argument on a point arity mismatch, a program
   ///         that does not run on this kernel (check_program), or an
   ///         invalid operating point.
@@ -241,18 +249,36 @@ class PackedKernel {
       const std::vector<double>& point, const PackedRunConfig& config) const;
 
  private:
-  /// The one block loop: a shared x bank, a shared y bank (empty without
-  /// one) and K borrowed coefficient-stream sets (no copies).
-  [[nodiscard]] std::vector<Streams> evaluate_core(
+  /// The one block loop, over raw word rows of `nwords` words: an x bank
+  /// (order() rows), a y bank (order_y() rows; unused without one) and
+  /// `programs` coefficient sets of (order()+1)*(order_y()+1) rows each,
+  /// back to back in `z`. Writes every word of each program's optical and
+  /// electronic row. `scratch` holds core_scratch_words(nwords) words.
+  void evaluate_core(const std::uint64_t* const* x,
+                     const std::uint64_t* const* y,
+                     const std::uint64_t* const* z, std::size_t programs,
+                     std::size_t nwords, std::uint64_t* const* optical,
+                     std::uint64_t* const* electronic,
+                     std::uint64_t* scratch) const;
+
+  /// Block scratch evaluate_core needs for `nwords`-word rows [words].
+  [[nodiscard]] std::size_t core_scratch_words(
+      std::size_t nwords) const noexcept;
+
+  /// evaluate()/evaluate2(): validate borrowed streams, run the core,
+  /// wrap its rows as streams.
+  [[nodiscard]] Streams evaluate_streams(
       const std::vector<stochastic::Bitstream>& x_streams,
       const std::vector<stochastic::Bitstream>& y_streams,
-      std::span<const std::vector<stochastic::Bitstream>> z_sets) const;
+      const std::vector<stochastic::Bitstream>& z_streams) const;
 
-  /// Fused stimulus for K coefficient sets at (x, y), then the block loop.
-  /// `y` is unused without a y bank.
-  [[nodiscard]] std::vector<Streams> evaluate_at(
-      double x, double y, const std::vector<std::vector<double>>& coeffs,
-      std::uint64_t stimulus_seed, const PackedRunConfig& config) const;
+  /// run_fused() into caller storage (`results` holds programs.size()
+  /// entries): the fused stimulus, the core and the flip pass on the
+  /// calling thread's scratch rows, counted without building streams.
+  void run_dense(std::span<const stochastic::SeparableProgram> programs,
+                 const std::vector<double>& point,
+                 const PackedRunConfig& config,
+                 PackedRunResult* results) const;
 
   const optsc::OpticalScCircuit* circuit_;
   std::size_t order_ = 0;

@@ -31,7 +31,8 @@ obs::Counter& tasks_counter() {
 obs::Histogram& wait_histogram() {
   static obs::Histogram& histogram = obs::Registry::global().histogram(
       "oscs_engine_pool_task_wait_us",
-      "queue wait per job: submit to dequeue [microseconds]", {},
+      "queue wait per job: submit (run_range entry) to start [microseconds]",
+      {},
       obs::Histogram::latency_us());
   return histogram;
 }
@@ -61,28 +62,97 @@ void ThreadPool::submit(std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(
-        {std::move(job), nullptr, 0, std::chrono::steady_clock::now()});
+        {std::move(job), nullptr, std::chrono::steady_clock::now()});
     ++in_flight_;
   }
   queue_depth_gauge().add(1);
   work_cv_.notify_one();
 }
 
-void ThreadPool::submit_range(std::size_t count,
-                              std::function<void(std::size_t)> fn) {
+void ThreadPool::run_body(std::size_t count, RangeBody body) {
   if (count == 0) return;
-  auto shared = std::make_shared<const std::function<void(std::size_t)>>(
-      std::move(fn));
-  const auto now = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
+  queue_depth_gauge().add(static_cast<std::int64_t>(count));
+  if (count == 1) {
+    if (std::exception_ptr error = run_index(body, 0, start)) {
+      std::rethrow_exception(error);
+    }
+    return;
+  }
+
+  auto state = std::make_shared<RangeState>();
+  state->body = body;
+  state->count = count;
+  state->start = start;
+  const std::size_t helpers = std::min(count - 1, size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < count; ++i) {
-      queue_.push_back({{}, shared, i, now});
+    for (std::size_t h = 0; h < helpers; ++h) {
+      queue_.push_back({{}, state, start});
     }
-    in_flight_ += count;
+    in_flight_ += helpers;
   }
-  queue_depth_gauge().add(static_cast<std::int64_t>(count));
-  work_cv_.notify_all();
+  for (std::size_t h = 0; h < helpers; ++h) work_cv_.notify_one();
+
+  drain(*state);
+
+  // Nothing is left to claim: helpers no worker has dequeued yet would
+  // only find a drained counter, and on a pool whose workers are all busy
+  // (a nested call) they would never be dequeued before we return.
+  bool idle = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto withdrawn = std::remove_if(
+        queue_.begin(), queue_.end(),
+        [&state](const Job& job) { return job.range == state; });
+    const auto n = static_cast<std::size_t>(queue_.end() - withdrawn);
+    queue_.erase(withdrawn, queue_.end());
+    in_flight_ -= n;
+    idle = n > 0 && in_flight_ == 0;
+  }
+  if (idle) idle_cv_.notify_all();
+
+  // Indices helpers claimed may still be running.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->done_cv.wait(lock, [&state] { return state->done; });
+    error = state->error;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+std::exception_ptr ThreadPool::run_index(
+    const RangeBody& body, std::size_t index,
+    std::chrono::steady_clock::time_point start) {
+  wait_histogram().record(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+  std::exception_ptr error;
+  try {
+    body.call(body.fn, index);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  tasks_counter().inc();
+  queue_depth_gauge().add(-1);
+  return error;
+}
+
+void ThreadPool::drain(RangeState& state) {
+  for (std::size_t i = state.next++; i < state.count; i = state.next++) {
+    if (std::exception_ptr error = run_index(state.body, i, state.start)) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      if (!state.error) state.error = std::move(error);
+    }
+    if (++state.finished == state.count) {
+      {
+        std::lock_guard<std::mutex> lock(state.mutex);
+        state.done = true;
+      }
+      state.done_cv.notify_all();
+    }
+  }
 }
 
 void ThreadPool::wait_idle() {
@@ -110,22 +180,24 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    wait_histogram().record(
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - job.enqueued)
-            .count());
-    try {
-      if (job.range_fn) {
-        (*job.range_fn)(job.index);
-      } else {
+    if (job.range) {
+      // A run_range helper: its indices carry their own metrics and
+      // errors, which go back to the run_range caller.
+      drain(*job.range);
+    } else {
+      wait_histogram().record(
+          std::chrono::duration<double, std::micro>(
+              std::chrono::steady_clock::now() - job.enqueued)
+              .count());
+      try {
         job.fn();
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!first_error_) first_error_ = std::current_exception();
       }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+      tasks_counter().inc();
+      queue_depth_gauge().add(-1);
     }
-    tasks_counter().inc();
-    queue_depth_gauge().add(-1);
     bool idle;
     {
       std::lock_guard<std::mutex> lock(mutex_);

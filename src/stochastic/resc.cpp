@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "stochastic/bernstein.hpp"
 #include "stochastic/wordops.hpp"
@@ -55,6 +56,23 @@ ScInputs2 FusedScInputs2::program(std::size_t k) const {
   return ScInputs2{x_streams, y_streams, z_streams[k]};
 }
 
+void fill_fused_stimulus(double x, double y,
+                         std::span<const double* const> coeff_sets,
+                         std::size_t order_x, std::size_t order_y,
+                         std::size_t length, const ScInputConfig& config,
+                         std::uint64_t* const* rows) {
+  std::uint64_t salt = config.seed * 2u + 1u;
+  const auto fill = [&](double p) {
+    fill_stream(config.kind, config.width, salt++, p, length, *rows++);
+  };
+  for (std::size_t i = 0; i < order_x; ++i) fill(x);
+  for (std::size_t j = 0; j < order_y; ++j) fill(y);
+  const std::size_t cells = (order_x + 1) * (order_y + 1);
+  for (const double* coeffs : coeff_sets) {
+    for (std::size_t c = 0; c < cells; ++c) fill(coeffs[c]);
+  }
+}
+
 FusedScInputs2 make_fused_sc_inputs2(
     double x, double y, const std::vector<std::vector<double>>& coeffs,
     std::size_t order_x, std::size_t order_y, std::size_t length,
@@ -62,34 +80,41 @@ FusedScInputs2 make_fused_sc_inputs2(
   if (coeffs.empty()) {
     throw std::invalid_argument("SC stimulus: no programs");
   }
+  const std::size_t cells = (order_x + 1) * (order_y + 1);
+  std::vector<const double*> coeff_sets;
+  coeff_sets.reserve(coeffs.size());
   for (const std::vector<double>& c : coeffs) {
-    if (c.size() != (order_x + 1) * (order_y + 1)) {
+    if (c.size() != cells) {
       throw std::invalid_argument(
           "SC stimulus: need (order_x+1)*(order_y+1) coefficients per "
           "program, got " +
           std::to_string(c.size()));
     }
+    coeff_sets.push_back(c.data());
   }
+  const std::size_t nwords = (length + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> words(
+      order_x + order_y + coeffs.size() * cells,
+      std::vector<std::uint64_t>(nwords));
+  std::vector<std::uint64_t*> rows;
+  rows.reserve(words.size());
+  for (std::vector<std::uint64_t>& row : words) rows.push_back(row.data());
+  fill_fused_stimulus(x, y, coeff_sets, order_x, order_y, length, config,
+                      rows.data());
+
+  auto next = words.begin();
+  const auto take = [&next, length] {
+    return Bitstream::from_words(std::move(*next++), length);
+  };
   FusedScInputs2 inputs;
   inputs.x_streams.reserve(order_x);
   inputs.y_streams.reserve(order_y);
   inputs.z_streams.resize(coeffs.size());
-  // Salt sequence: x bank, y bank, then every program's grid row-major.
-  std::uint64_t salt = config.seed * 2u + 1u;
-  for (std::size_t i = 0; i < order_x; ++i) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.x_streams.push_back(sng.generate(x, length));
-  }
-  for (std::size_t j = 0; j < order_y; ++j) {
-    Sng sng(make_source(config.kind, config.width, salt++));
-    inputs.y_streams.push_back(sng.generate(y, length));
-  }
-  for (std::size_t k = 0; k < coeffs.size(); ++k) {
-    inputs.z_streams[k].reserve(coeffs[k].size());
-    for (double c : coeffs[k]) {
-      Sng sng(make_source(config.kind, config.width, salt++));
-      inputs.z_streams[k].push_back(sng.generate(c, length));
-    }
+  for (std::size_t i = 0; i < order_x; ++i) inputs.x_streams.push_back(take());
+  for (std::size_t j = 0; j < order_y; ++j) inputs.y_streams.push_back(take());
+  for (std::vector<Bitstream>& grid : inputs.z_streams) {
+    grid.reserve(cells);
+    for (std::size_t c = 0; c < cells; ++c) grid.push_back(take());
   }
   return inputs;
 }

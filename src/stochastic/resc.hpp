@@ -7,6 +7,7 @@
 ///        coefficient stream through a MUX; a counter de-randomizes.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stochastic/bernstein.hpp"
@@ -123,12 +124,26 @@ struct FusedScInputs2 {
   [[nodiscard]] ScInputs2 program(std::size_t k) const;
 };
 
-/// Generate fused stimulus for K coefficient grids sharing one (x, y) -
-/// the one stimulus builder behind every packed evaluation. Salt sequence:
-/// the x bank, the y bank, then each program's grid row-major, so program
-/// 0 receives exactly the make_sc_inputs2 streams and, with order_y = 0
-/// (y unused), the make_sc_inputs streams; later programs draw fresh
-/// decorrelated salts.
+/// Fill a fused stimulus for K coefficient grids sharing one (x, y) into
+/// caller rows - the one salt sequence behind make_fused_sc_inputs2 and
+/// the packed kernel's run paths. Salt sequence: the x bank, the y bank,
+/// then each program's grid row-major, so program 0 receives exactly the
+/// make_sc_inputs2 streams and, with order_y = 0 (y unused), the
+/// make_sc_inputs streams; later programs draw fresh decorrelated salts.
+/// `rows` holds order_x + order_y + K*(order_x+1)*(order_y+1) pointers,
+/// each to ceil(length/64) words, in that salt order; `coeff_sets[k]`
+/// points at program k's (order_x+1)*(order_y+1) row-major coefficients.
+/// Every stream comes from fill_stream, so LFSR stimulus of at most 16
+/// bits fills without allocating.
+/// \throws std::invalid_argument on a width the source kind cannot run.
+void fill_fused_stimulus(double x, double y,
+                         std::span<const double* const> coeff_sets,
+                         std::size_t order_x, std::size_t order_y,
+                         std::size_t length, const ScInputConfig& config,
+                         std::uint64_t* const* rows);
+
+/// Generate fused stimulus for K coefficient grids sharing one (x, y) as
+/// streams: fill_fused_stimulus into freshly allocated rows.
 /// \throws std::invalid_argument if coeffs is empty or any grid's size is
 ///         not (order_x+1)*(order_y+1).
 [[nodiscard]] FusedScInputs2 make_fused_sc_inputs2(

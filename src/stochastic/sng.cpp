@@ -1,5 +1,6 @@
 #include "stochastic/sng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,6 +8,32 @@
 #include "stochastic/sng_fill.hpp"
 
 namespace oscs::stochastic {
+
+namespace {
+
+/// Quantized comparator threshold round(clamp01(p) * 2^width), shared by
+/// Sng and fill_stream.
+std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
+  const double clamped = oscs::clamp01(p);
+  const double scale = std::ldexp(1.0, static_cast<int>(width));
+  return static_cast<std::uint64_t>(std::llround(clamped * scale));
+}
+
+/// Register seed and odd scramble multiplier an LFSR source's salt
+/// expands to (SplitMix64), shared by make_source and fill_stream.
+struct LfsrSeed {
+  std::uint32_t seed;
+  std::uint64_t scramble;
+};
+
+LfsrSeed lfsr_seed(std::uint64_t salt) {
+  oscs::SplitMix64 sm(salt);
+  const auto seed = static_cast<std::uint32_t>(sm.next());
+  const std::uint64_t scramble = sm.next() | 1ULL;
+  return {seed == 0 ? 1u : seed, scramble};
+}
+
+}  // namespace
 
 bool RandomSource::fill_comparator_words(std::uint64_t /*threshold*/,
                                          std::size_t /*length*/,
@@ -106,9 +133,7 @@ Sng::Sng(std::unique_ptr<RandomSource> source) : source_(std::move(source)) {
 }
 
 std::uint64_t Sng::threshold_for(double p) const noexcept {
-  const double clamped = oscs::clamp01(p);
-  const double scale = std::ldexp(1.0, static_cast<int>(source_->width()));
-  return static_cast<std::uint64_t>(std::llround(clamped * scale));
+  return comparator_threshold(p, source_->width());
 }
 
 bool Sng::next_bit(double p) { return source_->next() < threshold_for(p); }
@@ -147,11 +172,8 @@ std::unique_ptr<RandomSource> make_source(SourceKind kind, unsigned width,
                                           std::uint64_t salt) {
   switch (kind) {
     case SourceKind::kLfsr: {
-      oscs::SplitMix64 sm(salt);
-      const auto seed = static_cast<std::uint32_t>(sm.next());
-      const std::uint64_t scramble = sm.next() | 1ULL;
-      return std::make_unique<LfsrSource>(width, seed == 0 ? 1u : seed,
-                                          scramble);
+      const LfsrSeed s = lfsr_seed(salt);
+      return std::make_unique<LfsrSource>(width, s.seed, s.scramble);
     }
     case SourceKind::kCounter:
       return std::make_unique<CounterSource>(width,
@@ -162,6 +184,21 @@ std::unique_ptr<RandomSource> make_source(SourceKind kind, unsigned width,
       return std::make_unique<ChaoticLaserSource>(width, salt + 1);
   }
   throw std::logic_error("make_source: unknown kind");
+}
+
+void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
+                 double p, std::size_t length, std::uint64_t* words) {
+  if (kind == SourceKind::kLfsr) {
+    const LfsrSeed s = lfsr_seed(salt);
+    LfsrSource source(width, s.seed, s.scramble);
+    if (source.fill_comparator_words(comparator_threshold(p, width), length,
+                                     words)) {
+      return;
+    }
+  }
+  const Bitstream stream =
+      Sng(make_source(kind, width, salt)).generate(p, length);
+  std::copy_n(stream.words_data(), stream.word_count(), words);
 }
 
 }  // namespace oscs::stochastic

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -126,53 +128,127 @@ TEST(ThreadPool, NonStdExceptionIsRethrownToo) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, SubmitRangeRunsEveryIndexExactlyOnce) {
+TEST(ThreadPool, RunRangeRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 777;
   std::vector<std::atomic<int>> hits(kCount);
-  pool.submit_range(kCount, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  pool.wait_idle();
+  pool.run_range(kCount, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  // run_range is a fork-join: every index has finished on return.
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ThreadPool, SubmitRangeZeroCountIsANoOp) {
-  ThreadPool pool(2);
-  pool.submit_range(0, [](std::size_t) { FAIL() << "must never run"; });
   pool.wait_idle();
   EXPECT_EQ(pool.pending(), 0u);
 }
 
-TEST(ThreadPool, SubmitRangeExceptionPropagatesAndRestRuns) {
+TEST(ThreadPool, RunRangeZeroCountIsANoOp) {
+  ThreadPool pool(2);
+  pool.run_range(0, [](std::size_t) { FAIL() << "must never run"; });
+  pool.wait_idle();
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(ThreadPool, RunRangeExceptionPropagatesAndRestRuns) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
-  pool.submit_range(16, [&ran](std::size_t i) {
-    if (i == 3) throw std::runtime_error("slab 3 failed");
-    ++ran;
-  });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 15);  // the error does not cancel the queue
-  // Pool stays usable.
-  pool.submit_range(4, [&ran](std::size_t) { ++ran; });
+  EXPECT_THROW(pool.run_range(16,
+                              [&ran](std::size_t i) {
+                                if (i == 3) {
+                                  throw std::runtime_error("slab 3 failed");
+                                }
+                                ++ran;
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 15);  // the error does not cancel the other indices
+  // Pool stays usable, and the range error never reaches wait_idle.
+  pool.run_range(4, [&ran](std::size_t) { ++ran; });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 19);
 }
 
-TEST(ThreadPool, SubmitRangeMixesWithSingleSubmits) {
+TEST(ThreadPool, RunRangeMixesWithSingleSubmits) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   pool.submit([&counter] { ++counter; });
-  pool.submit_range(10, [&counter](std::size_t) { ++counter; });
+  pool.run_range(10, [&counter](std::size_t) { ++counter; });
   pool.submit([&counter] { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 12);
 }
 
+TEST(ThreadPool, RunRangeSingleIndexRunsOnTheCallingThread) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  pool.run_range(1, [&ran_on](std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  // A single index is a plain call: an exception comes straight back.
+  EXPECT_THROW(pool.run_range(1,
+                              [](std::size_t) {
+                                throw std::runtime_error("inline failure");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(ThreadPool, RunRangeWakesAtMostCountMinusOneWorkers) {
+  // Every index sleeps, so idle helpers get every chance to join in; the
+  // distinct worker threads that ran an index can still never exceed the
+  // helpers queued, min(count - 1, size()).
+  const auto workers_used = [](ThreadPool& pool, std::size_t count) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::vector<std::thread::id> seen;
+    pool.run_range(count, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      const std::thread::id self = std::this_thread::get_id();
+      std::lock_guard<std::mutex> lock(mutex);
+      if (self != caller &&
+          std::find(seen.begin(), seen.end(), self) == seen.end()) {
+        seen.push_back(self);
+      }
+    });
+    return seen.size();
+  };
+  ThreadPool pool(4);
+  EXPECT_LE(workers_used(pool, 2), 1u);
+  EXPECT_LE(workers_used(pool, 3), 2u);
+  EXPECT_LE(workers_used(pool, 40), 4u);
+  ThreadPool small(2);
+  EXPECT_LE(workers_used(small, 10), 2u);
+  pool.wait_idle();
+  small.wait_idle();
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(small.pending(), 0u);
+}
+
+TEST(ThreadPool, NestedRunRangeOnOneWorkerPoolCompletes) {
+  // The only worker issues a run_range on its own pool: no other thread
+  // can dequeue the helpers, so the caller must drain the range itself
+  // and withdraw them instead of waiting.
+  ThreadPool pool(1);
+  std::atomic<int> inner{0};
+  pool.submit([&pool, &inner] {
+    pool.run_range(5, [&inner](std::size_t) { ++inner; });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(inner.load(), 5);
+  // The same from inside a run_range index the worker picked up.
+  std::atomic<int> nested{0};
+  pool.run_range(3, [&pool, &nested](std::size_t) {
+    pool.run_range(4, [&nested](std::size_t) { ++nested; });
+  });
+  EXPECT_EQ(nested.load(), 12);
+  pool.wait_idle();
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
 TEST(ThreadPool, QueueWaitHistogramReconcilesWithTaskCounter) {
-  // Every job - range or single - must record exactly one queue-wait
-  // sample and one task count, so the two series stay reconcilable
-  // (their difference is the jobs currently executing, zero at idle).
+  // Every job - range index or single - must record exactly one
+  // queue-wait sample and one task count, so the two series stay
+  // reconcilable (their difference is the jobs currently executing, zero
+  // at idle).
   auto& registry = obs::Registry::global();
   const auto* tasks =
       registry.find_counter("oscs_engine_pool_tasks_total");
@@ -196,7 +272,7 @@ TEST(ThreadPool, QueueWaitHistogramReconcilesWithTaskCounter) {
   const std::uint64_t waits0 = waits->snapshot().count();
   constexpr std::size_t kRange = 250;
   std::atomic<int> counter{0};
-  pool.submit_range(kRange, [&counter](std::size_t) { ++counter; });
+  pool.run_range(kRange, [&counter](std::size_t) { ++counter; });
   for (int i = 0; i < 7; ++i) pool.submit([&counter] { ++counter; });
   pool.wait_idle();
 
