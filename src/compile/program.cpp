@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/binio.hpp"
-#include "optsc/defaults.hpp"
-#include "optsc/link_budget.hpp"
 
 namespace oscs::compile {
 
@@ -48,29 +46,7 @@ stochastic::SeparableProgram circuit_minimum(
 }  // namespace
 
 void CompiledProgram::build_backend() {
-  const engine::KernelShape shape = engine::kernel_shape(program_);
-  if (shape.order_x > engine::PackedKernel::kMaxOrder ||
-      shape.order_y > engine::PackedKernel::kMaxOrder) {
-    throw std::invalid_argument(
-        "CompiledProgram: degree exceeds the packed-kernel order limit");
-  }
-  circuit_ = std::make_shared<optsc::OpticalScCircuit>(
-      optsc::paper_defaults(shape.order_x));
-  // The kernel keeps a raw pointer into the circuit (for the diagnostics
-  // path), so its deleter captures the circuit handle: a kernel reference
-  // that outlives this program keeps the circuit alive too. Without a y
-  // bank the one-input kernel carries the circuit's physics LUT.
-  engine::PackedKernel* kernel =
-      shape.order_y == 0
-          ? new engine::PackedKernel(*circuit_)
-          : new engine::PackedKernel(*circuit_, shape.order_x, shape.order_y);
-  kernel_ = std::shared_ptr<const engine::PackedKernel>(
-      kernel, [circuit = circuit_](const engine::PackedKernel* k) {
-        delete k;
-      });
-  design_point_ =
-      optsc::design_operating_point(*circuit_, /*stream_length=*/1024,
-                                    /*sng_width=*/key_.width);
+  backend_ = engine::make_backend(engine::kernel_shape(program_), key_.width);
 }
 
 CompiledProgram::CompiledProgram(ProgramKey key, ProjectionResult projection,

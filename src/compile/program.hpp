@@ -182,19 +182,24 @@ class CompiledProgram {
     return quantization2_.value();
   }
   [[nodiscard]] const optsc::OpticalScCircuit& circuit() const noexcept {
-    return *circuit_;
+    return *backend_.circuit;
   }
   /// Prebuilt kernel; shared so BatchRunner can reuse it without
   /// re-deriving the decision LUT.
   [[nodiscard]] const std::shared_ptr<const engine::PackedKernel>& kernel()
       const noexcept {
-    return kernel_;
+    return backend_.kernel;
   }
   /// The program's design operating point: the circuit's built-in probe
   /// power mapped through the link budget (physical eye), with the
   /// program's SNG width. Certification and serving default to this.
   [[nodiscard]] const oscs::OperatingPoint& design_point() const noexcept {
-    return design_point_;
+    return backend_.design_point;
+  }
+  /// Circuit, kernel and design point together, as engine::make_backend
+  /// built them for the program's kernel shape.
+  [[nodiscard]] const engine::KernelBackend& backend() const noexcept {
+    return backend_;
   }
 
   [[nodiscard]] const std::optional<Certification>& certification()
@@ -217,14 +222,14 @@ class CompiledProgram {
   /// \throws std::logic_error on a bivariate or N-ary program.
   [[nodiscard]] engine::PackedRunResult run(
       double x, const engine::PackedRunConfig& config) const {
-    return kernel_->run(poly(), x, config);
+    return backend_.kernel->run(poly(), x, config);
   }
 
   /// One bivariate evaluation through the packed kernel's two-input mode.
   /// \throws std::logic_error on a univariate or N-ary program.
   [[nodiscard]] engine::PackedRunResult run2(
       double x, double y, const engine::PackedRunConfig& config) const {
-    return kernel_->run2(poly2(), x, y, config);
+    return backend_.kernel->run2(poly2(), x, y, config);
   }
 
   /// The program the hardware runs, every arity: the dense univariate /
@@ -252,12 +257,12 @@ class CompiledProgram {
   [[nodiscard]] engine::PackedRunResult run_nd(
       const std::vector<double>& point,
       const engine::PackedRunConfig& config) const {
-    return kernel_->run_nd(program_, point, config);
+    return backend_.kernel->run_nd(program_, point, config);
   }
 
  private:
-  /// Shared tail of every constructor: order-limit check, circuit, kernel
-  /// and design point, all derived from `program_`.
+  /// Shared tail of every constructor: the backend for `program_`'s kernel
+  /// shape at the key's SNG width.
   void build_backend();
 
   ProgramKey key_;
@@ -268,9 +273,7 @@ class CompiledProgram {
   std::optional<ProjectionResultN> projection_nd_;
   std::vector<QuantizationResult> factor_quantizations_;
   stochastic::SeparableProgram program_;  ///< dense 1D, dense 2D or general
-  std::shared_ptr<optsc::OpticalScCircuit> circuit_;  ///< kernel points here
-  std::shared_ptr<const engine::PackedKernel> kernel_;
-  oscs::OperatingPoint design_point_{};
+  engine::KernelBackend backend_;
   std::optional<Certification> cert_;
 };
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "engine/simd_kernel.hpp"
+#include "optsc/defaults.hpp"
 #include "optsc/link_budget.hpp"
 
 namespace oscs::engine {
@@ -222,6 +223,29 @@ std::size_t kernel_passes(const sc::SeparableProgram& program) {
     }
   }
   return static_cast<std::size_t>(std::count(read.begin(), read.end(), true));
+}
+
+KernelBackend make_backend(KernelShape shape, unsigned sng_width) {
+  if (shape.order_x > PackedKernel::kMaxOrder ||
+      shape.order_y > PackedKernel::kMaxOrder) {
+    throw std::invalid_argument(
+        "make_backend: kernel shape (" + std::to_string(shape.order_x) +
+        ", " + std::to_string(shape.order_y) +
+        ") exceeds the packed-kernel order limit " +
+        std::to_string(PackedKernel::kMaxOrder));
+  }
+  KernelBackend backend;
+  backend.circuit = std::make_shared<const optsc::OpticalScCircuit>(
+      optsc::paper_defaults(shape.order_x));
+  const PackedKernel* kernel =
+      shape.order_y == 0
+          ? new PackedKernel(*backend.circuit)
+          : new PackedKernel(*backend.circuit, shape.order_x, shape.order_y);
+  backend.kernel = std::shared_ptr<const PackedKernel>(
+      kernel, [circuit = backend.circuit](const PackedKernel* k) { delete k; });
+  backend.design_point = optsc::design_operating_point(
+      *backend.circuit, /*stream_length=*/1024, sng_width);
+  return backend;
 }
 
 PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit,

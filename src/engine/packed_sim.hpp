@@ -46,6 +46,7 @@
 /// streams-out reference over the same core.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -289,5 +290,24 @@ class PackedKernel {
   /// (one-input constructor only; empty for the ideal-MUX model).
   std::vector<std::uint32_t> decisions_;
 };
+
+/// Everything a kernel shape runs on: the circuit, the kernel built over
+/// it and the circuit's design operating point. The kernel handle shares
+/// ownership of the circuit (the kernel reads it on its diagnostics path),
+/// so a kernel copied out on its own keeps its circuit alive.
+struct KernelBackend {
+  std::shared_ptr<const optsc::OpticalScCircuit> circuit;
+  std::shared_ptr<const PackedKernel> kernel;
+  oscs::OperatingPoint design_point{};
+};
+
+/// The kernel factory: the paper reference circuit at order shape.order_x,
+/// the one-input kernel (with its physics decision LUT) when
+/// shape.order_y == 0 and the two-bank kernel otherwise, and the circuit's
+/// design operating point at 1024 bits and `sng_width`.
+/// \throws std::invalid_argument if either order exceeds
+///         PackedKernel::kMaxOrder.
+[[nodiscard]] KernelBackend make_backend(KernelShape shape,
+                                         unsigned sng_width);
 
 }  // namespace oscs::engine

@@ -67,21 +67,15 @@ void mux2_or_reduce_scalar(const std::uint64_t* sel_x, std::size_t nx,
   }
 }
 
-void xor_inplace_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) dst[i] ^= src[i];
-}
-
 constexpr KernelOps kScalarOps{
     accumulate_planes_scalar, select_masks_scalar, mux_or_reduce_scalar,
-    mux2_or_reduce_scalar,    xor_inplace_scalar,
+    mux2_or_reduce_scalar,
 };
 
 #if defined(OSCS_HAVE_AVX2)
 constexpr KernelOps kAvx2Ops{
     detail::accumulate_planes_avx2, detail::select_masks_avx2,
     detail::mux_or_reduce_avx2,     detail::mux2_or_reduce_avx2,
-    detail::xor_inplace_avx2,
 };
 #endif
 

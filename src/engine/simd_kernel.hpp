@@ -2,7 +2,7 @@
 /// \file simd_kernel.hpp
 /// \brief Runtime-dispatched word-parallel primitives behind the packed
 ///        kernel: carry-save bit-plane accumulation, select-mask
-///        extraction, MUX OR-reduce (1D and 2D) and flip-mask application.
+///        extraction and MUX OR-reduce (1D and 2D).
 ///
 /// The packed evaluation walks streams in plane-major *blocks* of packed
 /// words rather than one word at a time, so each primitive sees a
@@ -66,10 +66,6 @@ struct KernelOps {
                          std::size_t stride, std::size_t count,
                          const std::uint64_t* const* z_words, std::size_t w0,
                          std::uint64_t* mux);
-
-  /// dst[i] ^= src[i] - flip-mask application onto packed decision words.
-  void (*xor_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t count);
 };
 
 /// The primitive set for an explicit backend (tests pin both sides of the
@@ -101,8 +97,6 @@ void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
                          std::size_t stride, std::size_t count,
                          const std::uint64_t* const* z_words, std::size_t w0,
                          std::uint64_t* mux);
-void xor_inplace_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t count);
 }  // namespace detail
 #endif
 

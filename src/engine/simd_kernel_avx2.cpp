@@ -137,20 +137,6 @@ void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
   }
 }
 
-void xor_inplace_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t count) {
-  const std::size_t vec = count & ~std::size_t{3};
-  for (std::size_t i = 0; i < vec; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(a, b));
-  }
-  for (std::size_t i = vec; i < count; ++i) dst[i] ^= src[i];
-}
-
 }  // namespace oscs::engine::simd::detail
 
 #endif  // OSCS_HAVE_AVX2

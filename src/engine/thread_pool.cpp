@@ -10,9 +10,10 @@ namespace oscs::engine {
 namespace {
 
 // Pool metrics live in the global registry (one series aggregated across
-// every pool instance - the serving layer leases many short-lived pools,
-// and the scrape cares about the process-wide queue behavior). The
-// references are resolved once; the hot path is pure relaxed atomics.
+// every pool instance - a server's engine pool, certification's temporary
+// pools, bench pools - since the scrape cares about the process-wide
+// queue behavior). The references are resolved once; the hot path is
+// pure relaxed atomics.
 
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& gauge = obs::Registry::global().gauge(
@@ -112,12 +113,17 @@ void ThreadPool::run_body(std::size_t count, RangeBody body) {
   }
   if (idle) idle_cv_.notify_all();
 
-  // Indices helpers claimed may still be running.
+  // Indices helpers claimed may still be running. The error moves out of
+  // the shared state (as wait_idle() takes first_error_), so this thread
+  // releases the exception after its handler ran, not a helper dropping
+  // the last state reference: that order is safe too, but it rests on
+  // reference counts inside the C++ runtime the thread sanitizer cannot
+  // see.
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mutex);
     state->done_cv.wait(lock, [&state] { return state->done; });
-    error = state->error;
+    error = std::move(state->error);
   }
   if (error) std::rethrow_exception(error);
 }

@@ -9,8 +9,6 @@
 #include "common/arity_guard.hpp"
 #include "common/json.hpp"
 #include "compile/registry.hpp"
-#include "engine/thread_pool.hpp"
-#include "optsc/defaults.hpp"
 #include "optsc/link_budget.hpp"
 
 namespace oscs::serve {
@@ -235,6 +233,7 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
 ProgramServer::ProgramServer(ServerOptions options)
     : options_(options),
       compiler_(options.compile, options.cache_capacity),
+      pool_(options.threads),
       received_(registry_.counter("oscs_serve_requests_received_total",
                                   kRequestsHelp)),
       completed_univariate_(
@@ -343,77 +342,40 @@ PrewarmReport ProgramServer::prewarm(const PrewarmOptions& options) {
     }
   }
 
-  // Fan the missing compiles across the leased pool. get_or_compile's
+  // Fan the missing compiles across the engine pool. get_or_compile's
   // single-flight makes this idempotent against concurrent traffic, and
   // entries the cache file already covered are skipped by the residency
   // probe (contains() perturbs neither the LRU order nor the counters).
   std::mutex report_mutex;
-  std::unique_ptr<engine::ThreadPool> pool = acquire_pool();
-  for (const CatalogueEntry& entry : manifest) {
-    pool->submit([this, &entry, &report, &report_mutex] {
-      if (compiler_.cache().contains(entry.key)) return;
-      try {
-        (void)entry.compile();
-        cache_prewarmed_.inc();
-        std::lock_guard<std::mutex> lock(report_mutex);
-        ++report.compiled;
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(report_mutex);
-        ++report.compile_errors;
-        if (report.message.empty()) {
-          report.message = "prewarm: compile '" + entry.key.function_id +
-                           "': " + e.what();
-        }
+  pool_.run_range(manifest.size(), [&](std::size_t i) {
+    const CatalogueEntry& entry = manifest[i];
+    if (compiler_.cache().contains(entry.key)) return;
+    try {
+      (void)entry.compile();
+      cache_prewarmed_.inc();
+      std::lock_guard<std::mutex> lock(report_mutex);
+      ++report.compiled;
+    } catch (const std::exception& e) {
+      std::lock_guard<std::mutex> lock(report_mutex);
+      ++report.compile_errors;
+      if (report.message.empty()) {
+        report.message = "prewarm: compile '" + entry.key.function_id +
+                         "': " + e.what();
       }
-    });
-  }
-  try {
-    pool->wait_idle();  // jobs catch their own errors; belt and braces
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(report_mutex);
-    ++report.compile_errors;
-    if (report.message.empty()) {
-      report.message = std::string("prewarm: ") + e.what();
     }
-  }
-  release_pool(std::move(pool));
+  });
   return report;
 }
 
-std::unique_ptr<engine::ThreadPool> ProgramServer::acquire_pool() {
-  {
-    std::lock_guard<std::mutex> lock(pools_mutex_);
-    if (!idle_pools_.empty()) {
-      std::unique_ptr<engine::ThreadPool> pool =
-          std::move(idle_pools_.back());
-      idle_pools_.pop_back();
-      return pool;
-    }
-  }
-  return std::make_unique<engine::ThreadPool>(options_.threads);
-}
-
-void ProgramServer::release_pool(std::unique_ptr<engine::ThreadPool> pool) {
-  if (pool == nullptr) return;
-  std::lock_guard<std::mutex> lock(pools_mutex_);
-  idle_pools_.push_back(std::move(pool));
-}
-
-const ProgramServer::OrderEngine& ProgramServer::order_engine(
+const engine::KernelBackend& ProgramServer::order_engine(
     std::size_t order_x, std::size_t order_y) {
   std::lock_guard<std::mutex> lock(engines_mutex_);
   auto it = order_engines_.find({order_x, order_y});
   if (it == order_engines_.end()) {
-    OrderEngine built;
-    built.circuit = std::make_shared<const optsc::OpticalScCircuit>(
-        optsc::paper_defaults(order_x));
-    built.kernel = order_y == 0 ? std::make_shared<const engine::PackedKernel>(
-                                      *built.circuit)
-                                : std::make_shared<const engine::PackedKernel>(
-                                      *built.circuit, order_x, order_y);
-    built.design_point = optsc::design_operating_point(*built.circuit);
-    it = order_engines_.emplace(std::make_pair(order_x, order_y),
-                                std::move(built))
+    it = order_engines_
+             .emplace(std::make_pair(order_x, order_y),
+                      engine::make_backend({order_x, order_y},
+                                           oscs::OperatingPoint{}.sng_width))
              .first;
   }
   return it->second;
@@ -488,10 +450,7 @@ ProgramServer::Resolved ProgramServer::resolve(const ServeRequest& request,
   for (const auto& program : resolved.holds) {
     if (program != nullptr &&
         program->kernel()->shape() == engine::KernelShape{order_x, order_y}) {
-      // Aliasing handle: the circuit lives as long as its program.
-      resolved.engine = {std::shared_ptr<const optsc::OpticalScCircuit>(
-                             program, &program->circuit()),
-                         program->kernel(), program->design_point()};
+      resolved.engine = program->backend();
       return resolved;
     }
   }
@@ -637,24 +596,15 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
   response.fused = resolved.arity <= 2 && request.programs.size() > 1;
   {
     obs::Span span(&trace, "execute");
-    // Leased, not constructed: thread spawn/join stays off the warm path.
-    // A worker-task exception leaves the pool reusable (ThreadPool
-    // contract), so the lease returns it to the free list either way.
-    std::unique_ptr<engine::ThreadPool> pool = acquire_pool();
     try {
       const engine::BatchRunner runner(resolved.engine.kernel,
                                        resolved.engine.design_point);
-      summary = response.fused ? runner.run_fused(batch, *pool)
-                               : runner.run_nd(batch, *pool);
+      summary = response.fused ? runner.run_fused(batch, pool_)
+                               : runner.run_nd(batch, pool_);
     } catch (const std::invalid_argument& e) {
-      release_pool(std::move(pool));
       // Everything the engine rejects traces back to request content.
       throw ServeError(400, "bad_request", e.what());
-    } catch (...) {
-      release_pool(std::move(pool));
-      throw;
     }
-    release_pool(std::move(pool));
   }
   response.latency.execute_us = us_since(t_execute);
   execute_hist_.record(response.latency.execute_us);

@@ -21,8 +21,8 @@
 /// atomic - counters per outcome (arity, error reason), the in-flight
 /// gauge doubling as the admission gate, and per-stage log-bucket latency
 /// histograms (parse/resolve/execute/serialize/total) - so metric
-/// recording never serializes concurrent requests; the only locks left in
-/// the server guard the engine/pool caches. Each request runs under a
+/// recording never serializes concurrent requests; the only lock left in
+/// the server guards the fallback kernel cache. Each request runs under a
 /// trace (parse -> resolve -> compile/certify -> execute -> serialize
 /// spans; the id is echoed as "trace_id", client-suppliable via "trace")
 /// with an optional sampled JSONL trace log. Export goes two ways:
@@ -45,6 +45,7 @@
 #include "common/operating_point.hpp"
 #include "compile/compiler.hpp"
 #include "engine/batch.hpp"
+#include "engine/thread_pool.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -63,7 +64,7 @@ struct PrewarmOptions {
   /// Cache file to load at construction; empty disables loading.
   std::string cache_file;
   /// After the load, compile every manifest function still missing from
-  /// the cache, fanned across the server's thread pool. With an empty
+  /// the cache, fanned across the server's engine pool. With an empty
   /// `functions` list the manifest is the full registry (univariate +
   /// bivariate + N-ary catalogues).
   bool compile_missing = false;
@@ -101,8 +102,10 @@ struct ServerOptions {
   /// single absurd repeats/length value wedges an in-flight slot
   /// indefinitely. Rejection carries 413 "too_large".
   double max_request_bits = 4.0e9;
-  /// Batch-engine workers per request (0 picks hardware concurrency; keep
-  /// small - concurrency across requests is the design axis).
+  /// Engine pool workers, built once at construction and shared by every
+  /// request and prewarm pass (0 picks hardware concurrency). Each
+  /// request's calling thread computes beside them, so the server never
+  /// holds more than this many engine threads.
   std::size_t threads = 2;
   /// Compiler pipeline defaults (certification settings etc.).
   compile::CompileOptions compile{};
@@ -218,11 +221,13 @@ class ProgramServer {
   /// Run a prewarm pass now (the constructor runs one automatically when
   /// options.prewarm.enabled()): load `prewarm.cache_file` into the
   /// program cache, then - when `compile_missing` is set - fan the
-  /// manifest functions still absent across the server's leased thread
-  /// pool. Certification is whatever the compile defaults say; loaded
-  /// programs keep their persisted certificates and are re-certified
-  /// lazily only if a caller compiles past them. Never throws: every
-  /// failure is counted in the report (and the cache counters) instead.
+  /// manifest functions still absent across the server's engine pool,
+  /// the calling thread compiling beside its workers (requests in flight
+  /// share the same workers). Certification is whatever the compile
+  /// defaults say; loaded programs keep their persisted certificates and
+  /// are re-certified lazily only if a caller compiles past them. Never
+  /// throws: every failure is counted in the report (and the cache
+  /// counters) instead.
   PrewarmReport prewarm(const PrewarmOptions& options);
 
   /// Persist the current program cache for a future prewarm.
@@ -232,15 +237,6 @@ class ProgramServer {
   }
 
  private:
-  /// Execution engine for one kernel shape: a compiled program's own, or
-  /// a fallback for shapes no compiled program provides (raw-coefficient
-  /// programs, mixed-order fusions).
-  struct OrderEngine {
-    std::shared_ptr<const optsc::OpticalScCircuit> circuit;
-    std::shared_ptr<const engine::PackedKernel> kernel;
-    oscs::OperatingPoint design_point{};
-  };
-
   /// A request's programs resolved onto one common kernel shape.
   struct Resolved {
     /// Request input count: the number of input axes every program takes.
@@ -255,7 +251,10 @@ class ProgramServer {
     /// for raw-coefficient ones (their reference is the cell's exact
     /// Bernstein `expected`). The shadow path reads these.
     std::vector<std::function<double(const std::vector<double>&)>> refs;
-    OrderEngine engine;  ///< the kernel shape's engine
+    /// The kernel shape's backend: a compiled program's own, or a fallback
+    /// for shapes no compiled program provides (raw-coefficient programs,
+    /// mixed-order fusions).
+    engine::KernelBackend engine;
     /// Keeps compiled programs (and their kernels/circuits) alive.
     std::vector<std::shared_ptr<const compile::CompiledProgram>> holds;
   };
@@ -284,31 +283,25 @@ class ProgramServer {
   /// registries), raw coefficients for the dense arities.
   [[nodiscard]] Resolved resolve(const ServeRequest& request,
                                  std::size_t arity);
-  /// Fallback engine for a kernel shape; order_y == 0 selects the
-  /// one-input kernel (with its physics decision LUT), otherwise the
-  /// two-bank (order_x, order_y) kernel.
-  [[nodiscard]] const OrderEngine& order_engine(std::size_t order_x,
-                                                std::size_t order_y);
+  /// Fallback backend for a kernel shape (engine::make_backend at the
+  /// default operating point's SNG width), built once per shape.
+  [[nodiscard]] const engine::KernelBackend& order_engine(std::size_t order_x,
+                                                          std::size_t order_y);
   [[nodiscard]] oscs::OperatingPoint resolve_operating_point(
       const ServeRequest& request, const Resolved& resolved) const;
   void count_error(const std::string& reason);
   [[nodiscard]] std::string metrics_prom_json(
       const std::string& request_id) const;
 
-  /// Thread pools are reused across requests (spawning threads per
-  /// request would sit on the warm hot path); the free list is bounded
-  /// by peak request concurrency, itself bounded by max_in_flight.
-  [[nodiscard]] std::unique_ptr<engine::ThreadPool> acquire_pool();
-  void release_pool(std::unique_ptr<engine::ThreadPool> pool);
-
   ServerOptions options_;
   compile::Compiler compiler_;
+  /// The one engine pool: run_range is thread-safe and each call waits
+  /// only for its own indices, so concurrent requests share it.
+  engine::ThreadPool pool_;
 
   mutable std::mutex engines_mutex_;
-  std::map<std::pair<std::size_t, std::size_t>, OrderEngine> order_engines_;
-
-  std::mutex pools_mutex_;
-  std::vector<std::unique_ptr<engine::ThreadPool>> idle_pools_;
+  std::map<std::pair<std::size_t, std::size_t>, engine::KernelBackend>
+      order_engines_;
 
   /// Per-instance metric registry (declared before the references into
   /// it). Request counting is lock-free; this registry also renders the

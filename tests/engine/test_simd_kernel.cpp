@@ -101,12 +101,6 @@ TEST(SimdKernelOps, Avx2PrimitivesMatchScalarOnRandomBlocks) {
     avx2.mux2_or_reduce(sel_a.data(), 2, sel_a.data() + 2 * kStride, 3,
                         kStride, count, z_ptrs.data(), 0, mux2_b.data());
     ASSERT_EQ(mux2_a, mux2_b) << "mux2_or_reduce count " << count;
-
-    std::vector<std::uint64_t> dst_a = random_words(kStride, 7);
-    std::vector<std::uint64_t> dst_b = dst_a;
-    scalar.xor_inplace(dst_a.data(), mux_a.data(), count);
-    avx2.xor_inplace(dst_b.data(), mux_a.data(), count);
-    ASSERT_EQ(dst_a, dst_b) << "xor_inplace count " << count;
   }
 }
 

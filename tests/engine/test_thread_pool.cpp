@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -240,6 +243,65 @@ TEST(ThreadPool, NestedRunRangeOnOneWorkerPoolCompletes) {
     pool.run_range(4, [&nested](std::size_t) { ++nested; });
   });
   EXPECT_EQ(nested.load(), 12);
+  pool.wait_idle();
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(ThreadPool, ConcurrentRunRangeCallersShareOnePool) {
+  // External threads fork-join on one pool at once, as a server's
+  // concurrent requests do. Each call must return only after its own
+  // indices finished, run each exactly once, and an exception must reach
+  // only the call whose index threw. Tallies are per caller, checked
+  // after the join.
+  constexpr std::size_t kCallers = 6;
+  constexpr std::size_t kCount = 64;
+  constexpr int kRounds = 100;
+  constexpr std::size_t kThrowingIndex = 17;
+  ThreadPool pool(2);
+  std::latch start(kCallers);
+  std::vector<int> wrong_counts(kCallers, 0);
+  std::vector<int> wrong_errors(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        // Caller 0 throws from one index on every other round.
+        const bool throws = c == 0 && round % 2 == 0;
+        const std::string message = "caller 0 round " + std::to_string(round);
+        std::array<std::atomic<int>, kCount> finished{};
+        bool threw = false;
+        try {
+          pool.run_range(kCount, [&](std::size_t i) {
+            if (throws && i == kThrowingIndex) {
+              throw std::runtime_error(message);
+            }
+            // A late finisher: an early return would miss its count.
+            if (i % 16 == 5) {
+              std::this_thread::sleep_for(std::chrono::microseconds(20));
+            }
+            finished[i].fetch_add(1);
+          });
+        } catch (const std::runtime_error& e) {
+          threw = true;
+          if (!throws || e.what() != message) ++wrong_errors[c];
+        } catch (...) {
+          threw = true;
+          ++wrong_errors[c];
+        }
+        if (throws != threw) ++wrong_errors[c];
+        for (std::size_t i = 0; i < kCount; ++i) {
+          const int expected = throws && i == kThrowingIndex ? 0 : 1;
+          if (finished[i].load() != expected) ++wrong_counts[c];
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(wrong_counts[c], 0) << "caller " << c;
+    EXPECT_EQ(wrong_errors[c], 0) << "caller " << c;
+  }
   pool.wait_idle();
   EXPECT_EQ(pool.pending(), 0u);
 }

@@ -1,12 +1,17 @@
 /// ProgramServer tests over the in-process handle()/handle_json() API:
 /// evaluation correctness against the engine run directly, fused
 /// multi-program requests, admission control (busy gate + cold-compile
-/// budget), per-request operating points, and the metrics endpoint.
+/// budget), per-request operating points, the metrics endpoint, and
+/// concurrent requests on the one engine pool.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <iterator>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -525,6 +530,67 @@ TEST(ProgramServerTest, MixedDegreeFusionElevatesToCommonOrder) {
     EXPECT_NEAR(cell.find("expected")->as_number(), x, 1e-12);
     EXPECT_NEAR(cell.find("optical_mean")->as_number(), x, 0.05);
   }
+}
+
+/// Threads of this process: the entries under /proc/self/task.
+std::size_t process_threads() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
+}
+
+TEST(ProgramServerTest, ConcurrentRequestsShareOneEnginePool) {
+  // Concurrent requests and a mid-storm prewarm pass fork-join on the
+  // server's one engine pool: every reply matches the sequential one, and
+  // the storm leaves no engine thread behind.
+  ServerOptions options = fast_options();
+  options.threads = 2;
+  ProgramServer server(options);
+  // 9 points x 8 repeats at 4096 bits: several slabs, so every request
+  // queues pool helpers.
+  const std::string request =
+      R"({"function": "sigmoid",
+          "xs": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+          "stream_lengths": [4096], "repeats": 8, "seed": 9})";
+  const JsonValue warm = json_parse(server.handle_json(request));
+  ASSERT_TRUE(warm.find("ok")->as_bool());
+  const JsonValue cells = *warm.find("cells");
+  const std::size_t threads_before = process_threads();
+
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 20;
+  std::latch start(kClients + 1);
+  std::atomic<int> served{0};
+  std::vector<int> mismatches(kClients, 0);  // one slot per client
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        const JsonValue doc = json_parse(server.handle_json(request));
+        const JsonValue* got = doc.find("cells");
+        if (got == nullptr || !(*got == cells)) ++mismatches[c];
+        ++served;
+      }
+    });
+  }
+  start.arrive_and_wait();
+  // Mid-storm: the prewarm pass starts once the first replies are in.
+  while (served.load() < kClients) std::this_thread::yield();
+  PrewarmOptions manifest;
+  manifest.compile_missing = true;
+  manifest.functions = {"tanh", "exp_neg"};
+  const PrewarmReport report = server.prewarm(manifest);
+  for (std::thread& client : clients) client.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(mismatches[c], 0) << "client " << c;
+  }
+  EXPECT_EQ(report.compiled, 2u);
+  EXPECT_EQ(report.compile_errors, 0u) << report.message;
+  EXPECT_EQ(server.metrics().completed,
+            std::size_t{1} + kClients * kRequestsPerClient);
+  EXPECT_EQ(process_threads(), threads_before);
 }
 
 }  // namespace
