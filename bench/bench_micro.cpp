@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "optsc/circuit.hpp"
@@ -81,6 +82,27 @@ void BM_LfsrSngStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_LfsrSngStream);
+
+/// One serving stimulus stream: fill_stream's LFSR setup plus the
+/// comparator fill into caller words, a fresh salt (so a fresh phase) per
+/// stream as fill_fused_stimulus draws them. Args: SNG width, stream bits.
+void BM_FillStream(benchmark::State& state) {
+  const auto width = static_cast<unsigned>(state.range(0));
+  const auto length = static_cast<std::size_t>(state.range(1));
+  std::vector<std::uint64_t> words((length + 63) / 64);
+  std::uint64_t salt = 1;
+  for (auto _ : state) {
+    sc::fill_stream(sc::SourceKind::kLfsr, width, salt++, 0.37, length,
+                    words.data());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(length));
+}
+BENCHMARK(BM_FillStream)
+    ->ArgNames({"width", "bits"})
+    ->ArgsProduct({{8, 16}, {256, 4096}});
 
 void BM_BernsteinDeCasteljau(benchmark::State& state) {
   const sc::BernsteinPoly poly = sc::BernsteinPoly::fit(

@@ -145,40 +145,6 @@ std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
   return sm.next();
 }
 
-/// Ones counts of one product over the first `length` bits.
-struct ProductCounts {
-  std::size_t optical = 0;     ///< ones of the AND of the optical rows
-  std::size_t electronic = 0;  ///< ones of the AND of the electronic rows
-  std::size_t differ = 0;      ///< bits where the two products differ
-};
-
-/// Count the AND of `factors` optical rows against the AND of the matching
-/// electronic rows (one row each for a dense program). An empty product is
-/// the constant 1; padding past `length` is masked off.
-ProductCounts count_product(const std::uint64_t* const* optical,
-                            const std::uint64_t* const* electronic,
-                            std::size_t factors, std::size_t length) {
-  ProductCounts counts;
-  const std::size_t nwords = (length + 63) / 64;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    std::uint64_t opt = ~std::uint64_t{0};
-    std::uint64_t elec = ~std::uint64_t{0};
-    for (std::size_t f = 0; f < factors; ++f) {
-      opt &= optical[f][w];
-      elec &= electronic[f][w];
-    }
-    if (w + 1 == nwords && length % 64 != 0) {
-      const std::uint64_t tail = (std::uint64_t{1} << (length % 64)) - 1;
-      opt &= tail;
-      elec &= tail;
-    }
-    counts.optical += static_cast<std::size_t>(std::popcount(opt));
-    counts.electronic += static_cast<std::size_t>(std::popcount(elec));
-    counts.differ += static_cast<std::size_t>(std::popcount(opt ^ elec));
-  }
-  return counts;
-}
-
 double density(std::size_t ones, std::size_t length) {
   return static_cast<double>(ones) / static_cast<double>(length);
 }
@@ -531,9 +497,10 @@ void PackedKernel::run_dense(std::span<const sc::SeparableProgram> programs,
   // fused hardware would share the receiver.
   const std::size_t flips =
       apply_receiver_flips(config.op, config.noise_seed, optical, k);
+  const simd::KernelOps& ops = simd::kernel_ops();
   for (std::size_t p = 0; p < k; ++p) {
-    const ProductCounts counts =
-        count_product(optical + p, electronic + p, 1, length);
+    const simd::ProductCounts counts =
+        ops.count_product(optical + p, electronic + p, 1, length);
     PackedRunResult& r = results[p];
     r.length = length;
     r.noise_flips = flips;
@@ -643,11 +610,12 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
   // Term product: AND of the term's independent factor rows, whose
   // pointers sit together because factors are numbered term-major. An
   // omitted axis contributes the constant 1 (the AND identity).
+  const simd::KernelOps& ops = simd::kernel_ops();
   double optical_sum = 0.0;
   double electronic_sum = 0.0;
   std::size_t f = 0;
   for (const sc::SeparableTerm& term : terms) {
-    const ProductCounts counts = count_product(
+    const simd::ProductCounts counts = ops.count_product(
         optical + f, electronic + f, term.factors.size(), length);
     optical_sum += term.weight * density(counts.optical, length);
     electronic_sum += term.weight * density(counts.electronic, length);

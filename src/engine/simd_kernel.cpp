@@ -1,5 +1,7 @@
 #include "engine/simd_kernel.hpp"
 
+#include "engine/simd_kernel_count.hpp"
+
 namespace oscs::engine::simd {
 
 namespace {
@@ -68,14 +70,16 @@ void mux2_or_reduce_scalar(const std::uint64_t* sel_x, std::size_t nx,
 }
 
 constexpr KernelOps kScalarOps{
-    accumulate_planes_scalar, select_masks_scalar, mux_or_reduce_scalar,
-    mux2_or_reduce_scalar,
+    accumulate_planes_scalar, select_masks_scalar,
+    mux_or_reduce_scalar,     mux2_or_reduce_scalar,
+    count_product_body,
 };
 
 #if defined(OSCS_HAVE_AVX2)
 constexpr KernelOps kAvx2Ops{
     detail::accumulate_planes_avx2, detail::select_masks_avx2,
     detail::mux_or_reduce_avx2,     detail::mux2_or_reduce_avx2,
+    detail::count_product_avx2,
 };
 #endif
 

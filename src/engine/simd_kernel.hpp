@@ -2,7 +2,7 @@
 /// \file simd_kernel.hpp
 /// \brief Runtime-dispatched word-parallel primitives behind the packed
 ///        kernel: carry-save bit-plane accumulation, select-mask
-///        extraction and MUX OR-reduce (1D and 2D).
+///        extraction, MUX OR-reduce (1D and 2D) and product counting.
 ///
 /// The packed evaluation walks streams in plane-major *blocks* of packed
 /// words rather than one word at a time, so each primitive sees a
@@ -28,6 +28,13 @@ namespace oscs::engine::simd {
 [[nodiscard]] inline oscs::SimdBackend kernel_backend() noexcept {
   return oscs::simd_backend();
 }
+
+/// Ones counts of one product over a stream's bits (count_product).
+struct ProductCounts {
+  std::size_t optical = 0;     ///< ones of the AND of the optical rows
+  std::size_t electronic = 0;  ///< ones of the AND of the electronic rows
+  std::size_t differ = 0;      ///< bits where the two products differ
+};
 
 /// Word-parallel primitive set for one backend. All buffers are plain
 /// uint64 word arrays; plane/select buffers are plane-major with a caller
@@ -66,6 +73,14 @@ struct KernelOps {
                          std::size_t stride, std::size_t count,
                          const std::uint64_t* const* z_words, std::size_t w0,
                          std::uint64_t* mux);
+
+  /// Count the AND of `factors` optical rows against the AND of the
+  /// matching electronic rows over the first `length` bits (one row each
+  /// for a dense program). An empty product is the constant 1; bits past
+  /// `length` in the last word are masked off, whatever they hold.
+  ProductCounts (*count_product)(const std::uint64_t* const* optical,
+                                 const std::uint64_t* const* electronic,
+                                 std::size_t factors, std::size_t length);
 };
 
 /// The primitive set for an explicit backend (tests pin both sides of the
@@ -97,6 +112,9 @@ void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
                          std::size_t stride, std::size_t count,
                          const std::uint64_t* const* z_words, std::size_t w0,
                          std::uint64_t* mux);
+ProductCounts count_product_avx2(const std::uint64_t* const* optical,
+                                 const std::uint64_t* const* electronic,
+                                 std::size_t factors, std::size_t length);
 }  // namespace detail
 #endif
 

@@ -5,13 +5,17 @@
 //
 // Every primitive is pure bitwise logic over 64-bit lanes, so processing
 // four words per __m256i yields output bit-identical to the scalar
-// reference in simd_kernel.cpp; the equivalence suite pins that.
+// reference in simd_kernel.cpp; the equivalence suite pins that. The
+// product count compiles the scalar TU's loop body here, where -mavx2
+// turns std::popcount into the hardware instruction.
 
 #include "engine/simd_kernel.hpp"
 
 #if defined(OSCS_HAVE_AVX2)
 
 #include <immintrin.h>
+
+#include "engine/simd_kernel_count.hpp"
 
 namespace oscs::engine::simd::detail {
 
@@ -135,6 +139,12 @@ void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
     }
     mux[w] = acc;
   }
+}
+
+ProductCounts count_product_avx2(const std::uint64_t* const* optical,
+                                 const std::uint64_t* const* electronic,
+                                 std::size_t factors, std::size_t length) {
+  return count_product_body(optical, electronic, factors, length);
 }
 
 }  // namespace oscs::engine::simd::detail

@@ -1,7 +1,7 @@
 #include "stochastic/sng.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <stdexcept>
 
 #include "common/math.hpp"
@@ -11,12 +11,18 @@ namespace oscs::stochastic {
 
 namespace {
 
-/// Quantized comparator threshold round(clamp01(p) * 2^width), shared by
-/// Sng and fill_stream.
+/// Quantized comparator threshold round(clamp01(p) * 2^width), halves
+/// rounded away from zero (llround's rule), shared by Sng and
+/// fill_stream. Scaling by a power of two is exact, so the fraction left
+/// after truncation is exact as well and one compare rounds it - no libm
+/// call. A NaN p takes the threshold 0.
 std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
   const double clamped = oscs::clamp01(p);
-  const double scale = std::ldexp(1.0, static_cast<int>(width));
-  return static_cast<std::uint64_t>(std::llround(clamped * scale));
+  if (!(clamped >= 0.0)) return 0;
+  const double scaled =
+      clamped * std::bit_cast<double>(std::uint64_t{1023u + width} << 52);
+  const auto whole = static_cast<std::uint64_t>(scaled);
+  return whole + (scaled - static_cast<double>(whole) >= 0.5 ? 1u : 0u);
 }
 
 /// Register seed and odd scramble multiplier an LFSR source's salt
@@ -31,6 +37,14 @@ LfsrSeed lfsr_seed(std::uint64_t salt) {
   const auto seed = static_cast<std::uint32_t>(sm.next());
   const std::uint64_t scramble = sm.next() | 1ULL;
   return {seed == 0 ? 1u : seed, scramble};
+}
+
+/// Cycle phase of the first value an LFSR at register `state` emits:
+/// next() emits the state AFTER each clock, so one phase past the state.
+std::size_t first_phase(const detail::LfsrCycle& cycle,
+                        std::uint32_t state) noexcept {
+  const std::size_t phase = cycle.phase[state] + std::size_t{1};
+  return phase == cycle.period() ? 0 : phase;
 }
 
 }  // namespace
@@ -59,14 +73,10 @@ bool LfsrSource::fill_comparator_words(std::uint64_t threshold,
   if (lfsr_.width() > detail::kMaxLfsrTableWidth) return false;
   if (length == 0) return true;
   const detail::LfsrCycle& cycle = detail::lfsr_cycle(lfsr_.width());
-  const std::size_t period = cycle.states.size();
-  // next() emits the state AFTER each clock, so the first bulk value sits
-  // one phase past the current register state.
-  const std::size_t phase0 =
-      (cycle.phase[lfsr_.state()] + std::size_t{1}) % period;
+  const std::size_t phase0 = first_phase(cycle, lfsr_.state());
   detail::fill_lfsr_words(cycle, phase0, scramble_, mask_, threshold, length,
                           words);
-  lfsr_.set_state(cycle.states[(phase0 + length - 1) % period]);
+  lfsr_.set_state(cycle.state((phase0 + length - 1) % cycle.period()));
   return true;
 }
 
@@ -188,13 +198,17 @@ std::unique_ptr<RandomSource> make_source(SourceKind kind, unsigned width,
 
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                  double p, std::size_t length, std::uint64_t* words) {
-  if (kind == SourceKind::kLfsr) {
+  if (kind == SourceKind::kLfsr && width >= 3 &&
+      width <= detail::kMaxLfsrTableWidth) {
+    // The table walk LfsrSource::fill_comparator_words makes, started
+    // straight from the seeded register state; nothing is left to reseat.
     const LfsrSeed s = lfsr_seed(salt);
-    LfsrSource source(width, s.seed, s.scramble);
-    if (source.fill_comparator_words(comparator_threshold(p, width), length,
-                                     words)) {
-      return;
-    }
+    const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
+    const std::size_t phase0 = first_phase(cycle, Lfsr(width, s.seed).state());
+    detail::fill_lfsr_words(cycle, phase0, s.scramble,
+                            (std::uint64_t{1} << width) - 1,
+                            comparator_threshold(p, width), length, words);
+    return;
   }
   const Bitstream stream =
       Sng(make_source(kind, width, salt)).generate(p, length);

@@ -146,10 +146,11 @@ enum class SourceKind { kLfsr, kCounter, kVanDerCorput, kChaoticLaser };
 
 /// Fill one SNG stream into caller memory: `words` (ceil(length/64)
 /// entries) receives exactly the words of
-/// Sng(make_source(kind, width, salt)).generate(p, length). An LFSR source
-/// of at most detail::kMaxLfsrTableWidth bits is built on the stack and
-/// takes the bulk cycle-table fill, so that path never allocates; other
-/// kinds and wider registers generate through make_source and copy.
+/// Sng(make_source(kind, width, salt)).generate(p, length). An LFSR of at
+/// most detail::kMaxLfsrTableWidth bits starts the bulk cycle-table fill
+/// at its seeded register's phase - no source object, no register reseat
+/// - so that path never allocates; other kinds and wider registers
+/// generate through make_source and copy.
 /// \throws std::invalid_argument on a width the source kind cannot run.
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                  double p, std::size_t length, std::uint64_t* words);

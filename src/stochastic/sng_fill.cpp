@@ -14,15 +14,22 @@ namespace {
 
 LfsrCycle build_cycle(unsigned width) {
   LfsrCycle cycle;
+  cycle.width = width;
   const std::size_t period = (std::size_t{1} << width) - 1;
-  cycle.states.resize(period);
+  cycle.comparator.resize(period + 63);
   cycle.phase.assign(std::size_t{1} << width, 0);
   Lfsr lfsr(width, 1);
   std::uint16_t state = 1;
   for (std::size_t i = 0; i < period; ++i) {
-    cycle.states[i] = state;
+    cycle.comparator[i] =
+        static_cast<std::uint16_t>((state << (16 - width)) ^ 0x8000u);
     cycle.phase[state] = static_cast<std::uint16_t>(i);
     state = static_cast<std::uint16_t>(lfsr.step());
+  }
+  // The 63 entries past the period continue the cycle (several laps for
+  // the periods under 63 of widths 3..5).
+  for (std::size_t i = period; i < cycle.comparator.size(); ++i) {
+    cycle.comparator[i] = cycle.comparator[i - period];
   }
   // Maximal-length taps close the cycle back at the start state; a table
   // that does not would silently desynchronize the bulk fill from the
@@ -56,16 +63,15 @@ void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
                             std::uint64_t scramble, std::uint64_t mask,
                             std::uint64_t threshold, std::size_t length,
                             std::uint64_t* words) {
-  const std::uint16_t* states = cycle.states.data();
-  const std::size_t period = cycle.states.size();
+  const std::size_t period = cycle.period();
   const std::size_t nwords = (length + 63) / 64;
-  std::size_t idx = phase0 % period;
+  std::size_t idx = phase0;
   std::size_t bit = 0;
   for (std::size_t w = 0; w < nwords; ++w) {
     std::uint64_t word = 0;
     const std::size_t limit = length - bit < 64 ? length - bit : 64;
     for (std::size_t i = 0; i < limit; ++i) {
-      const std::uint64_t v = (states[idx] * scramble) & mask;
+      const std::uint64_t v = (cycle.state(idx) * scramble) & mask;
       word |= static_cast<std::uint64_t>(v < threshold) << i;
       if (++idx == period) idx = 0;
     }

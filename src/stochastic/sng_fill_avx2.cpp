@@ -3,10 +3,11 @@
 // compiler support) and is only entered after a runtime cpuid check, so
 // the rest of the library stays baseline-ISA clean.
 //
-// Output is bit-identical to fill_lfsr_words_scalar: with width <= 16 the
-// comparator value ((state * scramble) & mask) only depends on the low 16
-// bits of each operand, so a 16-lane _mm256_mullo_epi16 computes exactly
-// the masked product the scalar 64-bit multiply produces.
+// Output is bit-identical to fill_lfsr_words_scalar: the cycle table's
+// biased comparator row turns ((state * scramble) & mask) < threshold
+// into one signed 16-bit compare of row * scramble against the biased
+// threshold (the identity and its odd-scramble precondition are stated
+// in sng_fill.hpp).
 
 #include "stochastic/sng_fill.hpp"
 
@@ -20,34 +21,36 @@ namespace oscs::stochastic::detail {
 
 namespace {
 
-/// 16-lane comparator masks for 16 consecutive states: lane i is 0xFFFF
-/// iff ((state * scramble) & mask) < threshold, threshold in 1..mask.
-inline __m256i comparator_lanes16(const std::uint16_t* states,
-                                  __m256i scramble16, __m256i mask16,
-                                  __m256i threshold_minus_1) {
-  const __m256i v = _mm256_and_si256(
-      _mm256_mullo_epi16(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states)),
-          scramble16),
-      mask16);
-  // Unsigned v < t  <=>  min(v, t-1) == v.
-  return _mm256_cmpeq_epi16(_mm256_min_epu16(v, threshold_minus_1), v);
+/// 16-lane comparator masks for 16 consecutive row entries: lane i is
+/// 0xFFFF iff int16(row[i] * scramble) < int16(bound).
+inline __m256i comparator_lanes16(const std::uint16_t* row,
+                                  __m256i scramble16, __m256i bound16) {
+  const __m256i v = _mm256_mullo_epi16(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row)), scramble16);
+  return _mm256_cmpgt_epi16(bound16, v);
 }
 
 /// 32 comparator bits (stream order, bit 0 = lane 0) for 32 consecutive
-/// states. One pack compacts both 16-lane masks to bytes; it interleaves
-/// them per 128-bit lane as (a0-7, b0-7 | a8-15, b8-15), the 64-bit
-/// permute restores stream order, and one movemask emits all 32 bits.
-inline std::uint32_t comparator_bits32(const std::uint16_t* states,
-                                       __m256i scramble16, __m256i mask16,
-                                       __m256i threshold_minus_1) {
+/// row entries. One pack compacts both 16-lane masks to bytes; it
+/// interleaves them per 128-bit lane as (a0-7, b0-7 | a8-15, b8-15), the
+/// 64-bit permute restores stream order, and one movemask emits all 32
+/// bits.
+inline std::uint32_t comparator_bits32(const std::uint16_t* row,
+                                       __m256i scramble16, __m256i bound16) {
   const __m256i packed = _mm256_permute4x64_epi64(
-      _mm256_packs_epi16(
-          comparator_lanes16(states, scramble16, mask16, threshold_minus_1),
-          comparator_lanes16(states + 16, scramble16, mask16,
-                             threshold_minus_1)),
+      _mm256_packs_epi16(comparator_lanes16(row, scramble16, bound16),
+                         comparator_lanes16(row + 16, scramble16, bound16)),
       0xD8);
   return static_cast<std::uint32_t>(_mm256_movemask_epi8(packed));
+}
+
+/// One output word from 64 consecutive row entries.
+inline std::uint64_t comparator_word(const std::uint16_t* row,
+                                     __m256i scramble16, __m256i bound16) {
+  return comparator_bits32(row, scramble16, bound16) |
+         static_cast<std::uint64_t>(
+             comparator_bits32(row + 32, scramble16, bound16))
+             << 32;
 }
 
 }  // namespace
@@ -60,65 +63,36 @@ void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
   const std::size_t tail_bits = length % 64;
 
   // Degenerate thresholds (p == 0 / p == 1 after comparator quantization)
-  // never reach the vector loop.
+  // never reach the vector loop; the biased bound only covers 1..mask.
   if (threshold == 0) {
     std::memset(words, 0, nwords * sizeof(std::uint64_t));
     return;
   }
   if (threshold > mask) {
     std::memset(words, 0xFF, nwords * sizeof(std::uint64_t));
-    if (tail_bits != 0) words[nwords - 1] = (~std::uint64_t{0}) >> (64 - tail_bits);
-    return;
-  }
+  } else {
+    const __m256i scramble16 =
+        _mm256_set1_epi16(static_cast<short>(scramble & 0xFFFFu));
+    const __m256i bound16 = _mm256_set1_epi16(static_cast<short>(
+        (threshold << (16 - cycle.width)) ^ 0x8000u));
 
-  const __m256i scramble16 =
-      _mm256_set1_epi16(static_cast<short>(scramble & 0xFFFFu));
-  const __m256i mask16 = _mm256_set1_epi16(static_cast<short>(mask));
-  const __m256i tm1 =
-      _mm256_set1_epi16(static_cast<short>(threshold - 1));
-
-  const std::uint16_t* states = cycle.states.data();
-  const std::size_t period = cycle.states.size();
-  std::size_t idx = phase0 % period;
-
-  // 64 staged states per output word; the copy only happens on cycle
-  // wrap-around (once per 65535 bits at width 16).
-  alignas(32) std::uint16_t staged[64];
-
-  std::size_t bit = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint16_t* src;
-    if (idx + 64 <= period) {
-      src = states + idx;
-    } else {
-      // Wrap (possibly several times for the short periods of widths
-      // 3..5, where period < 64).
-      std::size_t pos = idx;
-      std::size_t filled = 0;
-      while (filled < 64) {
-        const std::size_t n =
-            64 - filled < period - pos ? 64 - filled : period - pos;
-        std::memcpy(staged + filled, states + pos, n * sizeof(std::uint16_t));
-        filled += n;
-        pos += n;
-        if (pos == period) pos = 0;
-      }
-      src = staged;
+    // The row continues the cycle for 63 entries past the period, so the
+    // 64 phases of a word are one contiguous run even across the cycle
+    // wrap: no word is staged. A word advances the phase by 64 mod
+    // period, so one conditional subtraction keeps it below the period.
+    const std::uint16_t* row = cycle.comparator.data();
+    const std::size_t period = cycle.period();
+    const std::size_t step = period > 64 ? 64 : 64 % period;
+    std::size_t idx = phase0;
+    for (std::size_t w = 0; w < nwords; ++w) {
+      words[w] = comparator_word(row + idx, scramble16, bound16);
+      idx += step;
+      if (idx >= period) idx -= period;
     }
-    std::uint64_t word =
-        comparator_bits32(src, scramble16, mask16, tm1) |
-        static_cast<std::uint64_t>(
-            comparator_bits32(src + 32, scramble16, mask16, tm1))
-            << 32;
-    const std::size_t limit = length - bit < 64 ? length - bit : 64;
-    if (limit < 64) word &= (~std::uint64_t{0}) >> (64 - limit);
-    words[w] = word;
-    bit += limit;
-    // Advance by subtraction: limit <= 64, so this is at most one step
-    // once period >= 64 and a few for the short periods of widths 3..5 -
-    // no 64-bit division per word.
-    idx += limit;
-    while (idx >= period) idx -= period;
+  }
+  // Comparator decisions past `length` are masked once, on the last word.
+  if (tail_bits != 0) {
+    words[nwords - 1] &= ~std::uint64_t{0} >> (64 - tail_bits);
   }
 }
 

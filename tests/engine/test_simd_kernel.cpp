@@ -44,7 +44,8 @@ std::vector<std::uint64_t> random_words(std::size_t n, std::uint64_t seed) {
 }
 
 /// Primitive-level equivalence on random blocks, with counts straddling
-/// the 4-word vector width (tails of 1..3) and a stride wider than count.
+/// the 4-word vector width (tails of 1..3) and a stride wider than count;
+/// product counts across word-boundary lengths and factor counts.
 TEST(SimdKernelOps, Avx2PrimitivesMatchScalarOnRandomBlocks) {
   if (!avx2_available()) GTEST_SKIP() << "AVX2 backend not available";
   const simd::KernelOps& scalar =
@@ -101,6 +102,51 @@ TEST(SimdKernelOps, Avx2PrimitivesMatchScalarOnRandomBlocks) {
     avx2.mux2_or_reduce(sel_a.data(), 2, sel_a.data() + 2 * kStride, 3,
                         kStride, count, z_ptrs.data(), 0, mux2_b.data());
     ASSERT_EQ(mux2_a, mux2_b) << "mux2_or_reduce count " << count;
+  }
+
+  // Product counts over 0..4 factor rows of random words: both backends
+  // against a per-bit count. The words past `length` are random too, so
+  // only tail masking keeps them out of the counts; an empty product is
+  // the constant 1 and counts `length` ones.
+  for (std::size_t length : {1u, 63u, 64u, 65u, 4095u, 4096u}) {
+    const std::size_t nwords = (length + 63) / 64;
+    std::vector<std::vector<std::uint64_t>> rows;
+    std::vector<const std::uint64_t*> optical;
+    std::vector<const std::uint64_t*> electronic;
+    for (std::size_t f = 0; f < 4; ++f) {
+      rows.push_back(random_words(nwords, 300 + 2 * f + length));
+      optical.push_back(rows.back().data());
+      rows.push_back(random_words(nwords, 301 + 2 * f + length));
+      electronic.push_back(rows.back().data());
+    }
+    for (std::size_t factors = 0; factors <= 4; ++factors) {
+      simd::ProductCounts want;
+      for (std::size_t t = 0; t < length; ++t) {
+        bool opt = true;
+        bool elec = true;
+        for (std::size_t f = 0; f < factors; ++f) {
+          opt = opt && ((optical[f][t / 64] >> (t % 64)) & 1u) != 0;
+          elec = elec && ((electronic[f][t / 64] >> (t % 64)) & 1u) != 0;
+        }
+        want.optical += opt ? 1 : 0;
+        want.electronic += elec ? 1 : 0;
+        want.differ += opt != elec ? 1 : 0;
+      }
+      if (factors == 0) {
+        ASSERT_EQ(want.optical, length);
+      }
+      for (const simd::KernelOps* ops : {&scalar, &avx2}) {
+        const simd::ProductCounts got = ops->count_product(
+            optical.data(), electronic.data(), factors, length);
+        const char* name = ops == &scalar ? "scalar" : "avx2";
+        ASSERT_EQ(got.optical, want.optical)
+            << name << " factors " << factors << " length " << length;
+        ASSERT_EQ(got.electronic, want.electronic)
+            << name << " factors " << factors << " length " << length;
+        ASSERT_EQ(got.differ, want.differ)
+            << name << " factors " << factors << " length " << length;
+      }
+    }
   }
 }
 
