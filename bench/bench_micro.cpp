@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/packed_sim.hpp"
 #include "optsc/circuit.hpp"
 #include "optsc/defaults.hpp"
 #include "optsc/link_budget.hpp"
@@ -103,6 +104,81 @@ void BM_FillStream(benchmark::State& state) {
 BENCHMARK(BM_FillStream)
     ->ArgNames({"width", "bits"})
     ->ArgsProduct({{8, 16}, {256, 4096}});
+
+/// Deterministic coefficient grid in [0, 1], distinct per `salt`.
+std::vector<double> grid_coefficients(std::size_t cells, std::size_t salt) {
+  std::vector<double> c(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    c[i] = static_cast<double>((7 * i + 3 * salt + 1) % 11) / 10.0;
+  }
+  return c;
+}
+
+/// One warm dense evaluation through PackedKernel::run_fused at 4096
+/// bits on the serving kernel of its shape (engine::make_backend), a
+/// fresh stimulus and noise seed per iteration, at the design BER. Args:
+/// x order, y order (0 = one input), fused program count.
+void BM_RunDense(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const engine::KernelBackend backend = engine::make_backend({n, m}, 16);
+  std::vector<sc::SeparableProgram> programs;
+  for (std::size_t p = 0; p < k; ++p) {
+    const std::vector<double> c = grid_coefficients((n + 1) * (m + 1), p);
+    if (m == 0) {
+      programs.emplace_back(sc::BernsteinPoly(c));
+    } else {
+      programs.emplace_back(sc::BernsteinPoly2(n, m, c));
+    }
+  }
+  const std::vector<double> point =
+      m == 0 ? std::vector<double>{0.4} : std::vector<double>{0.4, 0.7};
+  engine::PackedRunConfig cfg;
+  cfg.op = backend.design_point.with_stream_length(4096);
+  for (auto _ : state) {
+    ++cfg.stimulus_seed;
+    ++cfg.noise_seed;
+    benchmark::DoNotOptimize(
+        backend.kernel->run_fused(programs, point, cfg).front());
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_RunDense)
+    ->ArgNames({"n", "m", "k"})
+    ->Args({3, 0, 1})
+    ->Args({6, 0, 1})
+    ->Args({6, 0, 4})
+    ->Args({1, 1, 1})
+    ->Args({3, 3, 1});
+
+/// One warm N-ary evaluation through PackedKernel::run_nd at 4096 bits:
+/// a rank-3, 3-input program whose terms read every axis at degree 3, so
+/// each of the three axis passes carries three coefficient sets.
+void BM_RunNd(benchmark::State& state) {
+  const engine::KernelBackend backend = engine::make_backend({3, 0}, 16);
+  std::vector<sc::SeparableTerm> terms;
+  for (std::size_t t = 0; t < 3; ++t) {
+    sc::SeparableTerm term;
+    term.weight = 0.2 + 0.1 * static_cast<double>(t);
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      term.factors.push_back(
+          {axis, sc::BernsteinPoly(grid_coefficients(4, 3 * t + axis))});
+    }
+    terms.push_back(std::move(term));
+  }
+  const sc::SeparableProgram program(3, std::move(terms));
+  const std::vector<double> point = {0.3, 0.6, 0.8};
+  engine::PackedRunConfig cfg;
+  cfg.op = backend.design_point.with_stream_length(4096);
+  for (auto _ : state) {
+    ++cfg.stimulus_seed;
+    ++cfg.noise_seed;
+    benchmark::DoNotOptimize(backend.kernel->run_nd(program, point, cfg));
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_RunNd);
 
 void BM_BernsteinDeCasteljau(benchmark::State& state) {
   const sc::BernsteinPoly poly = sc::BernsteinPoly::fit(

@@ -38,9 +38,13 @@ namespace oscs::compile {
 /// Cache-file magic, first 8 bytes of every file.
 inline constexpr char kCacheMagic[8] = {'O', 'S', 'C', 'S',
                                         'P', 'R', 'O', 'G'};
-/// Bump on any change to the record payload encoding. Version-mismatched
-/// files are rejected whole (a counted load error, never a crash).
-inline constexpr std::uint32_t kCacheFormatVersion = 1;
+/// Bump on any change to the record payload encoding or to what its
+/// certificates measured. Version-mismatched files are rejected whole (a
+/// counted load error, never a crash), so a prewarm recompiles them.
+/// Version 2: certificates measured under stimulus contract v2
+/// (stochastic/resc.hpp); a version-1 file's certificates describe the
+/// one-comparator-per-cell stimulus.
+inline constexpr std::uint32_t kCacheFormatVersion = 2;
 
 /// Program-form tag leading every record payload.
 enum class ProgramForm : std::uint8_t {

@@ -10,6 +10,8 @@
 #include "engine/simd_kernel.hpp"
 #include "optsc/defaults.hpp"
 #include "optsc/link_budget.hpp"
+#include "stochastic/sng.hpp"
+#include "stochastic/sng_fill.hpp"
 
 namespace oscs::engine {
 
@@ -28,13 +30,19 @@ constexpr std::size_t kBlockWords = 256;
 /// 2^26-bit order-6 request cannot pin ~120 MiB in a pooled thread.
 constexpr std::size_t kArenaKeepBytes = std::size_t{256} << 10;
 
+static_assert(simd::kMaxLaneOrder == PackedKernel::kMaxOrder,
+              "the lane loop must take every kernel order");
+
 /// Per-thread buffers of the run paths: word rows (stimulus, decisions,
-/// block scratch), row pointer tables and coefficient pointers. They grow
-/// to an evaluation's shape and length and are reused by the next one.
+/// block scratch), row pointer tables, coefficient pointers and the lane
+/// loop's walks and bounds. They grow to an evaluation's shape and length
+/// and are reused by the next one.
 struct Arena {
   std::vector<std::uint64_t> words;
   std::vector<std::uint64_t*> rows;
   std::vector<const double*> coeffs;
+  std::vector<simd::LaneWalk> walks;
+  std::vector<std::int16_t> bounds;
 };
 
 /// The calling thread's arena for one evaluation. Each buffer is taken
@@ -47,7 +55,9 @@ class ArenaLease {
     const std::size_t bytes =
         arena_.words.capacity() * sizeof(std::uint64_t) +
         arena_.rows.capacity() * sizeof(std::uint64_t*) +
-        arena_.coeffs.capacity() * sizeof(const double*);
+        arena_.coeffs.capacity() * sizeof(const double*) +
+        arena_.walks.capacity() * sizeof(simd::LaneWalk) +
+        arena_.bounds.capacity() * sizeof(std::int16_t);
     if (bytes > kArenaKeepBytes) arena_ = Arena{};
   }
   ArenaLease(const ArenaLease&) = delete;
@@ -56,6 +66,8 @@ class ArenaLease {
   std::uint64_t* words(std::size_t n) { return take(arena_.words, n); }
   std::uint64_t** rows(std::size_t n) { return take(arena_.rows, n); }
   const double** coeffs(std::size_t n) { return take(arena_.coeffs, n); }
+  simd::LaneWalk* walks(std::size_t n) { return take(arena_.walks, n); }
+  std::int16_t* bounds(std::size_t n) { return take(arena_.bounds, n); }
 
  private:
   static Arena& thread_arena() {
@@ -147,6 +159,63 @@ std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
 
 double density(std::size_t ones, std::size_t length) {
   return static_cast<double>(ones) / static_cast<double>(length);
+}
+
+/// True when a stimulus-v2 evaluation runs the lane loop: an LFSR source
+/// the cycle table serves. Every other source or width materializes the
+/// same v2 rows (fill_fused_stimulus) for the bit-plane core.
+bool lane_stimulus(const PackedRunConfig& config) {
+  return config.source_kind == sc::SourceKind::kLfsr &&
+         config.op.sng_width >= 3 &&
+         config.op.sng_width <= sc::detail::kMaxLfsrTableWidth;
+}
+
+/// Stimulus v2 through KernelOps::select_compare: the walks start where
+/// the streams fill_fused_stimulus(kPerSet) draws for `stimulus` start -
+/// salts in its order (x bank, y bank, one per set) - so the decision rows
+/// equal the materialized v2 rows run through the bit-plane core.
+void run_select_compare(std::size_t n, std::size_t m, double x, double y,
+                        std::span<const double* const> coeff_sets,
+                        const sc::ScInputConfig& stimulus, std::size_t length,
+                        ArenaLease& arena, std::uint64_t* const* optical,
+                        std::uint64_t* const* electronic) {
+  const sc::detail::LfsrCycle& cycle = sc::detail::lfsr_cycle(stimulus.width);
+  const std::size_t k = coeff_sets.size();
+  const std::size_t cells = (n + 1) * (m + 1);
+  simd::LaneWalk* walks = arena.walks(n + m + k);
+  std::int16_t* bounds = arena.bounds(k * cells);
+  std::uint64_t salt = stimulus.seed * 2u + 1u;
+  for (std::size_t i = 0; i < n + m + k; ++i, ++salt) {
+    const sc::detail::LfsrStart start = sc::detail::lfsr_start(cycle, salt);
+    walks[i] = {i < n + m ? start.phase : cycle.leap_index(start.phase),
+                static_cast<std::uint16_t>(start.scramble)};
+  }
+  const auto bound = [width = stimulus.width](double p) {
+    return sc::detail::inclusive_bound(sc::comparator_threshold(p, width),
+                                       width);
+  };
+  for (std::size_t s = 0; s < k; ++s) {
+    for (std::size_t c = 0; c < cells; ++c) {
+      bounds[s * cells + c] = bound(coeff_sets[s][c]);
+    }
+  }
+  simd::SelectCompareJob job;
+  job.clock_row = cycle.row(sc::detail::LfsrWalk::kClock);
+  job.leap_row = cycle.row(sc::detail::LfsrWalk::kLeap);
+  job.period = cycle.period();
+  job.x = walks;
+  job.order_x = n;
+  job.x_bound = bound(x);
+  job.y = walks + n;
+  job.order_y = m;
+  job.y_bound = bound(y);
+  job.sets = walks + n + m;
+  job.set_count = k;
+  job.bounds = bounds;
+  job.length = length;
+  job.electronic = electronic;
+  job.optical = optical;
+  simd::kernel_ops().select_compare(job);
 }
 
 }  // namespace
@@ -248,6 +317,11 @@ PackedKernel::PackedKernel(const optsc::OpticalScCircuit& circuit)
       if (bit != (((p >> k) & 1u) != 0)) mux_exact_ = false;
     }
   }
+}
+
+sc::StimulusLayout PackedKernel::stimulus_layout() const noexcept {
+  return mux_exact_ ? sc::StimulusLayout::kPerSet
+                    : sc::StimulusLayout::kPerCell;
 }
 
 bool PackedKernel::decision(std::uint32_t z_pattern, std::size_t ones) const {
@@ -467,13 +541,15 @@ void PackedKernel::run_dense(std::span<const sc::SeparableProgram> programs,
   const std::size_t k = programs.size();
   const std::size_t length = config.op.stream_length;
   const std::size_t nwords = (length + 63) / 64;
-  // Rows: the x bank, the y bank and K coefficient grids (stimulus, in
-  // salt order), then K optical and K electronic decision rows.
-  const std::size_t stimulus_rows = n + m + k * (n + 1) * (m + 1);
+  const bool lanes = mux_exact_ && lane_stimulus(config);
+  // Rows: unless the lane loop runs, the x bank, the y bank and K
+  // coefficient grids (stimulus, in salt order); then K optical and K
+  // electronic decision rows.
+  const std::size_t stimulus_rows = lanes ? 0 : n + m + k * (n + 1) * (m + 1);
   const std::size_t row_count = stimulus_rows + 2 * k;
   ArenaLease arena;
-  std::uint64_t* words =
-      arena.words(row_count * nwords + core_scratch_words(nwords));
+  std::uint64_t* words = arena.words(
+      row_count * nwords + (lanes ? 0 : core_scratch_words(nwords)));
   std::uint64_t** rows = arena.rows(row_count);
   for (std::size_t r = 0; r < row_count; ++r) rows[r] = words + r * nwords;
   const double** coeff_sets = arena.coeffs(k);
@@ -482,14 +558,21 @@ void PackedKernel::run_dense(std::span<const sc::SeparableProgram> programs,
                         ? programs[p].dense1().coeffs().data()
                         : programs[p].dense2().coeffs().data();
   }
-  sc::fill_fused_stimulus(
-      point[0], point.size() > 1 ? point[1] : 0.0, {coeff_sets, k}, n, m,
-      length, {config.source_kind, config.op.sng_width, config.stimulus_seed},
-      rows);
+  const double x = point[0];
+  const double y = point.size() > 1 ? point[1] : 0.0;
+  const sc::ScInputConfig stimulus{config.source_kind, config.op.sng_width,
+                                   config.stimulus_seed};
   std::uint64_t* const* optical = rows + stimulus_rows;
   std::uint64_t* const* electronic = optical + k;
-  evaluate_core(rows, rows + n, rows + n + m, k, nwords, optical, electronic,
-                words + row_count * nwords);
+  if (lanes) {
+    run_select_compare(n, m, x, y, {coeff_sets, k}, stimulus, length, arena,
+                       optical, electronic);
+  } else {
+    sc::fill_fused_stimulus(x, y, {coeff_sets, k}, n, m, length, stimulus,
+                            stimulus_layout(), rows);
+    evaluate_core(rows, rows + n, rows + n + m, k, nwords, optical,
+                  electronic, words + row_count * nwords);
+  }
 
   // One flip pass: positions are sampled once at the operating point's BER
   // and toggled in every program's decision row. Marginal per-program
@@ -552,15 +635,16 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
     widest = std::max(widest, on_axis);
   }
 
-  // Rows: one axis pass's stimulus (x bank + its coefficient sets), then
-  // every factor's optical and electronic decision row, term-major.
-  // Pointers: the stimulus rows, the factor rows, and the current axis
-  // pass's view of its factors' decision rows.
-  const std::size_t stimulus_rows = n + widest * (n + 1);
+  // Rows: unless the lane loop runs, one axis pass's stimulus (x bank +
+  // its coefficient sets); then every factor's optical and electronic
+  // decision row, term-major. Pointers: the stimulus rows, the factor
+  // rows, and the current axis pass's view of its factors' decision rows.
+  const bool lanes = mux_exact_ && lane_stimulus(config);
+  const std::size_t stimulus_rows = lanes ? 0 : n + widest * (n + 1);
   const std::size_t row_count = stimulus_rows + 2 * factors;
   ArenaLease arena;
-  std::uint64_t* words =
-      arena.words(row_count * nwords + core_scratch_words(nwords));
+  std::uint64_t* words = arena.words(
+      row_count * nwords + (lanes ? 0 : core_scratch_words(nwords)));
   std::uint64_t** rows = arena.rows(row_count + 2 * widest);
   for (std::size_t r = 0; r < row_count; ++r) rows[r] = words + r * nwords;
   std::uint64_t* const* optical = rows + stimulus_rows;
@@ -590,11 +674,16 @@ PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
       }
     }
     if (sets == 0) continue;
-    sc::fill_fused_stimulus(
-        point[a], 0.0, {coeff_sets, sets}, n, 0, length,
-        {config.source_kind, config.op.sng_width,
-         derive_factor_seed(config.stimulus_seed, a)},
-        rows);
+    const sc::ScInputConfig stimulus{
+        config.source_kind, config.op.sng_width,
+        derive_factor_seed(config.stimulus_seed, a)};
+    if (lanes) {
+      run_select_compare(n, 0, point[a], 0.0, {coeff_sets, sets}, stimulus,
+                         length, arena, pass_optical, pass_electronic);
+      continue;
+    }
+    sc::fill_fused_stimulus(point[a], 0.0, {coeff_sets, sets}, n, 0, length,
+                            stimulus, stimulus_layout(), rows);
     evaluate_core(rows, nullptr, rows + n, sets, nwords, pass_optical,
                   pass_electronic, scratch);
   }

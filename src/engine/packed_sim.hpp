@@ -36,14 +36,28 @@
 /// physics-to-BER mapping) produced the operating point. The fused mode
 /// evaluates K programs on one shared stimulus with one flip pass.
 ///
+/// Stimulus. A mux-exact kernel runs stimulus contract v2
+/// (stochastic/resc.hpp): one comparator per coefficient set, so the MUX
+/// output is [v(t) < T_k(t)] and no coefficient stream needs to exist.
+/// With an LFSR source of at most 16 bits the run paths evaluate it in
+/// one fused lane loop (simd::KernelOps::select_compare): per 16 lanes the
+/// data-bank comparators count k (and k_y) in 16-bit lanes, a vpshufb
+/// gathers the set's bound for the selected cell, and one vpmullw +
+/// vpcmpgtw against the set's leap-row comparator decides - no x/y/z
+/// rows, carry-save planes or select masks. Every other source or width
+/// materializes the same v2 rows (fill_fused_stimulus) for the bit-plane
+/// core above, which also serves as the lane loop's bit-identity oracle.
+/// A physics-LUT kernel keeps v1, one comparator per cell, because its
+/// decisions read the whole coefficient pattern (stimulus_layout()).
+///
 /// Run paths vs streams-out API. run_fused()/run_nd() (and the run/run2
 /// adapters) need only three counts per product - optical ones after
-/// noise, electronic ones, and the bits where they differ - so they fill
-/// stimulus straight into per-thread scratch rows, toggle flips in place
+/// noise, electronic ones, and the bits where they differ - so they write
+/// decisions straight into per-thread scratch rows, toggle flips in place
 /// and popcount the rows: a warm evaluation with an LFSR source of at most
 /// 16 bits makes no heap allocation. A thread keeps at most 256 KiB of
 /// that scratch between evaluations. evaluate()/evaluate2() are the
-/// streams-out reference over the same core.
+/// streams-out reference over the bit-plane core.
 
 #include <cstdint>
 #include <memory>
@@ -159,6 +173,11 @@ class PackedKernel {
   /// True when every noiseless decision equals the ideal MUX output (the
   /// eye is open in every reachable state), enabling the fast path.
   [[nodiscard]] bool mux_exact() const noexcept { return mux_exact_; }
+  /// Coefficient-stream layout the run paths draw (stochastic/resc.hpp):
+  /// v2, one comparator per coefficient set, when mux-exact; else v1, one
+  /// per cell, because a physics-LUT decision reads the whole coefficient
+  /// pattern. Reference stimulus for a run path takes this layout.
+  [[nodiscard]] stochastic::StimulusLayout stimulus_layout() const noexcept;
 
   /// Noiseless decision for coefficient pattern `z_pattern` (bit j = z_j)
   /// and adder value `ones`.

@@ -1,5 +1,7 @@
 #include "engine/simd_kernel.hpp"
 
+#include <algorithm>
+
 #include "engine/simd_kernel_count.hpp"
 
 namespace oscs::engine::simd {
@@ -69,17 +71,76 @@ void mux2_or_reduce_scalar(const std::uint64_t* sel_x, std::size_t nx,
   }
 }
 
+/// int16(row[index] * scramble) > bound, the comparator test of
+/// SelectCompareJob (a 1 decision is NOT this).
+inline bool above(const std::uint16_t* row, std::size_t index,
+                  std::uint16_t scramble, std::int16_t bound) {
+  const auto v = static_cast<std::uint16_t>(std::uint32_t{row[index]} *
+                                            std::uint32_t{scramble});
+  return static_cast<std::int16_t>(v) > bound;
+}
+
+void select_compare_scalar(const SelectCompareJob& job) {
+  const std::size_t ny = job.order_y + 1;
+  const std::size_t cells = (job.order_x + 1) * ny;
+  const std::size_t nwords = (job.length + 63) / 64;
+  const std::size_t period = job.period;
+  // Every walk advances one row entry per bit, so all of them move by the
+  // same 64 mod period per word: one shared offset locates each walk.
+  const std::size_t step = period > 64 ? 64 : 64 % period;
+  std::size_t offset = 0;
+  const auto at = [&](const LaneWalk& walk) {
+    const std::size_t i = walk.start + offset;
+    return i >= period ? i - period : i;
+  };
+  std::size_t cell[64];
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const std::size_t lanes = std::min<std::size_t>(64, job.length - 64 * w);
+    std::fill_n(cell, lanes, job.order_x * ny + job.order_y);
+    for (std::size_t i = 0; i < job.order_x; ++i) {
+      const std::size_t p = at(job.x[i]);
+      for (std::size_t t = 0; t < lanes; ++t) {
+        if (above(job.clock_row, p + t, job.x[i].scramble, job.x_bound)) {
+          cell[t] -= ny;
+        }
+      }
+    }
+    for (std::size_t j = 0; j < job.order_y; ++j) {
+      const std::size_t p = at(job.y[j]);
+      for (std::size_t t = 0; t < lanes; ++t) {
+        if (above(job.clock_row, p + t, job.y[j].scramble, job.y_bound)) {
+          --cell[t];
+        }
+      }
+    }
+    for (std::size_t s = 0; s < job.set_count; ++s) {
+      const std::size_t p = at(job.sets[s]);
+      const std::int16_t* bound = job.bounds + s * cells;
+      std::uint64_t bits = 0;
+      for (std::size_t t = 0; t < lanes; ++t) {
+        if (!above(job.leap_row, p + t, job.sets[s].scramble,
+                   bound[cell[t]])) {
+          bits |= std::uint64_t{1} << t;
+        }
+      }
+      job.electronic[s][w] = bits;
+      job.optical[s][w] = bits;
+    }
+    offset += step;
+    if (offset >= period) offset -= period;
+  }
+}
+
 constexpr KernelOps kScalarOps{
-    accumulate_planes_scalar, select_masks_scalar,
-    mux_or_reduce_scalar,     mux2_or_reduce_scalar,
-    count_product_body,
+    accumulate_planes_scalar, select_masks_scalar, mux_or_reduce_scalar,
+    mux2_or_reduce_scalar,    count_product_body,  select_compare_scalar,
 };
 
 #if defined(OSCS_HAVE_AVX2)
 constexpr KernelOps kAvx2Ops{
     detail::accumulate_planes_avx2, detail::select_masks_avx2,
     detail::mux_or_reduce_avx2,     detail::mux2_or_reduce_avx2,
-    detail::count_product_avx2,
+    detail::count_product_avx2,     detail::select_compare_avx2,
 };
 #endif
 

@@ -2,7 +2,8 @@
 /// \file simd_kernel.hpp
 /// \brief Runtime-dispatched word-parallel primitives behind the packed
 ///        kernel: carry-save bit-plane accumulation, select-mask
-///        extraction, MUX OR-reduce (1D and 2D) and product counting.
+///        extraction, MUX OR-reduce (1D and 2D), product counting, and
+///        the fused select-then-compare lane loop of stimulus v2.
 ///
 /// The packed evaluation walks streams in plane-major *blocks* of packed
 /// words rather than one word at a time, so each primitive sees a
@@ -34,6 +35,57 @@ struct ProductCounts {
   std::size_t optical = 0;     ///< ones of the AND of the optical rows
   std::size_t electronic = 0;  ///< ones of the AND of the electronic rows
   std::size_t differ = 0;      ///< bits where the two products differ
+};
+
+/// Largest bank order the select-then-compare loop takes (the packed
+/// kernel's order limit): a grid has at most 13 * 13 cells.
+inline constexpr std::size_t kMaxLaneOrder = 12;
+
+/// One LFSR comparator walk of the select-then-compare loop: lane t reads
+/// entry start + t of a biased cycle row (stochastic/sng_fill.hpp), whose
+/// 63 entries past the period continue the cycle.
+struct LaneWalk {
+  std::size_t start = 0;       ///< first row index, below the period
+  std::uint16_t scramble = 1;  ///< low 16 bits of the odd scramble
+};
+
+/// One select-then-compare evaluation (stimulus v2, LFSR of at most 16
+/// bits): an x bank, a y bank and `set_count` coefficient sets, all given
+/// as cycle-table walks instead of stream rows. With
+///
+///   above(row, walk, t, b) = int16(row[walk.start + t] * walk.scramble) > b
+///
+/// (row index taken modulo the period), lane t of the loop counts
+/// k(t) = order_x - #{i : above(clock_row, x[i], t, x_bound)} and k_y(t)
+/// likewise over y, selects cell c(t) = k(t) * (order_y + 1) + k_y(t), and
+/// bit t of set s's electronic row is
+///
+///   NOT above(leap_row, sets[s], t, bounds[s * cells + c(t)]).
+///
+/// The bounds are stochastic::detail::inclusive_bound(T, width), so the
+/// data-bank bits are exactly the v1 bank streams and each set's bits the
+/// materialized v2 cells the adders select.
+struct SelectCompareJob {
+  const std::uint16_t* clock_row = nullptr;  ///< data banks' row
+  const std::uint16_t* leap_row = nullptr;   ///< coefficient sets' row
+  std::size_t period = 0;  ///< cycle length (rows hold period + 63 entries)
+  const LaneWalk* x = nullptr;
+  std::size_t order_x = 0;  ///< at most kMaxLaneOrder
+  std::int16_t x_bound = 0;
+  const LaneWalk* y = nullptr;
+  std::size_t order_y = 0;  ///< at most kMaxLaneOrder
+  std::int16_t y_bound = 0;
+  const LaneWalk* sets = nullptr;
+  std::size_t set_count = 0;
+  /// set_count * (order_x + 1) * (order_y + 1) bounds, set-major, cells
+  /// row-major.
+  const std::int16_t* bounds = nullptr;
+  std::size_t length = 0;  ///< stream bits
+  /// Per set, ceil(length/64) words: the MUX output, padding bits zero.
+  std::uint64_t* const* electronic = nullptr;
+  /// Per set, ceil(length/64) words: a copy of the electronic row (the
+  /// optical decision of a mux-exact kernel).
+  std::uint64_t* const* optical = nullptr;
 };
 
 /// Word-parallel primitive set for one backend. All buffers are plain
@@ -81,6 +133,10 @@ struct KernelOps {
   ProductCounts (*count_product)(const std::uint64_t* const* optical,
                                  const std::uint64_t* const* electronic,
                                  std::size_t factors, std::size_t length);
+
+  /// Run one SelectCompareJob: write every word of each set's electronic
+  /// and optical row.
+  void (*select_compare)(const SelectCompareJob& job);
 };
 
 /// The primitive set for an explicit backend (tests pin both sides of the
@@ -115,6 +171,7 @@ void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
 ProductCounts count_product_avx2(const std::uint64_t* const* optical,
                                  const std::uint64_t* const* electronic,
                                  std::size_t factors, std::size_t length);
+void select_compare_avx2(const SelectCompareJob& job);
 }  // namespace detail
 #endif
 

@@ -68,8 +68,13 @@ SimulationResult TransientSimulator::run_per_bit(
     const sc::BernsteinPoly& poly, double x,
     const SimulationConfig& config) const {
   const std::size_t n = circuit_->order();
+  // The packed loop's stimulus layout (v2 when its kernel is mux-exact),
+  // so both engines read the same streams; past the LUT limit there is
+  // no packed loop and the stimulus keeps one stream per coefficient.
   const sc::ScInputs inputs = sc::make_sc_inputs(
-      x, poly.coeffs(), n, config.stream_length, config.stimulus);
+      x, poly.coeffs(), n, config.stream_length, config.stimulus,
+      kernel_ != nullptr ? kernel_->stimulus_layout()
+                         : sc::StimulusLayout::kPerCell);
   const sc::ReSCUnit electronic(poly);
   const sc::Bitstream electronic_out = electronic.output_stream(inputs);
 

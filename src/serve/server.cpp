@@ -8,8 +8,11 @@
 
 #include "common/arity_guard.hpp"
 #include "common/json.hpp"
+#include "common/simd.hpp"
 #include "compile/registry.hpp"
+#include "compile/serialize.hpp"
 #include "optsc/link_budget.hpp"
+#include "stochastic/resc.hpp"
 
 namespace oscs::serve {
 
@@ -230,8 +233,15 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
 
 }  // namespace
 
+BuildInfo current_build_info() {
+  return {oscs::simd_backend_name(oscs::simd_backend()),
+          oscs::simd_avx2_compiled(), compile::kCacheFormatVersion,
+          stochastic::kStimulusVersion};
+}
+
 ProgramServer::ProgramServer(ServerOptions options)
     : options_(options),
+      build_info_(current_build_info()),
       compiler_(options.compile, options.cache_capacity),
       pool_(options.threads),
       received_(registry_.counter("oscs_serve_requests_received_total",
@@ -294,6 +304,15 @@ ProgramServer::ProgramServer(ServerOptions options)
       trace_log_(options.trace_log) {
   cache_capacity_gauge_.set(
       static_cast<std::int64_t>(compiler_.cache().capacity()));
+  registry_
+      .gauge("oscs_build_info",
+             "build and runtime configuration serving requests (always 1)",
+             {{"kernel_backend", build_info_.kernel_backend},
+              {"avx2_compiled", build_info_.avx2_compiled ? "true" : "false"},
+              {"cache_format", std::to_string(build_info_.cache_format)},
+              {"stimulus_version",
+               std::to_string(build_info_.stimulus_version)}})
+      .set(1);
   if (options_.prewarm.enabled()) {
     // Fail-soft by contract: prewarm() never throws, so a missing or
     // corrupt cache file can never take server startup down with it.
@@ -874,6 +893,13 @@ std::string ProgramServer::health_json(const std::string& request_id) const {
   if (!request_id.empty()) json.field("id", request_id);
   json.field("ok", true).field("status",
                                obs::slo_state_name(report.status));
+  json.key("build")
+      .begin_object()
+      .field("kernel_backend", build_info_.kernel_backend)
+      .field("avx2_compiled", build_info_.avx2_compiled)
+      .field("cache_format", build_info_.cache_format)
+      .field("stimulus_version", build_info_.stimulus_version)
+      .end_object();
   json.key("shadow")
       .begin_object()
       .field("fraction", report.shadow_fraction)

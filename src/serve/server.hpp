@@ -136,6 +136,19 @@ struct StageStats {
   }
 };
 
+/// The build and runtime configuration a server answers with, fixed at
+/// construction: exported as the `oscs_build_info` gauge (value 1, the
+/// fields as labels) and echoed under "build" by {"op":"health"}.
+struct BuildInfo {
+  std::string kernel_backend;  ///< active SIMD backend ("scalar"/"avx2")
+  bool avx2_compiled = false;  ///< AVX2 translation units in this binary
+  std::uint32_t cache_format = 0;  ///< compile::kCacheFormatVersion
+  unsigned stimulus_version = 0;   ///< stochastic::kStimulusVersion
+};
+
+/// This process's BuildInfo, resolved now.
+[[nodiscard]] BuildInfo current_build_info();
+
 /// Snapshot exported by the metrics endpoint.
 struct ServerMetrics {
   compile::ProgramCache::Stats cache{};
@@ -294,6 +307,7 @@ class ProgramServer {
       const std::string& request_id) const;
 
   ServerOptions options_;
+  BuildInfo build_info_;
   compile::Compiler compiler_;
   /// The one engine pool: run_range is thread-safe and each call waits
   /// only for its own indices, so concurrent requests share it.

@@ -20,9 +20,9 @@ std::size_t ScInputs::select(std::size_t t) const {
 
 ScInputs make_sc_inputs(double x, const std::vector<double>& coeffs,
                         std::size_t order, std::size_t length,
-                        const ScInputConfig& config) {
-  FusedScInputs2 fused =
-      make_fused_sc_inputs2(x, 0.0, {coeffs}, order, 0, length, config);
+                        const ScInputConfig& config, StimulusLayout layout) {
+  FusedScInputs2 fused = make_fused_sc_inputs2(x, 0.0, {coeffs}, order, 0,
+                                               length, config, layout);
   return ScInputs{std::move(fused.x_streams),
                   std::move(fused.z_streams.front())};
 }
@@ -42,9 +42,10 @@ std::size_t ScInputs2::select_y(std::size_t t) const {
 ScInputs2 make_sc_inputs2(double x, double y,
                           const std::vector<double>& coeffs,
                           std::size_t order_x, std::size_t order_y,
-                          std::size_t length, const ScInputConfig& config) {
-  FusedScInputs2 fused =
-      make_fused_sc_inputs2(x, y, {coeffs}, order_x, order_y, length, config);
+                          std::size_t length, const ScInputConfig& config,
+                          StimulusLayout layout) {
+  FusedScInputs2 fused = make_fused_sc_inputs2(x, y, {coeffs}, order_x,
+                                               order_y, length, config, layout);
   return ScInputs2{std::move(fused.x_streams), std::move(fused.y_streams),
                    std::move(fused.z_streams.front())};
 }
@@ -60,7 +61,7 @@ void fill_fused_stimulus(double x, double y,
                          std::span<const double* const> coeff_sets,
                          std::size_t order_x, std::size_t order_y,
                          std::size_t length, const ScInputConfig& config,
-                         std::uint64_t* const* rows) {
+                         StimulusLayout layout, std::uint64_t* const* rows) {
   std::uint64_t salt = config.seed * 2u + 1u;
   const auto fill = [&](double p) {
     fill_stream(config.kind, config.width, salt++, p, length, *rows++);
@@ -69,14 +70,20 @@ void fill_fused_stimulus(double x, double y,
   for (std::size_t j = 0; j < order_y; ++j) fill(y);
   const std::size_t cells = (order_x + 1) * (order_y + 1);
   for (const double* coeffs : coeff_sets) {
-    for (std::size_t c = 0; c < cells; ++c) fill(coeffs[c]);
+    if (layout == StimulusLayout::kPerCell) {
+      for (std::size_t c = 0; c < cells; ++c) fill(coeffs[c]);
+      continue;
+    }
+    fill_set_streams(config.kind, config.width, salt++, {coeffs, cells},
+                     length, rows);
+    rows += cells;
   }
 }
 
 FusedScInputs2 make_fused_sc_inputs2(
     double x, double y, const std::vector<std::vector<double>>& coeffs,
     std::size_t order_x, std::size_t order_y, std::size_t length,
-    const ScInputConfig& config) {
+    const ScInputConfig& config, StimulusLayout layout) {
   if (coeffs.empty()) {
     throw std::invalid_argument("SC stimulus: no programs");
   }
@@ -100,7 +107,7 @@ FusedScInputs2 make_fused_sc_inputs2(
   rows.reserve(words.size());
   for (std::vector<std::uint64_t>& row : words) rows.push_back(row.data());
   fill_fused_stimulus(x, y, coeff_sets, order_x, order_y, length, config,
-                      rows.data());
+                      layout, rows.data());
 
   auto next = words.begin();
   const auto take = [&next, length] {

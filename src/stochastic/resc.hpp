@@ -5,6 +5,26 @@
 ///        encode the input x, n+1 SNGs encode the Bernstein coefficients,
 ///        an adder counts the ones among the x bits and selects one
 ///        coefficient stream through a MUX; a counter de-randomizes.
+///
+/// Stimulus contract v2. The data banks are independent SNG streams, one
+/// salt each. The coefficient streams take one of two layouts:
+///
+///   * v1 (StimulusLayout::kPerCell): one salt, so one independent
+///     comparator, per cell - what a decision that reads the whole
+///     coefficient pattern needs (the packed kernel's physics LUT).
+///   * v2 (StimulusLayout::kPerSet): one salt per coefficient set (a
+///     dense program's grid, or one N-ary factor), and cell c compares
+///     the set's ONE comparator sequence v(t) against its own threshold
+///     T_c. The MUX reads one cell per cycle and is insensitive to
+///     correlation among its data inputs, so out(t) = [v(t) < T_k(t)]
+///     keeps P(out = 1 | k) = c_k; it only needs v independent of the
+///     data banks. An LFSR comparator leaps 16 clocks per bit
+///     (fill_set_streams), so consecutive values do not correlate.
+///
+/// A mux-exact packed kernel runs v2, a physics-LUT kernel v1
+/// (engine::PackedKernel::stimulus_layout()). Salt order is the x bank,
+/// the y bank, then one salt per cell (v1) or per set (v2), so program 0
+/// of a fused stimulus keeps its unfused salts under either layout.
 
 #include <cstdint>
 #include <span>
@@ -35,6 +55,16 @@ struct ScInputs {
   [[nodiscard]] std::size_t select(std::size_t t) const;
 };
 
+/// Coefficient-stream layout of a stimulus (file comment).
+enum class StimulusLayout {
+  kPerCell,  ///< v1: one independent comparator per cell
+  kPerSet,   ///< v2: one comparator per coefficient set
+};
+
+/// Version of the stimulus contract the engine's run paths implement
+/// (exported as build information; see the file comment).
+inline constexpr unsigned kStimulusVersion = 2;
+
 /// Configuration for stimulus generation.
 struct ScInputConfig {
   SourceKind kind = SourceKind::kLfsr;
@@ -46,10 +76,10 @@ struct ScInputConfig {
 /// order `order` at input `x` with the given coefficients: the one-program
 /// make_fused_sc_inputs2() stimulus with an empty y bank.
 /// \throws std::invalid_argument if coeffs.size() != order + 1.
-[[nodiscard]] ScInputs make_sc_inputs(double x,
-                                      const std::vector<double>& coeffs,
-                                      std::size_t order, std::size_t length,
-                                      const ScInputConfig& config = {});
+[[nodiscard]] ScInputs make_sc_inputs(
+    double x, const std::vector<double>& coeffs, std::size_t order,
+    std::size_t length, const ScInputConfig& config = {},
+    StimulusLayout layout = StimulusLayout::kPerCell);
 
 /// Per-cycle stimulus of the two-input (tensor-product) ReSC unit: n
 /// encodings of x, m encodings of y, and (n+1)*(m+1) coefficient streams
@@ -85,12 +115,11 @@ struct ScInputs2 {
 /// the flat row-major grid, (order_x+1)*(order_y+1) long. The one-program
 /// make_fused_sc_inputs2() stimulus.
 /// \throws std::invalid_argument on a coefficient-count mismatch.
-[[nodiscard]] ScInputs2 make_sc_inputs2(double x, double y,
-                                        const std::vector<double>& coeffs,
-                                        std::size_t order_x,
-                                        std::size_t order_y,
-                                        std::size_t length,
-                                        const ScInputConfig& config = {});
+[[nodiscard]] ScInputs2 make_sc_inputs2(
+    double x, double y, const std::vector<double>& coeffs,
+    std::size_t order_x, std::size_t order_y, std::size_t length,
+    const ScInputConfig& config = {},
+    StimulusLayout layout = StimulusLayout::kPerCell);
 
 /// Fused stimulus for K programs on one circuit: the x and y banks are
 /// generated once and shared by every program; only the K coefficient-grid
@@ -126,21 +155,23 @@ struct FusedScInputs2 {
 
 /// Fill a fused stimulus for K coefficient grids sharing one (x, y) into
 /// caller rows - the one salt sequence behind make_fused_sc_inputs2 and
-/// the packed kernel's run paths. Salt sequence: the x bank, the y bank,
-/// then each program's grid row-major, so program 0 receives exactly the
+/// the packed kernel's materialized run paths. Salt sequence: the x bank,
+/// the y bank, then per program one salt per cell, row-major (v1), or one
+/// salt for the whole grid (v2), so program 0 receives exactly the
 /// make_sc_inputs2 streams and, with order_y = 0 (y unused), the
 /// make_sc_inputs streams; later programs draw fresh decorrelated salts.
 /// `rows` holds order_x + order_y + K*(order_x+1)*(order_y+1) pointers,
-/// each to ceil(length/64) words, in that salt order; `coeff_sets[k]`
-/// points at program k's (order_x+1)*(order_y+1) row-major coefficients.
-/// Every stream comes from fill_stream, so LFSR stimulus of at most 16
+/// each to ceil(length/64) words: the banks, then each program's cells
+/// row-major; `coeff_sets[k]` points at program k's
+/// (order_x+1)*(order_y+1) row-major coefficients. Every stream comes
+/// from fill_stream / fill_set_streams, so LFSR stimulus of at most 16
 /// bits fills without allocating.
 /// \throws std::invalid_argument on a width the source kind cannot run.
 void fill_fused_stimulus(double x, double y,
                          std::span<const double* const> coeff_sets,
                          std::size_t order_x, std::size_t order_y,
                          std::size_t length, const ScInputConfig& config,
-                         std::uint64_t* const* rows);
+                         StimulusLayout layout, std::uint64_t* const* rows);
 
 /// Generate fused stimulus for K coefficient grids sharing one (x, y) as
 /// streams: fill_fused_stimulus into freshly allocated rows.
@@ -149,7 +180,8 @@ void fill_fused_stimulus(double x, double y,
 [[nodiscard]] FusedScInputs2 make_fused_sc_inputs2(
     double x, double y, const std::vector<std::vector<double>>& coeffs,
     std::size_t order_x, std::size_t order_y, std::size_t length,
-    const ScInputConfig& config = {});
+    const ScInputConfig& config = {},
+    StimulusLayout layout = StimulusLayout::kPerCell);
 
 /// Electronic ReSC evaluation unit.
 class ReSCUnit {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "common/math.hpp"
 #include "stochastic/sng_fill.hpp"
@@ -10,20 +12,6 @@
 namespace oscs::stochastic {
 
 namespace {
-
-/// Quantized comparator threshold round(clamp01(p) * 2^width), halves
-/// rounded away from zero (llround's rule), shared by Sng and
-/// fill_stream. Scaling by a power of two is exact, so the fraction left
-/// after truncation is exact as well and one compare rounds it - no libm
-/// call. A NaN p takes the threshold 0.
-std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
-  const double clamped = oscs::clamp01(p);
-  if (!(clamped >= 0.0)) return 0;
-  const double scaled =
-      clamped * std::bit_cast<double>(std::uint64_t{1023u + width} << 52);
-  const auto whole = static_cast<std::uint64_t>(scaled);
-  return whole + (scaled - static_cast<double>(whole) >= 0.5 ? 1u : 0u);
-}
 
 /// Register seed and odd scramble multiplier an LFSR source's salt
 /// expands to (SplitMix64), shared by make_source and fill_stream.
@@ -47,7 +35,59 @@ std::size_t first_phase(const detail::LfsrCycle& cycle,
   return phase == cycle.period() ? 0 : phase;
 }
 
+/// detail::kLeapClocks clocks of a width-w Fibonacci LFSR as one map. The
+/// register update is linear over GF(2) with no constant term, so the
+/// image of a state is the XOR of the images of its bytes, tabulated from
+/// the images of the w unit states.
+class LfsrLeap {
+ public:
+  explicit LfsrLeap(unsigned width) {
+    std::uint32_t unit[32] = {};
+    for (unsigned i = 0; i < width; ++i) {
+      Lfsr lfsr(width, std::uint32_t{1} << i);
+      for (std::size_t c = 0; c < detail::kLeapClocks; ++c) (void)lfsr.step();
+      unit[i] = lfsr.state();
+    }
+    for (unsigned b = 0; b < 4; ++b) {
+      table_[b][0] = 0;
+      for (unsigned v = 1; v < 256; ++v) {
+        table_[b][v] = table_[b][v & (v - 1)] ^ unit[8 * b + std::countr_zero(v)];
+      }
+    }
+  }
+
+  [[nodiscard]] std::uint32_t operator()(std::uint32_t state) const noexcept {
+    return table_[0][state & 0xFFu] ^ table_[1][(state >> 8) & 0xFFu] ^
+           table_[2][(state >> 16) & 0xFFu] ^ table_[3][state >> 24];
+  }
+
+ private:
+  std::uint32_t table_[4][256];
+};
+
 }  // namespace
+
+std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
+  // Scaling by a power of two is exact, so the fraction left after
+  // truncation is exact as well and one compare rounds it (llround's
+  // rule) - no libm call.
+  const double clamped = oscs::clamp01(p);
+  if (!(clamped >= 0.0)) return 0;
+  const double scaled =
+      clamped * std::bit_cast<double>(std::uint64_t{1023u + width} << 52);
+  const auto whole = static_cast<std::uint64_t>(scaled);
+  return whole + (scaled - static_cast<double>(whole) >= 0.5 ? 1u : 0u);
+}
+
+namespace detail {
+
+LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt) {
+  const LfsrSeed s = lfsr_seed(salt);
+  return {first_phase(cycle, Lfsr(cycle.width, s.seed).state()),
+          s.scramble};
+}
+
+}  // namespace detail
 
 bool RandomSource::fill_comparator_words(std::uint64_t /*threshold*/,
                                          std::size_t /*length*/,
@@ -202,10 +242,9 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
       width <= detail::kMaxLfsrTableWidth) {
     // The table walk LfsrSource::fill_comparator_words makes, started
     // straight from the seeded register state; nothing is left to reseat.
-    const LfsrSeed s = lfsr_seed(salt);
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
-    const std::size_t phase0 = first_phase(cycle, Lfsr(width, s.seed).state());
-    detail::fill_lfsr_words(cycle, phase0, s.scramble,
+    const detail::LfsrStart start = detail::lfsr_start(cycle, salt);
+    detail::fill_lfsr_words(cycle, start.phase, start.scramble,
                             (std::uint64_t{1} << width) - 1,
                             comparator_threshold(p, width), length, words);
     return;
@@ -213,6 +252,49 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
   const Bitstream stream =
       Sng(make_source(kind, width, salt)).generate(p, length);
   std::copy_n(stream.words_data(), stream.word_count(), words);
+}
+
+void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
+                      std::span<const double> coeffs, std::size_t length,
+                      std::uint64_t* const* rows) {
+  if (kind == SourceKind::kLfsr && width >= 3 &&
+      width <= detail::kMaxLfsrTableWidth) {
+    const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
+    const detail::LfsrStart start = detail::lfsr_start(cycle, salt);
+    for (std::size_t c = 0; c < coeffs.size(); ++c) {
+      detail::fill_lfsr_words(cycle, cycle.leap_index(start.phase),
+                              start.scramble, (std::uint64_t{1} << width) - 1,
+                              comparator_threshold(coeffs[c], width), length,
+                              rows[c], detail::LfsrWalk::kLeap);
+    }
+    return;
+  }
+  // Every other source draws the set's comparator sequence once; each
+  // cell then compares it against its own threshold.
+  std::vector<std::uint64_t> values(length);
+  if (kind == SourceKind::kLfsr) {
+    const LfsrSeed s = lfsr_seed(salt);
+    Lfsr lfsr(width, s.seed);  // validates the width
+    const LfsrLeap leap(width);
+    const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+    std::uint32_t state = lfsr.step();
+    for (std::size_t t = 0; t < length; ++t) {
+      if (t > 0) state = leap(state);
+      values[t] = (state * s.scramble) & mask;
+    }
+  } else {
+    const std::unique_ptr<RandomSource> source =
+        make_source(kind, width, salt);
+    for (std::uint64_t& v : values) v = source->next();
+  }
+  for (std::size_t c = 0; c < coeffs.size(); ++c) {
+    const std::uint64_t threshold = comparator_threshold(coeffs[c], width);
+    std::fill_n(rows[c], (length + 63) / 64, 0);
+    for (std::size_t t = 0; t < length; ++t) {
+      rows[c][t / 64] |= static_cast<std::uint64_t>(values[t] < threshold)
+                         << (t % 64);
+    }
+  }
 }
 
 }  // namespace oscs::stochastic

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/rng.hpp"
 #include "stochastic/bitstream.hpp"
@@ -144,6 +145,12 @@ enum class SourceKind { kLfsr, kCounter, kVanDerCorput, kChaoticLaser };
                                                         unsigned width,
                                                         std::uint64_t salt);
 
+/// Quantized comparator threshold round(clamp01(p) * 2^width), halves
+/// rounded away from zero; a NaN p takes 0. Sng::threshold_for and every
+/// stream fill use it.
+[[nodiscard]] std::uint64_t comparator_threshold(double p,
+                                                 unsigned width) noexcept;
+
 /// Fill one SNG stream into caller memory: `words` (ceil(length/64)
 /// entries) receives exactly the words of
 /// Sng(make_source(kind, width, salt)).generate(p, length). An LFSR of at
@@ -154,5 +161,36 @@ enum class SourceKind { kLfsr, kCounter, kVanDerCorput, kChaoticLaser };
 /// \throws std::invalid_argument on a width the source kind cannot run.
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                  double p, std::size_t length, std::uint64_t* words);
+
+/// Fill every cell of one coefficient set under the v2 stimulus layout
+/// (stochastic/resc.hpp): `rows[c]` (ceil(length/64) words) compares the
+/// set's ONE comparator sequence, drawn from `salt`, against the
+/// threshold of coeffs[c]. An LFSR comparator leaps detail::kLeapClocks
+/// clocks per bit: bit 0 reads the state one clock past the seeded
+/// register (as fill_stream's bit 0 does), bit t the state 16t clocks
+/// later; at most detail::kMaxLfsrTableWidth bits it walks the cycle
+/// table's leap row without allocating, wider registers are clocked once
+/// for the whole set. Other kinds compare their own sequence for `salt`,
+/// so each row equals fill_stream(kind, width, salt, coeffs[c], ...).
+/// \throws std::invalid_argument on a width the source kind cannot run.
+void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
+                      std::span<const double> coeffs, std::size_t length,
+                      std::uint64_t* const* rows);
+
+namespace detail {
+
+struct LfsrCycle;
+
+/// Where the stream an LFSR salt seeds starts on the width's cycle table:
+/// `phase` is the one-clock phase of its first emitted state (< period),
+/// `scramble` its odd multiplier.
+struct LfsrStart {
+  std::size_t phase = 0;
+  std::uint64_t scramble = 1;
+};
+[[nodiscard]] LfsrStart lfsr_start(const LfsrCycle& cycle,
+                                   std::uint64_t salt);
+
+}  // namespace detail
 
 }  // namespace oscs::stochastic

@@ -31,6 +31,13 @@ LfsrCycle build_cycle(unsigned width) {
   for (std::size_t i = period; i < cycle.comparator.size(); ++i) {
     cycle.comparator[i] = cycle.comparator[i - period];
   }
+  cycle.leap.resize(cycle.comparator.size());
+  std::size_t clock = 0;  // kLeapClocks * j mod period, kept without a divide
+  for (std::uint16_t& entry : cycle.leap) {
+    entry = cycle.comparator[clock];
+    clock += kLeapClocks;
+    while (clock >= period) clock -= period;
+  }
   // Maximal-length taps close the cycle back at the start state; a table
   // that does not would silently desynchronize the bulk fill from the
   // clocked register.
@@ -62,7 +69,8 @@ const LfsrCycle& lfsr_cycle(unsigned width) {
 void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
                             std::uint64_t scramble, std::uint64_t mask,
                             std::uint64_t threshold, std::size_t length,
-                            std::uint64_t* words) {
+                            std::uint64_t* words, LfsrWalk walk) {
+  const std::uint16_t* row = cycle.row(walk);
   const std::size_t period = cycle.period();
   const std::size_t nwords = (length + 63) / 64;
   std::size_t idx = phase0;
@@ -71,7 +79,7 @@ void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
     std::uint64_t word = 0;
     const std::size_t limit = length - bit < 64 ? length - bit : 64;
     for (std::size_t i = 0; i < limit; ++i) {
-      const std::uint64_t v = (cycle.state(idx) * scramble) & mask;
+      const std::uint64_t v = (cycle.decode(row[idx]) * scramble) & mask;
       word |= static_cast<std::uint64_t>(v < threshold) << i;
       if (++idx == period) idx = 0;
     }
@@ -83,16 +91,16 @@ void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
 void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,
                      std::uint64_t scramble, std::uint64_t mask,
                      std::uint64_t threshold, std::size_t length,
-                     std::uint64_t* words) {
+                     std::uint64_t* words, LfsrWalk walk) {
 #if defined(OSCS_HAVE_AVX2)
   if (oscs::simd_backend() == oscs::SimdBackend::kAvx2) {
     fill_lfsr_words_avx2(cycle, phase0, scramble, mask, threshold, length,
-                         words);
+                         words, walk);
     return;
   }
 #endif
   fill_lfsr_words_scalar(cycle, phase0, scramble, mask, threshold, length,
-                         words);
+                         words, walk);
 }
 
 void fill_counter_words(std::uint64_t start, std::uint64_t mask,

@@ -36,6 +36,27 @@
 ///      cycle wrap too: the loop never stages or splits a word, and it
 ///      masks the stream's tail once, on the last word.
 ///
+///   3. *Leap row.* Stimulus contract v2 (stochastic/resc.hpp) draws one
+///      comparator per coefficient set and compares it against the
+///      threshold of whichever cell the adders select, so consecutive
+///      comparator values must not correlate. One clock maps the
+///      scrambled value as u(t+1) = 2u(t) + a*b (mod 2^w), which ties
+///      consecutive decisions together, so the set comparator walks a
+///      second row: the cycle decimated by 16, a leap-forward LFSR that
+///      clocks 16 times per bit. 16 is coprime to every 2^w - 1, so the
+///      decimated row is again a full-period permutation of the nonzero
+///      states (at width 16 it costs another ~128 KiB). It is biased and
+///      continued exactly like the one-clock row, so both fills walk it
+///      unchanged. The data banks keep the one-clock row.
+///
+///   4. *Inclusive bound.* A v2 cell decides NOT (c * a > bias(T - 1))
+///      with bias(T - 1) = ((T - 1) << (16 - w)) ^ 0x8000 and
+///      bias(-1) = 0x8000: the same signed identity, taken as u <= T - 1.
+///      Unlike bias(T), it encodes every threshold 0..2^w with no branch:
+///      T = 2^w maps to the row's largest biased value, and T = 0 to
+///      int16 minimum, which no scrambled state reaches (state != 0 and
+///      an odd a keep u != 0).
+///
 /// The scalar fill evaluates the original formula over the decoded
 /// states (`LfsrCycle::state`), so it checks the identity independently;
 /// both fills are bit-identical to the per-bit reference loop
@@ -51,10 +72,19 @@
 namespace oscs::stochastic::detail {
 
 /// Largest LFSR width served by the canonical cycle table. At 16 bits the
-/// two rows cost ~256 KiB. Wider registers (the wire accepts
+/// three rows cost ~384 KiB. Wider registers (the wire accepts
 /// `sng_width` up to 32) take the per-bit reference loop; the design
 /// operating point and the registry run at 16.
 constexpr unsigned kMaxLfsrTableWidth = 16;
+
+/// Clocks the leap row advances per entry (see the file comment).
+constexpr std::size_t kLeapClocks = 16;
+
+/// Which biased row of the cycle table a fill walks.
+enum class LfsrWalk {
+  kClock,  ///< one clock per bit (`LfsrCycle::comparator`)
+  kLeap,   ///< kLeapClocks clocks per bit (`LfsrCycle::leap`)
+};
 
 /// Canonical state cycle of the width-w maximal-length LFSR.
 struct LfsrCycle {
@@ -67,6 +97,10 @@ struct LfsrCycle {
   /// continue it (state_i repeats with the period), so any 64 phases
   /// starting below period() are contiguous.
   std::vector<std::uint16_t> comparator;
+  /// leap[j] = comparator[(kLeapClocks * j) mod period()]: the cycle
+  /// decimated by kLeapClocks, continued for 63 entries past the period
+  /// like `comparator`.
+  std::vector<std::uint16_t> leap;
   /// phase[s] = i < period() with state(i) == s, for every nonzero
   /// s < 2^w.
   std::vector<std::uint16_t> phase;
@@ -77,8 +111,22 @@ struct LfsrCycle {
   }
   /// Register state after i clocks from state 1 (i < period() + 63).
   [[nodiscard]] std::uint16_t state(std::size_t i) const noexcept {
-    return static_cast<std::uint16_t>((comparator[i] ^ 0x8000u) >>
-                                      (16 - width));
+    return decode(comparator[i]);
+  }
+  /// The register state a biased row entry holds.
+  [[nodiscard]] std::uint16_t decode(std::uint16_t biased) const noexcept {
+    return static_cast<std::uint16_t>((biased ^ 0x8000u) >> (16 - width));
+  }
+  /// The biased row a walk reads.
+  [[nodiscard]] const std::uint16_t* row(LfsrWalk walk) const noexcept {
+    return walk == LfsrWalk::kClock ? comparator.data() : leap.data();
+  }
+  /// Index into `leap` of the one-clock phase `phase0` (< period()): the
+  /// j with kLeapClocks * j == phase0 (mod period()). kLeapClocks = 2^4
+  /// and 2^w == 1 (mod 2^w - 1), so its inverse is 2^(-4 mod w).
+  [[nodiscard]] std::size_t leap_index(std::size_t phase0) const noexcept {
+    const unsigned shift = (width - 4 % width) % width;
+    return (phase0 << shift) % period();
   }
 };
 
@@ -87,7 +135,8 @@ struct LfsrCycle {
 [[nodiscard]] const LfsrCycle& lfsr_cycle(unsigned width);
 
 /// Fill ceil(length/64) packed words: bit t of the stream is
-/// ((state((phase0 + t) mod period) * scramble) & mask) < threshold, with
+/// ((state_walk((phase0 + t) mod period) * scramble) & mask) < threshold,
+/// where state_walk(i) is the state `walk`'s row holds at index i, with
 /// phase0 < period(), mask = 2^w - 1 and an odd scramble (the AVX2
 /// identity needs it; every LFSR source forces it). Padding bits past
 /// `length` in the last word are left zero, and nothing past that word is
@@ -95,21 +144,33 @@ struct LfsrCycle {
 void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
                             std::uint64_t scramble, std::uint64_t mask,
                             std::uint64_t threshold, std::size_t length,
-                            std::uint64_t* words);
+                            std::uint64_t* words,
+                            LfsrWalk walk = LfsrWalk::kClock);
 
 #if defined(OSCS_HAVE_AVX2)
 /// AVX2 variant of fill_lfsr_words_scalar; bit-identical output.
 void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
                           std::uint64_t scramble, std::uint64_t mask,
                           std::uint64_t threshold, std::size_t length,
-                          std::uint64_t* words);
+                          std::uint64_t* words,
+                          LfsrWalk walk = LfsrWalk::kClock);
 #endif
 
 /// Dispatched entry point (scalar or AVX2 per the active backend).
 void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,
                      std::uint64_t scramble, std::uint64_t mask,
                      std::uint64_t threshold, std::size_t length,
-                     std::uint64_t* words);
+                     std::uint64_t* words, LfsrWalk walk = LfsrWalk::kClock);
+
+/// bias(threshold - 1) of the file comment as int16: a v2 cell with
+/// comparator threshold T (0..2^width) emits 1 iff
+/// int16(row * scramble) <= inclusive_bound(T, width).
+[[nodiscard]] constexpr std::int16_t inclusive_bound(
+    std::uint64_t threshold, unsigned width) noexcept {
+  const std::uint64_t below = threshold == 0 ? 0 : threshold - 1;
+  return static_cast<std::int16_t>(
+      static_cast<std::uint16_t>((below << (16 - width)) ^ 0x8000u));
+}
 
 /// Bulk comparator fill for the counter source: bit t is
 /// ((start + t) & mask) < threshold. Scalar on every backend (the

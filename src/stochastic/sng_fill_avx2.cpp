@@ -58,7 +58,7 @@ inline std::uint64_t comparator_word(const std::uint16_t* row,
 void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
                           std::uint64_t scramble, std::uint64_t mask,
                           std::uint64_t threshold, std::size_t length,
-                          std::uint64_t* words) {
+                          std::uint64_t* words, LfsrWalk walk) {
   const std::size_t nwords = (length + 63) / 64;
   const std::size_t tail_bits = length % 64;
 
@@ -80,7 +80,7 @@ void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
     // 64 phases of a word are one contiguous run even across the cycle
     // wrap: no word is staged. A word advances the phase by 64 mod
     // period, so one conditional subtraction keeps it below the period.
-    const std::uint16_t* row = cycle.comparator.data();
+    const std::uint16_t* row = cycle.row(walk);
     const std::size_t period = cycle.period();
     const std::size_t step = period > 64 ? 64 : 64 % period;
     std::size_t idx = phase0;

@@ -84,11 +84,12 @@ TEST(FusedKernel, EvaluateFusedMatchesPerProgramEvaluate) {
   const auto polys = order3_programs();
   std::vector<std::vector<double>> coeffs;
   for (const auto& p : polys) coeffs.push_back(p.coeffs());
-  const sc::FusedScInputs2 fused =
-      sc::make_fused_sc_inputs2(0.55, 0.0, coeffs, 3, 0, 1000, {});
+  const sc::FusedScInputs2 fused = sc::make_fused_sc_inputs2(
+      0.55, 0.0, coeffs, 3, 0, 1000, {}, kernel.stimulus_layout());
 
   // A noiseless fused run builds exactly this stimulus (default source,
-  // width and seed) and decodes every program's streams.
+  // width and seed, the kernel's layout) and decodes every program's
+  // streams.
   PackedRunConfig cfg;
   cfg.op.stream_length = 1000;
   const std::vector<PackedRunResult> all =

@@ -73,8 +73,9 @@ TEST_P(BivariatePackedEdgeTest, Run2MatchesReSC2EstimateAtBerZero) {
   cfg.op.ber = 0.0;
   cfg.stimulus_seed = 99;
   const PackedRunResult result = kernel.run2(poly, 0.6, 0.25, cfg);
-  const double reference =
-      unit.evaluate(0.6, 0.25, length, {.seed = 99});
+  const double reference = unit.evaluate(
+      sc::make_sc_inputs2(0.6, 0.25, poly.coeffs(), deg_x, deg_y, length,
+                          {.seed = 99}, kernel.stimulus_layout()));
   EXPECT_DOUBLE_EQ(result.optical_estimate, reference);
   EXPECT_DOUBLE_EQ(result.electronic_estimate, reference);
   EXPECT_EQ(result.transmission_flips, 0u);
@@ -107,7 +108,9 @@ TEST(BivariatePackedKernelTest, UnitSquareCornersMatchReSC2) {
   for (double x : {0.0, 1.0}) {
     for (double y : {0.0, 1.0}) {
       const PackedRunResult r = kernel.run2(poly, x, y, cfg);
-      const double reference = unit.evaluate(x, y, 4096, {.seed = 77});
+      const double reference = unit.evaluate(
+          sc::make_sc_inputs2(x, y, poly.coeffs(), 1, 1, 4096, {.seed = 77},
+                              kernel.stimulus_layout()));
       EXPECT_DOUBLE_EQ(r.optical_estimate, reference)
           << "corner (" << x << ", " << y << ")";
     }

@@ -210,9 +210,10 @@ sc::SeparableProgram rank3_cubic() {
 }
 
 /// The per-factor estimator, written with public calls: every factor
-/// draws its own stimulus (make_sc_inputs) and its own receiver flips
-/// (apply_noise_flips) from independent seeds, the factor streams of a
-/// term are ANDed, and the weighted term densities are summed.
+/// draws its own stimulus (make_sc_inputs, in the kernel's layout) and its
+/// own receiver flips (apply_noise_flips) from independent seeds, the
+/// factor streams of a term are ANDed, and the weighted term densities are
+/// summed.
 double per_factor_estimate(const PackedKernel& kernel,
                            const sc::SeparableProgram& program,
                            const std::vector<double>& point,
@@ -225,7 +226,8 @@ double per_factor_estimate(const PackedKernel& kernel,
     for (const sc::SeparableFactor& factor : term.factors) {
       const sc::ScInputs inputs = sc::make_sc_inputs(
           point[factor.axis], factor.poly.coeffs(), kernel.order(), length,
-          {sc::SourceKind::kLfsr, 16, seeds.next()});
+          {sc::SourceKind::kLfsr, 16, seeds.next()},
+          kernel.stimulus_layout());
       sc::Bitstream stream = kernel.evaluate(inputs).optical;
       oscs::Xoshiro256 rng(seeds.next());
       (void)apply_noise_flips(stream, ber, rng);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/simd.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp.hpp"
@@ -275,6 +276,34 @@ TEST(ServeMetrics, CompletedAlwaysEqualsAritySumMidStorm) {
   const ServerMetrics m = server.metrics();
   EXPECT_EQ(m.completed, static_cast<std::size_t>(kThreads * kPerThread + 2));
   EXPECT_EQ(m.completed, m.completed_univariate + m.completed_bivariate);
+}
+
+TEST(ServeObservability, BuildInfoGaugeMatchesHealth) {
+  // The configuration actually serving is exported, not inferred: one
+  // oscs_build_info series (value 1) whose labels equal the health
+  // reply's "build" object.
+  ProgramServer server(fast_options());
+  const BuildInfo info = current_build_info();
+  EXPECT_EQ(info.kernel_backend, oscs::simd_backend_name(oscs::simd_backend()));
+  EXPECT_EQ(info.avx2_compiled, oscs::simd_avx2_compiled());
+  EXPECT_EQ(info.cache_format, 2u);
+  EXPECT_EQ(info.stimulus_version, 2u);
+
+  const std::string series =
+      "oscs_build_info{kernel_backend=\"" + info.kernel_backend +
+      "\",avx2_compiled=\"" + (info.avx2_compiled ? "true" : "false") +
+      "\",cache_format=\"2\",stimulus_version=\"2\"} 1\n";
+  const std::string text = server.metrics_prometheus();
+  EXPECT_NE(text.find("# TYPE oscs_build_info gauge"), std::string::npos);
+  EXPECT_NE(text.find(series), std::string::npos) << text;
+
+  const JsonValue doc = json_parse(server.handle_json(R"({"op": "health"})"));
+  const JsonValue* build = doc.find("build");
+  ASSERT_NE(build, nullptr);
+  EXPECT_EQ(build->find("kernel_backend")->as_string(), info.kernel_backend);
+  EXPECT_EQ(build->find("avx2_compiled")->as_bool(), info.avx2_compiled);
+  EXPECT_EQ(build->find("cache_format")->as_number(), 2.0);
+  EXPECT_EQ(build->find("stimulus_version")->as_number(), 2.0);
 }
 
 TEST(ServeObservabilitySmoke, MetricsScrapeReconcilesOverLoopback) {

@@ -164,6 +164,41 @@ TEST(PrewarmTest, CorruptCacheFileDoesNotFailStartup) {
   std::remove(path.c_str());
 }
 
+TEST(PrewarmTest, VersionOneCacheFileCountsOneLoadErrorAndRecompiles) {
+  // A file written before stimulus contract v2 carries format version 1:
+  // its certificates describe the old stimulus, so the whole file takes
+  // the counted fail-soft path and the manifest compiles the program
+  // again.
+  const std::string path = temp_cache_path("version1");
+  {
+    ProgramServer server(fast_options());
+    PrewarmOptions manifest;
+    manifest.compile_missing = true;
+    manifest.functions = {"sigmoid"};
+    ASSERT_EQ(server.prewarm(manifest).compiled, 1u);
+    ASSERT_EQ(server.save_cache(path), 1u);
+  }
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(8);  // the u32 format version follows the 8-byte magic
+    const char version1[4] = {1, 0, 0, 0};
+    file.write(version1, sizeof(version1));
+  }
+
+  ServerOptions options = fast_options();
+  options.prewarm.cache_file = path;
+  options.prewarm.compile_missing = true;
+  options.prewarm.functions = {"sigmoid"};
+  ProgramServer server(options);
+
+  const ServerMetrics metrics = server.metrics();
+  EXPECT_EQ(metrics.cache_load_errors, 1u);
+  EXPECT_EQ(metrics.cache_loaded, 0u);
+  EXPECT_EQ(metrics.cache_prewarmed, 1u);
+  EXPECT_EQ(metrics.cache_size, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(PrewarmTest, MissingCacheFileDoesNotFailStartup) {
   ServerOptions options = fast_options();
   options.prewarm.cache_file = temp_cache_path("never_written_gone");

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -249,6 +250,75 @@ TEST(SngFill, LfsrCycleTableIsTheClockedSequence) {
       ASSERT_EQ(cycle.phase[cycle.state(i)], i);
       ASSERT_EQ(cycle.state((i + 1) % period), lfsr.step())
           << "width " << width << " step " << i;
+    }
+  }
+}
+
+TEST(SngFill, LeapRowIsTheCycleDecimatedBy16) {
+  for (unsigned width : {3u, 4u, 5u, 8u, 12u, 16u}) {
+    const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
+    const std::size_t period = cycle.period();
+    ASSERT_EQ(cycle.leap.size(), period + 63);
+    std::vector<bool> seen(period + 1, false);
+    for (std::size_t j = 0; j < cycle.leap.size(); ++j) {
+      ASSERT_EQ(cycle.leap[j], cycle.comparator[(16 * j) % period])
+          << "width " << width << " entry " << j;
+      if (j < period) {
+        // 16 is coprime to 2^w - 1: one lap visits every nonzero state.
+        const std::uint16_t state = cycle.decode(cycle.leap[j]);
+        ASSERT_FALSE(seen[state]) << "width " << width << " entry " << j;
+        seen[state] = true;
+      }
+    }
+    for (std::size_t phase = 0; phase < period; ++phase) {
+      ASSERT_EQ((16 * cycle.leap_index(phase)) % period, phase)
+          << "width " << width;
+    }
+  }
+}
+
+TEST(SngFill, SetStreamsLeapSixteenClocksPerBit) {
+  // Per-bit reference: the seeded register clocked once for bit 0 and 16
+  // more times per later bit, scrambled and compared against each cell's
+  // threshold - for table widths (leap row, both backends) and wider
+  // registers (clocked directly).
+  const std::vector<double> coeffs = {0.0, 0.3, 0.77, 1.0};
+  for (oscs::SimdBackend backend : {oscs::SimdBackend::kScalar,
+                                    oscs::SimdBackend::kAvx2}) {
+    if (backend == oscs::SimdBackend::kAvx2 && !avx2_available()) continue;
+    ScopedBackend scope(backend);
+    for (unsigned width : {3u, 8u, 16u, 17u, 24u}) {
+      for (std::size_t length : kLengths) {
+        const std::uint64_t salt = 40 + width + length;
+        // make_source's register: its first next() is bit 0's value.
+        std::unique_ptr<RandomSource> source =
+            make_source(SourceKind::kLfsr, width, salt);
+        std::vector<std::uint64_t> values(length);
+        for (std::size_t t = 0; t < length; ++t) {
+          values[t] = source->next();
+          for (std::size_t c = 1; t > 0 && c < 16; ++c) {
+            values[t] = source->next();
+          }
+        }
+        std::vector<std::vector<std::uint64_t>> got(
+            coeffs.size(), std::vector<std::uint64_t>((length + 63) / 64, ~0ULL));
+        std::vector<std::uint64_t*> rows;
+        for (auto& row : got) rows.push_back(row.data());
+        fill_set_streams(SourceKind::kLfsr, width, salt, coeffs, length,
+                         rows.data());
+        for (std::size_t c = 0; c < coeffs.size(); ++c) {
+          const std::uint64_t threshold =
+              comparator_threshold(coeffs[c], width);
+          std::vector<std::uint64_t> want((length + 63) / 64, 0);
+          for (std::size_t t = 0; t < length; ++t) {
+            want[t / 64] |= static_cast<std::uint64_t>(values[t] < threshold)
+                            << (t % 64);
+          }
+          ASSERT_EQ(got[c], want)
+              << "width " << width << " length " << length << " cell " << c
+              << " backend " << oscs::simd_backend_name(backend);
+        }
+      }
     }
   }
 }
