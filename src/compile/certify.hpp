@@ -30,6 +30,10 @@
 
 namespace oscs::compile {
 
+/// Independent draws of the whole certification grid; a certificate's
+/// Monte-Carlo figures are per-draw statistics averaged over them.
+inline constexpr std::size_t kCertificationDraws = 8;
+
 /// Controls for the Monte-Carlo certification run.
 struct CertificationOptions {
   std::size_t stream_length = 4096;  ///< bits per evaluation
@@ -52,9 +56,14 @@ using PointReference = std::function<double(const std::vector<double>&)>;
 /// of options.grid_points interior points i/(grid_points+1) per axis -
 /// grid_points^arity coordinate tuples, last axis fastest - evaluated
 /// through BatchRunner::run_nd on the program's prebuilt kernel (BER,
-/// stream length and SNG width all come from `op`). The deterministic
-/// approximation error samples a dense lattice of 512 (univariate), 128
-/// (bivariate) or 24 (N-ary separable) steps per axis.
+/// stream length and SNG width all come from `op`). One draw is that grid
+/// at options.repeats repeats per point - the statistic one request at
+/// the certified setting measures - and the run makes kCertificationDraws
+/// independent draws in one batch: mc_mae, mc_mae_ci and mc_worst are the
+/// per-draw figures averaged over the draws, so a certificate estimates
+/// what a request should see instead of carrying one draw's luck. The
+/// deterministic approximation error samples a dense lattice of 512
+/// (univariate), 128 (bivariate) or 24 (N-ary separable) steps per axis.
 /// \throws std::invalid_argument on invalid options or operating point.
 [[nodiscard]] Certification certify_program_at(
     const CompiledProgram& program, const PointReference& reference,

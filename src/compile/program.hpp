@@ -69,8 +69,10 @@ struct Certification {
   std::size_t repeats = 0;        ///< MC repeats per grid point
   std::size_t grid_points = 0;    ///< x grid size
   bool noise_enabled = true;      ///< receiver noise applied (op.noisy())
+  // The mc_* figures are per-draw statistics averaged over
+  // compile::kCertificationDraws independent draws of the grid.
   double mc_mae = 0.0;     ///< mean over grid of |optical mean - f(x)|
-  double mc_mae_ci = 0.0;  ///< 95% CI half-width on mc_mae
+  double mc_mae_ci = 0.0;  ///< 95% CI half-width on one draw's mc_mae
   double mc_worst = 0.0;   ///< worst grid point |optical mean - f(x)|
   double electronic_mae = 0.0;  ///< ReSC baseline on the same streams
   /// Deterministic pipeline error |program poly - f| sup estimate

@@ -42,8 +42,9 @@ inline constexpr char kCacheMagic[8] = {'O', 'S', 'C', 'S',
 /// certificates measured. Version-mismatched files are rejected whole (a
 /// counted load error, never a crash), so a prewarm recompiles them.
 /// Version 2: certificates measured under stimulus contract v2
-/// (stochastic/resc.hpp); a version-1 file's certificates describe the
-/// one-comparator-per-cell stimulus.
+/// (stochastic/resc.hpp) and averaged over kCertificationDraws draws
+/// (compile/certify.hpp); a version-1 file's certificates describe one
+/// draw of the one-comparator-per-cell stimulus.
 inline constexpr std::uint32_t kCacheFormatVersion = 2;
 
 /// Program-form tag leading every record payload.

@@ -146,17 +146,6 @@ std::size_t apply_receiver_flips(const oscs::OperatingPoint& op,
   return flips;
 }
 
-/// Decorrelated seed stream for run_nd's axis passes (stimulus, indexed by
-/// axis) and factor flips (noise, indexed by factor), mirroring the
-/// engine's task-seed derivation: factors ANDed in one term must be
-/// mutually independent for the AND to multiply probabilities, so each
-/// index expands its own SplitMix64 state instead of taking consecutive
-/// source salts.
-std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
-  oscs::SplitMix64 sm(master ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
-  return sm.next();
-}
-
 double density(std::size_t ones, std::size_t length) {
   return static_cast<double>(ones) / static_cast<double>(length);
 }
@@ -171,9 +160,9 @@ bool lane_stimulus(const PackedRunConfig& config) {
 }
 
 /// Stimulus v2 through KernelOps::select_compare: the walks start where
-/// the streams fill_fused_stimulus(kPerSet) draws for `stimulus` start -
-/// salts in its order (x bank, y bank, one per set) - so the decision rows
-/// equal the materialized v2 rows run through the bit-plane core.
+/// the streams fill_fused_stimulus(kPerSet) draws for `stimulus` start
+/// (sc::detail::v2_walk_start), so the decision rows equal the
+/// materialized v2 rows run through the bit-plane core.
 void run_select_compare(std::size_t n, std::size_t m, double x, double y,
                         std::span<const double* const> coeff_sets,
                         const sc::ScInputConfig& stimulus, std::size_t length,
@@ -184,11 +173,10 @@ void run_select_compare(std::size_t n, std::size_t m, double x, double y,
   const std::size_t cells = (n + 1) * (m + 1);
   simd::LaneWalk* walks = arena.walks(n + m + k);
   std::int16_t* bounds = arena.bounds(k * cells);
-  std::uint64_t salt = stimulus.seed * 2u + 1u;
-  for (std::size_t i = 0; i < n + m + k; ++i, ++salt) {
-    const sc::detail::LfsrStart start = sc::detail::lfsr_start(cycle, salt);
-    walks[i] = {i < n + m ? start.phase : cycle.leap_index(start.phase),
-                static_cast<std::uint16_t>(start.scramble)};
+  for (std::size_t i = 0; i < n + m + k; ++i) {
+    const sc::detail::LfsrStart start =
+        sc::detail::v2_walk_start(cycle, stimulus, n + m, i);
+    walks[i] = {start.index, static_cast<std::uint16_t>(start.scramble)};
   }
   const auto bound = [width = stimulus.width](double p) {
     return sc::detail::inclusive_bound(sc::comparator_threshold(p, width),
@@ -219,6 +207,11 @@ void run_select_compare(std::size_t n, std::size_t m, double x, double y,
 }
 
 }  // namespace
+
+std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
+  oscs::SplitMix64 sm(master ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
+  return sm.next();
+}
 
 std::vector<std::size_t> sample_flip_positions(std::size_t length,
                                                double flip_p,

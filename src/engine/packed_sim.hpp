@@ -98,6 +98,15 @@ struct PackedRunResult {
   std::size_t length = 0;
 };
 
+/// Decorrelated seed stream for run_nd's axis passes (stimulus, indexed by
+/// axis) and factor flips (noise, indexed by factor), mirroring the
+/// engine's task-seed derivation: factors ANDed in one term must be
+/// mutually independent for the AND to multiply probabilities, so each
+/// index expands its own SplitMix64 state instead of taking consecutive
+/// source salts.
+[[nodiscard]] std::uint64_t derive_factor_seed(std::uint64_t master,
+                                               std::size_t index);
+
 /// Sample the positions of independent per-bit decision flips with
 /// probability `flip_p` over a stream of `length` bits, by geometric gap
 /// sampling: cost scales with the number of flips (~flip_p * length), not

@@ -1,7 +1,6 @@
 #include "serve/accuracy.hpp"
 
 #include <algorithm>
-#include <numbers>
 #include <utility>
 
 #include "common/json.hpp"
@@ -21,8 +20,8 @@ constexpr const char* kObservedHelp =
 constexpr const char* kSampledHelp = "evaluate requests by shadow decision";
 constexpr const char* kEwmaHelp = "observed-error EWMA per program";
 constexpr const char* kBudgetHelp =
-    "enforced error budget per program (margin * (mc_mae + sqrt(2) * "
-    "mc_mae_ci), or the default for uncertified programs)";
+    "enforced error budget per program (margin * (mc_mae + mc_mae_ci), or "
+    "the default for uncertified programs)";
 constexpr const char* kStateHelp =
     "SLO state per program (0 ok, 1 degraded, 2 violating)";
 constexpr const char* kDriftHelp =
@@ -126,10 +125,10 @@ AccuracyObserver::ProgramState& AccuracyObserver::program_state(
     state.certified_mae = certified ? *obs_in.certified_mae : 0.0;
     state.certified_ci = certified ? *obs_in.certified_ci : 0.0;
     state.budget =
-        certified ? options_.budget_margin *
-                        (state.certified_mae +
-                         std::numbers::sqrt2 * state.certified_ci)
-                  : options_.default_budget;
+        certified
+            ? options_.budget_margin * (state.certified_mae +
+                                        state.certified_ci)
+            : options_.default_budget;
     obs::ErrorBudgetSlo::Options slo_options;
     slo_options.budget = state.budget;
     slo_options.exit_ratio = options_.exit_ratio;

@@ -22,16 +22,9 @@
 ///     trace_id) for slow requests and for every request served while a
 ///     program is outside its budget.
 ///
-/// Certified vs observed: the budget is
-/// margin * (mc_mae + sqrt(2) * mc_mae_ci) from the program's compile-time
-/// certificate - a 95% prediction bound for one fresh request measured at
-/// the certified setting. mc_mae is itself one Monte-Carlo draw of that
-/// statistic and mc_mae_ci the CI of its expectation; a fresh request is a
-/// second independent draw, so the difference of the two spreads sqrt(2)
-/// times wider. Comparing the observed EWMA against the CI alone (the
-/// bound on the expectation) raised false drift at the certified setting
-/// for about one certification seed in five. Programs without a
-/// certificate (raw coefficients, or
+/// Certified vs observed: the budget is margin * (mc_mae + mc_mae_ci)
+/// from the program's compile-time certificate - the upper edge of the MC
+/// confidence band. Programs without a certificate (raw coefficients, or
 /// compilation with certify off) fall back to `default_budget`; a budget
 /// upgrade happens transparently when a certified program is first seen.
 /// Observed error is |optical mean - reference(x)| per cell, averaged per
@@ -73,9 +66,9 @@ struct AccuracyOptions {
   /// Hysteresis release threshold as a fraction of the budget (see
   /// obs::ErrorBudgetSlo).
   double exit_ratio = 0.8;
-  /// Multiplier on the certified budget (mc_mae + sqrt(2) * mc_mae_ci).
-  /// 1.0 enforces the certificate's prediction bound as-is; raise it to
-  /// tolerate more seed-to-seed variation, lower it to alert earlier.
+  /// Multiplier on the certified budget (mc_mae + mc_mae_ci). 1.0 enforces
+  /// the certificate as-is; raise it to tolerate benign seed-to-seed
+  /// variation, lower it to alert earlier.
   double budget_margin = 1.0;
   /// Error budget for programs without a certificate (raw-coefficient
   /// programs, certification disabled).

@@ -62,9 +62,10 @@ void fill_fused_stimulus(double x, double y,
                          std::size_t order_x, std::size_t order_y,
                          std::size_t length, const ScInputConfig& config,
                          StimulusLayout layout, std::uint64_t* const* rows) {
-  std::uint64_t salt = config.seed * 2u + 1u;
+  std::size_t stream = 0;
   const auto fill = [&](double p) {
-    fill_stream(config.kind, config.width, salt++, p, length, *rows++);
+    fill_stream(config.kind, config.width,
+                detail::stimulus_salt(config, stream++), p, length, *rows++);
   };
   for (std::size_t i = 0; i < order_x; ++i) fill(x);
   for (std::size_t j = 0; j < order_y; ++j) fill(y);
@@ -74,11 +75,22 @@ void fill_fused_stimulus(double x, double y,
       for (std::size_t c = 0; c < cells; ++c) fill(coeffs[c]);
       continue;
     }
-    fill_set_streams(config.kind, config.width, salt++, {coeffs, cells},
+    fill_set_streams(config.kind, config.width,
+                     detail::stimulus_salt(config, stream++), {coeffs, cells},
                      length, rows);
     rows += cells;
   }
 }
+
+namespace detail {
+
+LfsrStart v2_walk_start(const LfsrCycle& cycle, const ScInputConfig& config,
+                        std::size_t banks, std::size_t i) {
+  return lfsr_start(cycle, stimulus_salt(config, i),
+                    i < banks ? LfsrWalk::kClock : LfsrWalk::kLeap);
+}
+
+}  // namespace detail
 
 FusedScInputs2 make_fused_sc_inputs2(
     double x, double y, const std::vector<std::vector<double>>& coeffs,

@@ -173,6 +173,27 @@ void fill_fused_stimulus(double x, double y,
                          std::size_t length, const ScInputConfig& config,
                          StimulusLayout layout, std::uint64_t* const* rows);
 
+namespace detail {
+
+/// Salt of stream `i` of a fused stimulus (fill_fused_stimulus): the x
+/// bank, the y bank, then one per cell (v1) or per set (v2).
+[[nodiscard]] constexpr std::uint64_t stimulus_salt(const ScInputConfig& config,
+                                                    std::size_t i) noexcept {
+  return config.seed * 2u + 1u + i;
+}
+
+/// Where walk `i` of a v2 LFSR stimulus with `banks` data-bank streams
+/// (order_x + order_y) starts on `cycle` (lfsr_cycle(config.width)): a
+/// bank (i < banks) walks the one-clock row, set i - banks the leap row,
+/// each from stimulus_salt(config, i). These are the streams
+/// fill_fused_stimulus(kPerSet) writes for an LFSR the table serves, so a
+/// walk-based evaluation reads the same bits.
+[[nodiscard]] LfsrStart v2_walk_start(const LfsrCycle& cycle,
+                                      const ScInputConfig& config,
+                                      std::size_t banks, std::size_t i);
+
+}  // namespace detail
+
 /// Generate fused stimulus for K coefficient grids sharing one (x, y) as
 /// streams: fill_fused_stimulus into freshly allocated rows.
 /// \throws std::invalid_argument if coeffs is empty or any grid's size is

@@ -4,7 +4,6 @@
 #include <bit>
 #include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "common/math.hpp"
 #include "stochastic/sng_fill.hpp"
@@ -65,6 +64,26 @@ class LfsrLeap {
   std::uint32_t table_[4][256];
 };
 
+/// Compare one comparator sequence, drawn 64 values at a time from
+/// `draw`, against each cell's threshold: rows[c] bit t = v(t) < T_c.
+template <typename Draw>
+void compare_set(unsigned width, std::span<const double> coeffs,
+                 std::size_t length, std::uint64_t* const* rows, Draw&& draw) {
+  std::uint64_t block[64];
+  for (std::size_t w = 0, t = 0; t < length; ++w, t += 64) {
+    const std::size_t bits = std::min<std::size_t>(64, length - t);
+    for (std::size_t b = 0; b < bits; ++b) block[b] = draw();
+    for (std::size_t c = 0; c < coeffs.size(); ++c) {
+      const std::uint64_t threshold = comparator_threshold(coeffs[c], width);
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        word |= static_cast<std::uint64_t>(block[b] < threshold) << b;
+      }
+      rows[c][w] = word;
+    }
+  }
+}
+
 }  // namespace
 
 std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
@@ -81,9 +100,12 @@ std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
 
 namespace detail {
 
-LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt) {
+LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt,
+                     LfsrWalk walk) {
   const LfsrSeed s = lfsr_seed(salt);
-  return {first_phase(cycle, Lfsr(cycle.width, s.seed).state()),
+  const std::size_t phase =
+      first_phase(cycle, Lfsr(cycle.width, s.seed).state());
+  return {walk == LfsrWalk::kClock ? phase : cycle.leap_index(phase),
           s.scramble};
 }
 
@@ -244,7 +266,7 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
     // straight from the seeded register state; nothing is left to reseat.
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
     const detail::LfsrStart start = detail::lfsr_start(cycle, salt);
-    detail::fill_lfsr_words(cycle, start.phase, start.scramble,
+    detail::fill_lfsr_words(cycle, start.index, start.scramble,
                             (std::uint64_t{1} << width) - 1,
                             comparator_threshold(p, width), length, words);
     return;
@@ -260,10 +282,11 @@ void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
   if (kind == SourceKind::kLfsr && width >= 3 &&
       width <= detail::kMaxLfsrTableWidth) {
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
-    const detail::LfsrStart start = detail::lfsr_start(cycle, salt);
+    const detail::LfsrStart start =
+        detail::lfsr_start(cycle, salt, detail::LfsrWalk::kLeap);
     for (std::size_t c = 0; c < coeffs.size(); ++c) {
-      detail::fill_lfsr_words(cycle, cycle.leap_index(start.phase),
-                              start.scramble, (std::uint64_t{1} << width) - 1,
+      detail::fill_lfsr_words(cycle, start.index, start.scramble,
+                              (std::uint64_t{1} << width) - 1,
                               comparator_threshold(coeffs[c], width), length,
                               rows[c], detail::LfsrWalk::kLeap);
     }
@@ -271,30 +294,21 @@ void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
   }
   // Every other source draws the set's comparator sequence once; each
   // cell then compares it against its own threshold.
-  std::vector<std::uint64_t> values(length);
   if (kind == SourceKind::kLfsr) {
     const LfsrSeed s = lfsr_seed(salt);
     Lfsr lfsr(width, s.seed);  // validates the width
     const LfsrLeap leap(width);
     const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
-    std::uint32_t state = lfsr.step();
-    for (std::size_t t = 0; t < length; ++t) {
-      if (t > 0) state = leap(state);
-      values[t] = (state * s.scramble) & mask;
-    }
-  } else {
-    const std::unique_ptr<RandomSource> source =
-        make_source(kind, width, salt);
-    for (std::uint64_t& v : values) v = source->next();
+    std::uint32_t state = lfsr.step();  // bit 0: one clock past the seed
+    compare_set(width, coeffs, length, rows, [&] {
+      const std::uint64_t value = (state * s.scramble) & mask;
+      state = leap(state);
+      return value;
+    });
+    return;
   }
-  for (std::size_t c = 0; c < coeffs.size(); ++c) {
-    const std::uint64_t threshold = comparator_threshold(coeffs[c], width);
-    std::fill_n(rows[c], (length + 63) / 64, 0);
-    for (std::size_t t = 0; t < length; ++t) {
-      rows[c][t / 64] |= static_cast<std::uint64_t>(values[t] < threshold)
-                         << (t % 64);
-    }
-  }
+  const std::unique_ptr<RandomSource> source = make_source(kind, width, salt);
+  compare_set(width, coeffs, length, rows, [&] { return source->next(); });
 }
 
 }  // namespace oscs::stochastic

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "stochastic/bitstream.hpp"
 #include "stochastic/lfsr.hpp"
+#include "stochastic/sng_fill.hpp"
 
 namespace oscs::stochastic {
 
@@ -169,9 +170,11 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
 /// clocks per bit: bit 0 reads the state one clock past the seeded
 /// register (as fill_stream's bit 0 does), bit t the state 16t clocks
 /// later; at most detail::kMaxLfsrTableWidth bits it walks the cycle
-/// table's leap row without allocating, wider registers are clocked once
-/// for the whole set. Other kinds compare their own sequence for `salt`,
-/// so each row equals fill_stream(kind, width, salt, coeffs[c], ...).
+/// table's leap row; a wider register's sequence is drawn once for the
+/// whole set, 16 clocks per value through a GF(2) jump map.
+/// Other kinds compare their own sequence for `salt`, so each row equals
+/// fill_stream(kind, width, salt, coeffs[c], ...). The sequence is drawn
+/// 64 values at a time, so memory stays constant in `length`.
 /// \throws std::invalid_argument on a width the source kind cannot run.
 void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
                       std::span<const double> coeffs, std::size_t length,
@@ -179,17 +182,16 @@ void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
 
 namespace detail {
 
-struct LfsrCycle;
-
-/// Where the stream an LFSR salt seeds starts on the width's cycle table:
-/// `phase` is the one-clock phase of its first emitted state (< period),
+/// Where the stream an LFSR salt seeds starts on a walk of the width's
+/// cycle table: `index` is the entry of `walk`'s row holding its first
+/// emitted state (< period; for the one-clock row that is the phase),
 /// `scramble` its odd multiplier.
 struct LfsrStart {
-  std::size_t phase = 0;
+  std::size_t index = 0;
   std::uint64_t scramble = 1;
 };
-[[nodiscard]] LfsrStart lfsr_start(const LfsrCycle& cycle,
-                                   std::uint64_t salt);
+[[nodiscard]] LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt,
+                                   LfsrWalk walk = LfsrWalk::kClock);
 
 }  // namespace detail
 

@@ -113,8 +113,8 @@ std::vector<PackedKernel::Streams> reference_rows(
   return rows;
 }
 
-/// The same evaluation through KernelOps::select_compare: walks set up
-/// from the salts fill_fused_stimulus draws (x bank, y bank, one per set).
+/// The same evaluation through KernelOps::select_compare, its walks set up
+/// by the helper the engine uses.
 std::vector<PackedKernel::Streams> lane_rows(
     std::size_t n, std::size_t m, double x, double y,
     const std::vector<std::vector<double>>& coeffs, std::size_t length,
@@ -122,12 +122,10 @@ std::vector<PackedKernel::Streams> lane_rows(
   const sc::detail::LfsrCycle& cycle = sc::detail::lfsr_cycle(stimulus.width);
   const std::size_t k = coeffs.size();
   std::vector<simd::LaneWalk> walks;
-  std::uint64_t salt = stimulus.seed * 2u + 1u;
-  for (std::size_t i = 0; i < n + m + k; ++i, ++salt) {
-    const sc::detail::LfsrStart start = sc::detail::lfsr_start(cycle, salt);
-    walks.push_back(
-        {i < n + m ? start.phase : cycle.leap_index(start.phase),
-         static_cast<std::uint16_t>(start.scramble)});
+  for (std::size_t i = 0; i < n + m + k; ++i) {
+    const sc::detail::LfsrStart start =
+        sc::detail::v2_walk_start(cycle, stimulus, n + m, i);
+    walks.push_back({start.index, static_cast<std::uint16_t>(start.scramble)});
   }
   const auto bound = [&](double p) {
     return sc::detail::inclusive_bound(
@@ -315,12 +313,6 @@ TEST(SelectCompare, LaneKernelMatchesMaterializedV2) {
   }
 }
 
-/// Replica of run_nd's per-index seed decorrelation (packed_sim.cpp).
-std::uint64_t factor_seed(std::uint64_t master, std::size_t index) {
-  oscs::SplitMix64 sm(master ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
-  return sm.next();
-}
-
 /// An N-ary program whose axis passes carry `sets_on_axis0` factors on
 /// axis 0 (one per term) and one factor on axis 1 in the first term.
 sc::SeparableProgram nary_program(std::size_t order,
@@ -372,7 +364,7 @@ PackedRunResult reference_nd(const PackedKernel& kernel,
     }
     if (coeffs.empty()) continue;
     const sc::ScInputConfig stimulus{cfg.source_kind, cfg.op.sng_width,
-                                     factor_seed(cfg.stimulus_seed, a)};
+                                     derive_factor_seed(cfg.stimulus_seed, a)};
     const auto rows =
         reference_rows(kernel, point[a], 0.0, coeffs, length, stimulus);
     for (std::size_t s = 0; s < rows.size(); ++s) {
@@ -383,7 +375,7 @@ PackedRunResult reference_nd(const PackedKernel& kernel,
   PackedRunResult r;
   r.length = length;
   for (std::size_t f = 0; f < factors; ++f) {
-    oscs::Xoshiro256 rng(factor_seed(cfg.noise_seed, f));
+    oscs::Xoshiro256 rng(derive_factor_seed(cfg.noise_seed, f));
     r.noise_flips += apply_noise_flips(optical[f], cfg.op.ber, rng);
   }
   std::size_t f = 0;

@@ -37,13 +37,6 @@ namespace sc = oscs::stochastic;
 constexpr std::size_t kSeeds = 400;
 constexpr std::size_t kLength = 4096;
 
-/// Replica of run_nd's per-index seed decorrelation (packed_sim.cpp), so
-/// both estimators draw equally independent axis stimulus and flips.
-std::uint64_t index_seed(std::uint64_t master, std::size_t index) {
-  oscs::SplitMix64 sm(master ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
-  return sm.next();
-}
-
 /// The v1 estimate of one evaluation, with public calls: per axis pass
 /// (one pass for a dense program) the one-salt-per-cell stimulus through
 /// the bit-plane core, per-factor flips, AND per term, weighted sum.
@@ -91,11 +84,11 @@ double v1_estimate(const PackedKernel& kernel,
     const sc::FusedScInputs2 fused = sc::make_fused_sc_inputs2(
         point[a], 0.0, coeffs, kernel.order(), 0, length,
         {cfg.source_kind, cfg.op.sng_width,
-         index_seed(cfg.stimulus_seed, a)},
+         derive_factor_seed(cfg.stimulus_seed, a)},
         v1);
     for (std::size_t s = 0; s < coeffs.size(); ++s) {
       optical[index[s]] = flipped(kernel.evaluate2(fused.program(s)).optical,
-                                  index_seed(cfg.noise_seed, index[s]));
+                                  derive_factor_seed(cfg.noise_seed, index[s]));
     }
   }
   double estimate = 0.0;

@@ -323,6 +323,30 @@ TEST(SngFill, SetStreamsLeapSixteenClocksPerBit) {
   }
 }
 
+TEST(SngFill, SetStreamsOfOtherSourcesMatchFillStream) {
+  // Sources without a leap: the set's sequence is the source's own, so
+  // every cell's row is that cell's one-salt stream.
+  const std::vector<double> coeffs = {0.0, 0.3, 0.77, 1.0};
+  for (SourceKind kind : {SourceKind::kCounter, SourceKind::kVanDerCorput,
+                          SourceKind::kChaoticLaser}) {
+    for (std::size_t length : kLengths) {
+      const std::uint64_t salt = 7 + length;
+      const std::size_t nwords = (length + 63) / 64;
+      std::vector<std::vector<std::uint64_t>> got(
+          coeffs.size(), std::vector<std::uint64_t>(nwords, ~0ULL));
+      std::vector<std::uint64_t*> rows;
+      for (auto& row : got) rows.push_back(row.data());
+      fill_set_streams(kind, 16, salt, coeffs, length, rows.data());
+      for (std::size_t c = 0; c < coeffs.size(); ++c) {
+        std::vector<std::uint64_t> want(nwords, ~0ULL);
+        fill_stream(kind, 16, salt, coeffs[c], length, want.data());
+        ASSERT_EQ(got[c], want) << "kind " << static_cast<int>(kind)
+                                << " length " << length << " cell " << c;
+      }
+    }
+  }
+}
+
 TEST(SngFill, CycleTableRejectsUnsupportedWidths) {
   EXPECT_THROW((void)detail::lfsr_cycle(2), std::invalid_argument);
   EXPECT_THROW((void)detail::lfsr_cycle(17), std::invalid_argument);
