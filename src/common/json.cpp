@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -11,20 +10,33 @@
 
 namespace oscs {
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
+namespace {
+
+/// Append the "%.17g" rendering of `value` (null when non-finite): one
+/// to_chars into a stack buffer, no temporary string.
+void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
   // The "%.17g" rendering (17 significant digits, %g's exponent switch),
   // without printf's locale and format-string parsing.
   char buf[32];
   const std::to_chars_result r = std::to_chars(
       buf, buf + sizeof(buf), value, std::chars_format::general, 17);
-  return std::string(buf, r.ptr);
+  out.append(buf, r.ptr);
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
+/// Append `text` escaped per RFC 8259; runs that need no escape are
+/// appended whole.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t clean = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + clean, i - clean);
+    clean = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -33,16 +45,28 @@ std::string json_escape(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char unicode[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out.append(unicode, sizeof(unicode));
+      }
     }
   }
+  out.append(text.data() + clean, text.size() - clean);
+}
+
+}  // namespace
+
+std::string json_number(double value) {
+  std::string out;
+  append_number(out, value);
+  return out;
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
@@ -116,7 +140,7 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   if (need_comma_) out_ += ',';
   write_indent();
   out_ += '"';
-  out_ += json_escape(name);
+  append_escaped(out_, name);
   out_ += pretty_ ? "\": " : "\":";
   after_key_ = true;
   return *this;
@@ -124,7 +148,7 @@ JsonWriter& JsonWriter::key(std::string_view name) {
 
 JsonWriter& JsonWriter::value(double v) {
   begin_value();
-  out_ += json_number(v);
+  append_number(out_, v);
   need_comma_ = true;
   if (stack_.empty()) done_ = true;
   return *this;
@@ -141,14 +165,14 @@ JsonWriter& JsonWriter::value(bool v) {
 JsonWriter& JsonWriter::value(std::string_view v) {
   begin_value();
   out_ += '"';
-  out_ += json_escape(v);
+  append_escaped(out_, v);
   out_ += '"';
   need_comma_ = true;
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_value(const std::string& text) {
+JsonWriter& JsonWriter::raw_value(std::string_view text) {
   begin_value();
   out_ += text;
   need_comma_ = true;

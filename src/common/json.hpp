@@ -13,6 +13,7 @@
 /// and eyeballed in CI as much as they are parsed; compact mode emits the
 /// whole document on one line for newline-delimited wire protocols.
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -64,7 +65,9 @@ class JsonWriter {
   template <typename T>
     requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
   JsonWriter& value(T v) {
-    return raw_value(std::to_string(v));
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    return raw_value(std::string_view(buf, r.ptr));
   }
 
   /// key() + value() in one call.
@@ -83,7 +86,7 @@ class JsonWriter {
   [[nodiscard]] std::string str() const;
 
  private:
-  JsonWriter& raw_value(const std::string& text);
+  JsonWriter& raw_value(std::string_view text);
   void begin_value();
   void write_indent();
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -375,28 +377,36 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
   for (std::size_t xi = 0; xi < n_xs; ++xi) points.push_back(request.point(xi));
   pool.run_range((n_tasks + slab - 1) / slab, [&](std::size_t si) {
     const std::size_t end = std::min(n_tasks, (si + 1) * slab);
+    // A cell's repeats are contiguous tasks, so the slab prepares each
+    // cell it touches once (PackedCell) and runs it per repeat.
+    std::optional<PackedCell> prepared;
+    std::size_t prepared_cell = 0;
+    PackedRunResult one;
+    std::vector<PackedRunResult> many(fused ? per_task : 0);
+    PackedRunResult* results = fused ? many.data() : &one;
     for (std::size_t t = si * slab; t < end; ++t) {
       const std::size_t cell = t / repeats;
-      const std::size_t li = cell % n_lengths;
-      const std::size_t xi = (cell / n_lengths) % n_xs;
-      PackedRunConfig cfg;
-      cfg.op = base.with_stream_length(request.stream_lengths[li]);
-      cfg.source_kind = request.source_kind;
-      cfg.stimulus_seed = derive_task_seed(request.seed, t, 0);
-      cfg.noise_seed = derive_task_seed(request.seed, t, 1);
-      const auto store = [&outs](std::size_t slot, const PackedRunResult& r) {
-        outs[slot] = {r.optical_estimate, r.electronic_estimate,
-                      r.transmission_flips};
-      };
-      if (!fused) {
-        store(t, kernel_->run_nd(programs[cell / (n_lengths * n_xs)],
-                                 points[xi], cfg));
-        continue;
+      if (!prepared || cell != prepared_cell) {
+        const std::size_t li = cell % n_lengths;
+        const std::size_t xi = (cell / n_lengths) % n_xs;
+        const oscs::OperatingPoint op =
+            base.with_stream_length(request.stream_lengths[li]);
+        prepared.reset();
+        if (fused) {
+          prepared.emplace(*kernel_, std::span(programs), points[xi], op,
+                           request.source_kind);
+        } else {
+          prepared.emplace(*kernel_, programs[cell / (n_lengths * n_xs)],
+                           points[xi], op, request.source_kind);
+        }
+        prepared_cell = cell;
       }
-      const std::vector<PackedRunResult> results =
-          kernel_->run_fused(programs, points[xi], cfg);
+      prepared->run(derive_task_seed(request.seed, t, 0),
+                    derive_task_seed(request.seed, t, 1), results);
       for (std::size_t k = 0; k < per_task; ++k) {
-        store(t * per_task + k, results[k]);
+        const PackedRunResult& r = results[k];
+        outs[t * per_task + k] = {r.optical_estimate, r.electronic_estimate,
+                                  r.transmission_flips};
       }
     }
   });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,62 +27,13 @@ namespace {
 constexpr std::size_t kBlockWords = 256;
 
 /// Run-path scratch a thread keeps between evaluations [bytes]. A longer
-/// evaluation's buffers are released when it ends, so one admissible
-/// 2^26-bit order-6 request cannot pin ~120 MiB in a pooled thread.
-constexpr std::size_t kArenaKeepBytes = std::size_t{256} << 10;
+/// materialized evaluation's buffers are released when it ends, so one
+/// admissible 2^26-bit order-6 request cannot pin ~120 MiB in a pooled
+/// thread.
+constexpr std::size_t kScratchKeepBytes = std::size_t{256} << 10;
 
 static_assert(simd::kMaxLaneOrder == PackedKernel::kMaxOrder,
               "the lane loop must take every kernel order");
-
-/// Per-thread buffers of the run paths: word rows (stimulus, decisions,
-/// block scratch), row pointer tables, coefficient pointers and the lane
-/// loop's walks and bounds. They grow to an evaluation's shape and length
-/// and are reused by the next one.
-struct Arena {
-  std::vector<std::uint64_t> words;
-  std::vector<std::uint64_t*> rows;
-  std::vector<const double*> coeffs;
-  std::vector<simd::LaneWalk> walks;
-  std::vector<std::int16_t> bounds;
-};
-
-/// The calling thread's arena for one evaluation. Each buffer is taken
-/// once per evaluation (a later take may move it); on the way out, by
-/// return or throw, buffers past kArenaKeepBytes are released.
-class ArenaLease {
- public:
-  ArenaLease() : arena_(thread_arena()) {}
-  ~ArenaLease() {
-    const std::size_t bytes =
-        arena_.words.capacity() * sizeof(std::uint64_t) +
-        arena_.rows.capacity() * sizeof(std::uint64_t*) +
-        arena_.coeffs.capacity() * sizeof(const double*) +
-        arena_.walks.capacity() * sizeof(simd::LaneWalk) +
-        arena_.bounds.capacity() * sizeof(std::int16_t);
-    if (bytes > kArenaKeepBytes) arena_ = Arena{};
-  }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-
-  std::uint64_t* words(std::size_t n) { return take(arena_.words, n); }
-  std::uint64_t** rows(std::size_t n) { return take(arena_.rows, n); }
-  const double** coeffs(std::size_t n) { return take(arena_.coeffs, n); }
-  simd::LaneWalk* walks(std::size_t n) { return take(arena_.walks, n); }
-  std::int16_t* bounds(std::size_t n) { return take(arena_.bounds, n); }
-
- private:
-  static Arena& thread_arena() {
-    thread_local Arena arena;
-    return arena;
-  }
-  template <typename T>
-  static T* take(std::vector<T>& buffer, std::size_t n) {
-    if (buffer.size() < n) buffer.resize(n);
-    return buffer.data();
-  }
-
-  Arena& arena_;
-};
 
 std::vector<bool> pattern_bits(std::uint32_t pattern, std::size_t count) {
   std::vector<bool> bits(count, false);
@@ -96,7 +48,7 @@ std::vector<bool> ones_prefix(std::size_t ones, std::size_t count) {
 }
 
 void check_point(const sc::SeparableProgram& program,
-                 const std::vector<double>& point) {
+                 std::span<const double> point) {
   if (point.size() != program.arity()) {
     throw std::invalid_argument(
         "PackedKernel: point arity " + std::to_string(point.size()) +
@@ -105,45 +57,18 @@ void check_point(const sc::SeparableProgram& program,
   }
 }
 
-/// Geometric gap sampling of independent per-bit flips with probability
-/// `flip_p` over `length` bits: on_flip(pos) sees strictly increasing
-/// positions. The index of the next flipped bit advances by
-/// 1 + Geometric(p), so the cost scales with the number of flips
-/// (~p * N) rather than the stream length.
-template <typename OnFlip>
-void for_each_flip(std::size_t length, double flip_p, oscs::Xoshiro256& rng,
-                   OnFlip&& on_flip) {
-  if (flip_p <= 0.0 || length == 0) return;
-  const double log_keep = std::log1p(-flip_p);
-  std::size_t pos = 0;
-  for (;;) {
-    const double u = rng.uniform01();
-    const double gap = std::floor(std::log1p(-u) / log_keep);
-    if (gap >= static_cast<double>(length - pos)) break;
-    pos += static_cast<std::size_t>(gap);
-    on_flip(pos);
-    ++pos;
-    if (pos >= length) break;
-  }
+bool is_dense(const sc::SeparableProgram& program) {
+  return program.has_dense1() || program.has_dense2();
 }
 
-/// Eq. 9 receiver noise on decision rows: flip positions sampled at the
-/// operating point's BER from `noise_seed`, each toggled in place in
-/// every one of `rows` (positions are below the stream length, so
-/// padding stays untouched). Returns the number of positions.
-std::size_t apply_receiver_flips(const oscs::OperatingPoint& op,
-                                 std::uint64_t noise_seed,
-                                 std::uint64_t* const* rows,
-                                 std::size_t row_count) {
-  if (!op.noisy()) return 0;
-  oscs::Xoshiro256 rng(noise_seed);
-  std::size_t flips = 0;
-  for_each_flip(op.stream_length, op.ber, rng, [&](std::size_t pos) {
-    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
-    for (std::size_t r = 0; r < row_count; ++r) rows[r][pos / 64] ^= bit;
-    ++flips;
-  });
-  return flips;
+/// Toggle every remaining flip of `draw` in each of `rows` (positions lie
+/// below the stream length, so padding stays untouched).
+void toggle_flips(simd::FlipDraw& draw, std::uint64_t* const* rows,
+                  std::size_t row_count) {
+  for (; draw.next != simd::FlipDraw::kNone; draw.advance()) {
+    const std::uint64_t bit = std::uint64_t{1} << (draw.next % 64);
+    for (std::size_t r = 0; r < row_count; ++r) rows[r][draw.next / 64] ^= bit;
+  }
 }
 
 double density(std::size_t ones, std::size_t length) {
@@ -153,60 +78,177 @@ double density(std::size_t ones, std::size_t length) {
 /// True when a stimulus-v2 evaluation runs the lane loop: an LFSR source
 /// the cycle table serves. Every other source or width materializes the
 /// same v2 rows (fill_fused_stimulus) for the bit-plane core.
-bool lane_stimulus(const PackedRunConfig& config) {
-  return config.source_kind == sc::SourceKind::kLfsr &&
-         config.op.sng_width >= 3 &&
-         config.op.sng_width <= sc::detail::kMaxLfsrTableWidth;
+bool lane_stimulus(sc::SourceKind kind, unsigned width) {
+  return kind == sc::SourceKind::kLfsr && width >= 3 &&
+         width <= sc::detail::kMaxLfsrTableWidth;
 }
 
-/// Stimulus v2 through KernelOps::select_compare: the walks start where
-/// the streams fill_fused_stimulus(kPerSet) draws for `stimulus` start
-/// (sc::detail::v2_walk_start), so the decision rows equal the
-/// materialized v2 rows run through the bit-plane core.
-void run_select_compare(std::size_t n, std::size_t m, double x, double y,
-                        std::span<const double* const> coeff_sets,
-                        const sc::ScInputConfig& stimulus, std::size_t length,
-                        ArenaLease& arena, std::uint64_t* const* optical,
-                        std::uint64_t* const* electronic) {
-  const sc::detail::LfsrCycle& cycle = sc::detail::lfsr_cycle(stimulus.width);
-  const std::size_t k = coeff_sets.size();
-  const std::size_t cells = (n + 1) * (m + 1);
-  simd::LaneWalk* walks = arena.walks(n + m + k);
-  std::int16_t* bounds = arena.bounds(k * cells);
-  for (std::size_t i = 0; i < n + m + k; ++i) {
-    const sc::detail::LfsrStart start =
-        sc::detail::v2_walk_start(cycle, stimulus, n + m, i);
-    walks[i] = {start.index, static_cast<std::uint16_t>(start.scramble)};
-  }
-  const auto bound = [width = stimulus.width](double p) {
-    return sc::detail::inclusive_bound(sc::comparator_threshold(p, width),
-                                       width);
-  };
-  for (std::size_t s = 0; s < k; ++s) {
-    for (std::size_t c = 0; c < cells; ++c) {
-      bounds[s * cells + c] = bound(coeff_sets[s][c]);
-    }
-  }
-  simd::SelectCompareJob job;
-  job.clock_row = cycle.row(sc::detail::LfsrWalk::kClock);
-  job.leap_row = cycle.row(sc::detail::LfsrWalk::kLeap);
-  job.period = cycle.period();
-  job.x = walks;
-  job.order_x = n;
-  job.x_bound = bound(x);
-  job.y = walks + n;
-  job.order_y = m;
-  job.y_bound = bound(y);
-  job.sets = walks + n + m;
-  job.set_count = k;
-  job.bounds = bounds;
-  job.length = length;
-  job.electronic = electronic;
-  job.optical = optical;
-  simd::kernel_ops().select_compare(job);
+/// The lane loop's bound for probability p (SelectCompareJob).
+std::int16_t lane_bound(double p, unsigned width) {
+  return sc::detail::inclusive_bound(sc::comparator_threshold(p, width),
+                                     width);
 }
 
 }  // namespace
+
+/// The calling thread's run-path state: buffers that grow to an
+/// evaluation's shape and length and are reused by the next one, and the
+/// cell they are prepared for. Each buffer is taken once per cell (a
+/// later take may move it).
+struct PackedCell::Scratch {
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t*> rows;
+  std::vector<const double*> coeffs;
+  std::vector<simd::LaneWalk> walks;
+  std::vector<std::int16_t> bounds;
+  std::vector<simd::LanePass> passes;
+  std::vector<std::uint32_t> index;
+  std::vector<simd::FlipDraw> flips;
+  std::vector<simd::ProductCounts> counts;
+  bool leased = false;
+
+  // The prepared cell. Sets are the coefficient sets of every pass,
+  // pass-major; factors are numbered term-major (a dense cell's program p
+  // is set and factor p, one term each).
+  const sc::SeparableProgram* program = nullptr;  ///< general; null: dense
+  std::span<const double> point;
+  std::size_t length = 0;
+  std::size_t nwords = 0;
+  sc::ScInputConfig stimulus;  ///< kind and width; the seed is per run
+  sc::StimulusLayout layout = sc::StimulusLayout::kPerSet;
+  double ber = std::numeric_limits<double>::quiet_NaN();
+  double log_keep = 0.0;       ///< log1p(-ber), kept while ber repeats
+  bool lanes = false;          ///< the lane loop runs (else materialized)
+  std::size_t sets = 0;
+  std::size_t banks = 0;       ///< data-bank walks per pass
+  simd::SelectCompareJob job;  ///< passes, sets, terms, flips, counts
+  const double** set_coeffs = nullptr;
+  const std::uint32_t* pass_axis = nullptr;
+  const sc::detail::LfsrCycle* cycle = nullptr;
+  // Materialized rows: stimulus rows, then per factor its optical and
+  // electronic decision row, and per set its factor's rows.
+  std::uint64_t** stimulus_rows = nullptr;
+  std::uint64_t* const* optical = nullptr;
+  std::uint64_t* const* electronic = nullptr;
+  std::uint64_t** set_optical = nullptr;
+  std::uint64_t** set_electronic = nullptr;
+  std::uint64_t* core = nullptr;
+
+  template <typename T>
+  static T* take(std::vector<T>& buffer, std::size_t n) {
+    if (buffer.size() < n) buffer.resize(n);
+    return buffer.data();
+  }
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return words.capacity() * sizeof(std::uint64_t) +
+           rows.capacity() * sizeof(std::uint64_t*) +
+           coeffs.capacity() * sizeof(const double*) +
+           walks.capacity() * sizeof(simd::LaneWalk) +
+           bounds.capacity() * sizeof(std::int16_t) +
+           passes.capacity() * sizeof(simd::LanePass) +
+           index.capacity() * sizeof(std::uint32_t) +
+           flips.capacity() * sizeof(simd::FlipDraw) +
+           counts.capacity() * sizeof(simd::ProductCounts);
+  }
+
+  /// The cell fields every shape shares.
+  void begin(const PackedKernel& kernel, std::span<const double> at,
+             const oscs::OperatingPoint& op, sc::SourceKind kind) {
+    point = at;
+    length = op.stream_length;
+    nwords = (length + 63) / 64;
+    stimulus = {kind, op.sng_width, 0};
+    layout = kernel.stimulus_layout();
+    if (!(op.ber == ber)) {
+      ber = op.ber;
+      log_keep = std::log1p(-ber);
+    }
+    lanes = kernel.mux_exact() && lane_stimulus(kind, op.sng_width);
+    cycle = lanes ? &sc::detail::lfsr_cycle(op.sng_width) : nullptr;
+  }
+
+  /// The lane loop's seed-free half: bank walk slots and bounds per pass,
+  /// one gather row per set, and the job around them. The job's layout,
+  /// passes[p].sets and set_coeffs must be set; `axis_of(p)` names pass
+  /// p's point coordinate (and the y bank reads point[1] when there is
+  /// one).
+  template <typename AxisOf>
+  void prepare_lanes(std::size_t order_x, std::size_t order_y,
+                     AxisOf&& axis_of) {
+    const std::size_t pass_count = job.pass_count;
+    const std::size_t cells = (order_x + 1) * (order_y + 1);
+    const std::size_t stride = simd::lane_bound_stride(cells);
+    banks = order_x + order_y;
+    simd::LaneWalk* walk = take(walks, pass_count * banks + sets);
+    simd::LanePass* pass = passes.data();
+    const unsigned width = stimulus.width;
+    for (std::size_t p = 0; p < pass_count; ++p, walk += banks) {
+      pass[p].x = walk;
+      pass[p].x_bound = lane_bound(point[axis_of(p)], width);
+      pass[p].y = walk + order_x;
+      pass[p].y_bound = lane_bound(order_y > 0 ? point[1] : 0.0, width);
+    }
+    std::int16_t* row = take(bounds, sets * stride);
+    for (std::size_t g = 0; g < sets; ++g, row += stride) {
+      for (std::size_t c = 0; c < cells; ++c) {
+        row[c] = lane_bound(set_coeffs[g][c], width);
+      }
+      std::fill(row + cells, row + stride, std::int16_t{0});
+    }
+    job.clock_row = cycle->row(sc::detail::LfsrWalk::kClock);
+    job.leap_row = cycle->row(sc::detail::LfsrWalk::kLeap);
+    job.period = cycle->period();
+    job.order_x = order_x;
+    job.order_y = order_y;
+    job.passes = pass;
+    job.sets = walk;
+    job.bounds = bounds.data();
+    job.length = length;
+    job.flips = take(flips, job.flip_count);
+    job.counts = take(counts, job.term_count);
+    job.decisions =
+        take(words, (sets + job.flip_count) * simd::kLaneBlockWords);
+    job.electronic = nullptr;
+    job.optical = nullptr;
+  }
+
+  /// Seed and start the flip draws: the one draw a dense cell's programs
+  /// share from `noise_seed`, else factor f's from its decorrelated seed.
+  void start_flips(std::uint64_t noise_seed) {
+    for (std::size_t f = 0; f < job.flip_count; ++f) {
+      job.flips[f].rng = oscs::Xoshiro256(
+          program != nullptr ? derive_factor_seed(noise_seed, f) : noise_seed);
+      job.flips[f].start(log_keep, length);
+    }
+  }
+
+  /// The materialized path's rows: `stimulus_count` stimulus rows, one
+  /// optical and one electronic row per factor, and per set views of its
+  /// factor's rows; `set_factor` maps sets to factors (null: identity).
+  void prepare_rows(const PackedKernel& kernel, std::size_t stimulus_count,
+                    const std::uint32_t* set_factor) {
+    const std::size_t factors = job.factor_count;
+    const std::size_t row_count = stimulus_count + 2 * factors;
+    std::uint64_t* base = take(
+        words, row_count * nwords + kernel.core_scratch_words(nwords));
+    std::uint64_t** table = take(rows, row_count + 2 * sets);
+    for (std::size_t r = 0; r < row_count; ++r) table[r] = base + r * nwords;
+    stimulus_rows = table;
+    optical = table + stimulus_count;
+    electronic = optical + factors;
+    set_optical = table + row_count;
+    set_electronic = set_optical + sets;
+    for (std::size_t g = 0; g < sets; ++g) {
+      const std::size_t f = set_factor != nullptr ? set_factor[g] : g;
+      set_optical[g] = optical[f];
+      set_electronic[g] = electronic[f];
+    }
+    core = base + row_count * nwords;
+    job.flips = take(flips, job.flip_count);
+    job.counts = take(counts, job.term_count);
+  }
+};
 
 std::uint64_t derive_factor_seed(std::uint64_t master, std::size_t index) {
   oscs::SplitMix64 sm(master ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
@@ -217,8 +259,13 @@ std::vector<std::size_t> sample_flip_positions(std::size_t length,
                                                double flip_p,
                                                oscs::Xoshiro256& rng) {
   std::vector<std::size_t> positions;
-  for_each_flip(length, flip_p, rng,
-                [&positions](std::size_t pos) { positions.push_back(pos); });
+  simd::FlipDraw draw;
+  draw.rng = rng;
+  draw.start(std::log1p(-flip_p), length);
+  for (; draw.next != simd::FlipDraw::kNone; draw.advance()) {
+    positions.push_back(draw.next);
+  }
+  rng = draw.rng;
   return positions;
 }
 
@@ -515,198 +562,304 @@ PackedRunResult PackedKernel::run2(const sc::BernsteinPoly2& poly, double x,
   return run_nd(sc::SeparableProgram(poly), {x, y}, config);
 }
 
-void PackedKernel::run_dense(std::span<const sc::SeparableProgram> programs,
-                             const std::vector<double>& point,
-                             const PackedRunConfig& config,
-                             PackedRunResult* results) const {
-  for (const sc::SeparableProgram& program : programs) {
-    if (!program.has_dense1() && !program.has_dense2()) {
-      throw std::invalid_argument(
-          "PackedKernel: fused mode takes dense programs");
-    }
-    check_point(program, point);
-    check_program(program);
-  }
-  config.op.validate();
-
-  const std::size_t n = order_;
-  const std::size_t m = order_y_;
-  const std::size_t k = programs.size();
-  const std::size_t length = config.op.stream_length;
-  const std::size_t nwords = (length + 63) / 64;
-  const bool lanes = mux_exact_ && lane_stimulus(config);
-  // Rows: unless the lane loop runs, the x bank, the y bank and K
-  // coefficient grids (stimulus, in salt order); then K optical and K
-  // electronic decision rows.
-  const std::size_t stimulus_rows = lanes ? 0 : n + m + k * (n + 1) * (m + 1);
-  const std::size_t row_count = stimulus_rows + 2 * k;
-  ArenaLease arena;
-  std::uint64_t* words = arena.words(
-      row_count * nwords + (lanes ? 0 : core_scratch_words(nwords)));
-  std::uint64_t** rows = arena.rows(row_count);
-  for (std::size_t r = 0; r < row_count; ++r) rows[r] = words + r * nwords;
-  const double** coeff_sets = arena.coeffs(k);
-  for (std::size_t p = 0; p < k; ++p) {
-    coeff_sets[p] = programs[p].has_dense1()
-                        ? programs[p].dense1().coeffs().data()
-                        : programs[p].dense2().coeffs().data();
-  }
-  const double x = point[0];
-  const double y = point.size() > 1 ? point[1] : 0.0;
-  const sc::ScInputConfig stimulus{config.source_kind, config.op.sng_width,
-                                   config.stimulus_seed};
-  std::uint64_t* const* optical = rows + stimulus_rows;
-  std::uint64_t* const* electronic = optical + k;
-  if (lanes) {
-    run_select_compare(n, m, x, y, {coeff_sets, k}, stimulus, length, arena,
-                       optical, electronic);
-  } else {
-    sc::fill_fused_stimulus(x, y, {coeff_sets, k}, n, m, length, stimulus,
-                            stimulus_layout(), rows);
-    evaluate_core(rows, rows + n, rows + n + m, k, nwords, optical,
-                  electronic, words + row_count * nwords);
-  }
-
-  // One flip pass: positions are sampled once at the operating point's BER
-  // and toggled in every program's decision row. Marginal per-program
-  // statistics are unchanged; programs share the flip pattern the way
-  // fused hardware would share the receiver.
-  const std::size_t flips =
-      apply_receiver_flips(config.op, config.noise_seed, optical, k);
-  const simd::KernelOps& ops = simd::kernel_ops();
-  for (std::size_t p = 0; p < k; ++p) {
-    const simd::ProductCounts counts =
-        ops.count_product(optical + p, electronic + p, 1, length);
-    PackedRunResult& r = results[p];
-    r.length = length;
-    r.noise_flips = flips;
-    r.optical_estimate = density(counts.optical, length);
-    r.electronic_estimate = density(counts.electronic, length);
-    r.transmission_flips = counts.differ;
-  }
-}
-
 std::vector<PackedRunResult> PackedKernel::run_fused(
     std::span<const sc::SeparableProgram> programs,
     const std::vector<double>& point, const PackedRunConfig& config) const {
-  if (programs.empty()) {
-    throw std::invalid_argument("PackedKernel: no programs to run");
-  }
+  PackedCell cell(*this, programs, point, config.op, config.source_kind);
   std::vector<PackedRunResult> results(programs.size());
-  run_dense(programs, point, config, results.data());
+  cell.run(config.stimulus_seed, config.noise_seed, results.data());
   return results;
 }
 
 PackedRunResult PackedKernel::run_nd(const sc::SeparableProgram& program,
                                      const std::vector<double>& point,
                                      const PackedRunConfig& config) const {
-  check_point(program, point);
+  PackedCell cell(*this, program, point, config.op, config.source_kind);
   PackedRunResult result;
-  if (program.has_dense1() || program.has_dense2()) {
-    run_dense({&program, 1}, point, config, &result);
-    return result;
-  }
-  check_program(program);
-  config.op.validate();
+  cell.run(config.stimulus_seed, config.noise_seed, &result);
+  return result;
+}
 
-  const std::size_t n = order_;
-  const std::size_t length = config.op.stream_length;
-  const std::size_t nwords = (length + 63) / 64;
+PackedCell::Lease::Lease()
+    : scratch([]() -> Scratch& {
+        thread_local Scratch state;
+        return state;
+      }()) {
+  if (scratch.leased) {
+    throw std::logic_error(
+        "PackedCell: this thread already holds a packed evaluation");
+  }
+  scratch.leased = true;
+}
+
+PackedCell::Lease::~Lease() {
+  // Buffers past kScratchKeepBytes (long materialized streams) go back to
+  // the heap; the rest serve the thread's next evaluation.
+  if (scratch.bytes() > kScratchKeepBytes) scratch = Scratch{};
+  scratch.leased = false;
+}
+
+PackedCell::PackedCell(const PackedKernel& kernel,
+                       const sc::SeparableProgram& program,
+                       std::span<const double> point,
+                       const oscs::OperatingPoint& op,
+                       sc::SourceKind source_kind)
+    : kernel_(kernel) {
+  check_point(program, point);
+  if (is_dense(program)) {
+    prepare_dense({&program, 1}, point, op, source_kind);
+  } else {
+    prepare_terms(program, point, op, source_kind);
+  }
+}
+
+PackedCell::PackedCell(const PackedKernel& kernel,
+                       std::span<const sc::SeparableProgram> programs,
+                       std::span<const double> point,
+                       const oscs::OperatingPoint& op,
+                       sc::SourceKind source_kind)
+    : kernel_(kernel) {
+  prepare_dense(programs, point, op, source_kind);
+}
+
+void PackedCell::prepare_dense(std::span<const sc::SeparableProgram> programs,
+                               std::span<const double> point,
+                               const oscs::OperatingPoint& op,
+                               sc::SourceKind source_kind) {
+  if (programs.empty()) {
+    throw std::invalid_argument("PackedKernel: no programs to run");
+  }
+  for (const sc::SeparableProgram& program : programs) {
+    if (!is_dense(program)) {
+      throw std::invalid_argument(
+          "PackedKernel: fused mode takes dense programs");
+    }
+    check_point(program, point);
+    kernel_.check_program(program);
+  }
+  op.validate();
+
+  // One pass over the x bank, the y bank and K coefficient grids; each
+  // program is one set, one factor and one term, and the programs share
+  // one flip draw the way fused hardware shares the receiver.
+  Scratch& s = lease_.scratch;
+  const std::size_t n = kernel_.order();
+  const std::size_t m = kernel_.order_y();
+  const std::size_t k = programs.size();
+  s.begin(kernel_, point, op, source_kind);
+  s.program = nullptr;
+  s.sets = k;
+  s.set_coeffs = Scratch::take(s.coeffs, k);
+  for (std::size_t p = 0; p < k; ++p) {
+    s.set_coeffs[p] = programs[p].has_dense1()
+                          ? programs[p].dense1().coeffs().data()
+                          : programs[p].dense2().coeffs().data();
+  }
+  Scratch::take(s.passes, 1)->sets = k;
+  s.pass_axis = nullptr;
+  s.job.pass_count = 1;
+  s.job.factor_set = nullptr;
+  s.job.factor_count = k;
+  s.job.term_end = nullptr;
+  s.job.term_count = k;
+  s.job.flip_count = 1;
+  if (s.lanes) {
+    s.prepare_lanes(n, m, [](std::size_t) { return std::size_t{0}; });
+  } else {
+    s.prepare_rows(kernel_, n + m + k * (n + 1) * (m + 1), nullptr);
+  }
+}
+
+void PackedCell::prepare_terms(const sc::SeparableProgram& program,
+                               std::span<const double> point,
+                               const oscs::OperatingPoint& op,
+                               sc::SourceKind source_kind) {
+  kernel_.check_program(program);
+  op.validate();
+
+  // One pass per axis that carries factors: every factor on axis a, in
+  // term-major order, is one coefficient set over the axis's x bank.
+  Scratch& s = lease_.scratch;
   const std::vector<sc::SeparableTerm>& terms = program.terms();
-  // Factors are numbered term-major; the widest axis pass sizes the
-  // stimulus rows every pass reuses.
   std::size_t factors = 0;
   for (const sc::SeparableTerm& term : terms) factors += term.factors.size();
+  s.begin(kernel_, point, op, source_kind);
+  s.program = &program;
+  s.sets = factors;
+  s.set_coeffs = Scratch::take(s.coeffs, factors);
+  simd::LanePass* pass = Scratch::take(s.passes, program.arity());
+  std::uint32_t* index =
+      Scratch::take(s.index, 2 * factors + terms.size() + program.arity());
+  std::uint32_t* set_factor = index;
+  std::uint32_t* factor_set = set_factor + factors;
+  std::uint32_t* term_end = factor_set + factors;
+  std::uint32_t* pass_axis = term_end + terms.size();
+  std::size_t passes = 0;
   std::size_t widest = 0;
+  std::uint32_t set = 0;
   for (std::size_t a = 0; a < program.arity(); ++a) {
-    std::size_t on_axis = 0;
-    for (const sc::SeparableTerm& term : terms) {
-      for (const sc::SeparableFactor& factor : term.factors) {
-        on_axis += factor.axis == a ? 1 : 0;
-      }
-    }
-    widest = std::max(widest, on_axis);
-  }
-
-  // Rows: unless the lane loop runs, one axis pass's stimulus (x bank +
-  // its coefficient sets); then every factor's optical and electronic
-  // decision row, term-major. Pointers: the stimulus rows, the factor
-  // rows, and the current axis pass's view of its factors' decision rows.
-  const bool lanes = mux_exact_ && lane_stimulus(config);
-  const std::size_t stimulus_rows = lanes ? 0 : n + widest * (n + 1);
-  const std::size_t row_count = stimulus_rows + 2 * factors;
-  ArenaLease arena;
-  std::uint64_t* words = arena.words(
-      row_count * nwords + (lanes ? 0 : core_scratch_words(nwords)));
-  std::uint64_t** rows = arena.rows(row_count + 2 * widest);
-  for (std::size_t r = 0; r < row_count; ++r) rows[r] = words + r * nwords;
-  std::uint64_t* const* optical = rows + stimulus_rows;
-  std::uint64_t* const* electronic = optical + factors;
-  std::uint64_t** pass_optical = rows + row_count;
-  std::uint64_t** pass_electronic = pass_optical + widest;
-  const double** coeff_sets = arena.coeffs(widest);
-  std::uint64_t* scratch = words + row_count * nwords;
-
-  // One stimulus pass per axis: every factor on axis a (term-major order)
-  // is one coefficient set over the axis's shared x bank, seeded by the
-  // axis index. A term's factors sit on strictly increasing axes, so they
-  // still come from distinct passes with decorrelated seeds; the shared
-  // bank only correlates terms, which fold arithmetically.
-  for (std::size_t a = 0; a < program.arity(); ++a) {
-    std::size_t sets = 0;
-    std::size_t f = 0;
+    const std::uint32_t first = set;
+    std::uint32_t f = 0;
     for (const sc::SeparableTerm& term : terms) {
       for (const sc::SeparableFactor& factor : term.factors) {
         if (factor.axis == a) {
-          coeff_sets[sets] = factor.poly.coeffs().data();
-          pass_optical[sets] = optical[f];
-          pass_electronic[sets] = electronic[f];
-          ++sets;
+          s.set_coeffs[set] = factor.poly.coeffs().data();
+          set_factor[set] = f;
+          factor_set[f] = set;
+          ++set;
         }
         ++f;
       }
     }
-    if (sets == 0) continue;
-    const sc::ScInputConfig stimulus{
-        config.source_kind, config.op.sng_width,
-        derive_factor_seed(config.stimulus_seed, a)};
-    if (lanes) {
-      run_select_compare(n, 0, point[a], 0.0, {coeff_sets, sets}, stimulus,
-                         length, arena, pass_optical, pass_electronic);
-      continue;
+    if (set == first) continue;
+    pass[passes].sets = set - first;
+    pass_axis[passes] = static_cast<std::uint32_t>(a);
+    widest = std::max<std::size_t>(widest, set - first);
+    ++passes;
+  }
+  std::uint32_t end = 0;
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    end += static_cast<std::uint32_t>(terms[t].factors.size());
+    term_end[t] = end;
+  }
+  s.pass_axis = pass_axis;
+  s.job.pass_count = passes;
+  s.job.factor_set = factor_set;
+  s.job.factor_count = factors;
+  s.job.term_end = term_end;
+  s.job.term_count = terms.size();
+  s.job.flip_count = factors;
+  const std::size_t n = kernel_.order();
+  if (s.lanes) {
+    s.prepare_lanes(n, 0, [pass_axis](std::size_t p) { return pass_axis[p]; });
+  } else {
+    s.prepare_rows(kernel_, n + widest * (n + 1), set_factor);
+  }
+}
+
+void PackedCell::run(std::uint64_t stimulus_seed, std::uint64_t noise_seed,
+                     PackedRunResult* results) {
+  Scratch& s = lease_.scratch;
+  if (!s.lanes) {
+    run_materialized(stimulus_seed, noise_seed, results);
+    return;
+  }
+  // Each walk starts where fill_fused_stimulus(kPerSet) starts the same
+  // stream for the pass's seed (sc::detail::v2_walk_start), so the lane
+  // loop decides exactly the materialized v2 rows.
+  simd::SelectCompareJob& job = s.job;
+  simd::LaneWalk* bank = s.walks.data();
+  simd::LaneWalk* set = bank + job.pass_count * s.banks;
+  sc::ScInputConfig stimulus = s.stimulus;
+  for (std::size_t p = 0; p < job.pass_count; ++p) {
+    stimulus.seed = s.program != nullptr
+                        ? derive_factor_seed(stimulus_seed, s.pass_axis[p])
+                        : stimulus_seed;
+    const std::size_t walks = s.banks + job.passes[p].sets;
+    for (std::size_t i = 0; i < walks; ++i) {
+      const sc::detail::LfsrStart start =
+          sc::detail::v2_walk_start(*s.cycle, stimulus, s.banks, i);
+      simd::LaneWalk& walk = i < s.banks ? *bank++ : *set++;
+      walk = {start.index, static_cast<std::uint16_t>(start.scramble)};
     }
-    sc::fill_fused_stimulus(point[a], 0.0, {coeff_sets, sets}, n, 0, length,
-                            stimulus, stimulus_layout(), rows);
-    evaluate_core(rows, nullptr, rows + n, sets, nwords, pass_optical,
-                  pass_electronic, scratch);
   }
+  s.start_flips(noise_seed);
+  simd::kernel_ops().select_compare(job);
+  fold(results);
+}
 
-  // Per-factor receiver noise: each factor stream is its own optical
-  // decision stream, so each gets its own Eq. 9 flips.
-  result.length = length;
-  for (std::size_t f = 0; f < factors; ++f) {
-    result.noise_flips += apply_receiver_flips(
-        config.op, derive_factor_seed(config.noise_seed, f), optical + f, 1);
+void PackedCell::run_materialized(std::uint64_t stimulus_seed,
+                                  std::uint64_t noise_seed,
+                                  PackedRunResult* results) {
+  Scratch& s = lease_.scratch;
+  const std::size_t n = kernel_.order();
+  const std::size_t m = kernel_.order_y();
+  simd::SelectCompareJob& job = s.job;
+  sc::ScInputConfig stimulus = s.stimulus;
+  if (s.program == nullptr) {
+    stimulus.seed = stimulus_seed;
+    const double y = s.point.size() > 1 ? s.point[1] : 0.0;
+    sc::fill_fused_stimulus(s.point[0], y, {s.set_coeffs, s.sets}, n, m,
+                            s.length, stimulus, s.layout, s.stimulus_rows);
+    kernel_.evaluate_core(s.stimulus_rows, s.stimulus_rows + n,
+                          s.stimulus_rows + n + m, s.sets, s.nwords,
+                          s.optical, s.electronic, s.core);
+  } else {
+    // One stimulus pass per axis, seeded by the axis index. A term's
+    // factors sit on strictly increasing axes, so they still come from
+    // distinct passes with decorrelated seeds; the shared bank only
+    // correlates terms, which fold arithmetically.
+    std::size_t first = 0;
+    for (std::size_t p = 0; p < job.pass_count; ++p) {
+      const std::size_t a = s.pass_axis[p];
+      const std::size_t sets = s.passes[p].sets;
+      stimulus.seed = derive_factor_seed(stimulus_seed, a);
+      sc::fill_fused_stimulus(s.point[a], 0.0, {s.set_coeffs + first, sets},
+                              n, 0, s.length, stimulus, s.layout,
+                              s.stimulus_rows);
+      kernel_.evaluate_core(s.stimulus_rows, nullptr, s.stimulus_rows + n,
+                            sets, s.nwords, s.set_optical + first,
+                            s.set_electronic + first, s.core);
+      first += sets;
+    }
   }
-
+  // Eq. 9 receiver noise toggled into the optical rows: one draw shared by
+  // a dense cell's programs, else one per factor.
+  s.start_flips(noise_seed);
+  for (std::size_t f = 0; f < job.flip_count; ++f) {
+    if (job.flip_count == 1) {
+      toggle_flips(job.flips[f], s.optical, job.factor_count);
+    } else {
+      toggle_flips(job.flips[f], s.optical + f, 1);
+    }
+  }
   // Term product: AND of the term's independent factor rows, whose
-  // pointers sit together because factors are numbered term-major. An
-  // omitted axis contributes the constant 1 (the AND identity).
+  // pointers sit together because factors are numbered term-major.
   const simd::KernelOps& ops = simd::kernel_ops();
+  std::size_t f = 0;
+  for (std::size_t t = 0; t < job.term_count; ++t) {
+    const std::size_t end = job.term_end != nullptr ? job.term_end[t] : t + 1;
+    job.counts[t] =
+        ops.count_product(s.optical + f, s.electronic + f, end - f, s.length);
+    f = end;
+  }
+  fold(results);
+}
+
+void PackedCell::fold(PackedRunResult* results) const {
+  const Scratch& s = lease_.scratch;
+  const simd::SelectCompareJob& job = s.job;
+  const std::size_t length = s.length;
+  if (s.program == nullptr) {
+    for (std::size_t p = 0; p < job.term_count; ++p) {
+      PackedRunResult& r = results[p];
+      r.length = length;
+      r.noise_flips = job.flips[0].count;
+      r.optical_estimate = density(job.counts[p].optical, length);
+      r.electronic_estimate = density(job.counts[p].electronic, length);
+      r.transmission_flips = job.counts[p].differ;
+    }
+    return;
+  }
+  // Weighted term estimates fold arithmetically, in term order; an omitted
+  // axis contributes the constant 1 (the AND identity).
+  PackedRunResult& r = results[0];
+  r = PackedRunResult{};
+  r.length = length;
+  for (std::size_t f = 0; f < job.flip_count; ++f) {
+    r.noise_flips += job.flips[f].count;
+  }
+  const std::vector<sc::SeparableTerm>& terms = s.program->terms();
   double optical_sum = 0.0;
   double electronic_sum = 0.0;
-  std::size_t f = 0;
-  for (const sc::SeparableTerm& term : terms) {
-    const simd::ProductCounts counts = ops.count_product(
-        optical + f, electronic + f, term.factors.size(), length);
-    optical_sum += term.weight * density(counts.optical, length);
-    electronic_sum += term.weight * density(counts.electronic, length);
-    result.transmission_flips += counts.differ;
-    f += term.factors.size();
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    optical_sum += terms[t].weight * density(job.counts[t].optical, length);
+    electronic_sum +=
+        terms[t].weight * density(job.counts[t].electronic, length);
+    r.transmission_flips += job.counts[t].differ;
   }
-  result.optical_estimate = optical_sum;
-  result.electronic_estimate = electronic_sum;
-  return result;
+  r.optical_estimate = optical_sum;
+  r.electronic_estimate = electronic_sum;
 }
 
 }  // namespace oscs::engine

@@ -52,13 +52,23 @@
 ///
 /// Run paths vs streams-out API. run_fused()/run_nd() (and the run/run2
 /// adapters) need only three counts per product - optical ones after
-/// noise, electronic ones, and the bits where they differ - so they write
-/// decisions straight into per-thread scratch rows, toggle flips in place
-/// and popcount the rows: a warm evaluation with an LFSR source of at most
-/// 16 bits makes no heap allocation. A thread keeps at most 256 KiB of
-/// that scratch between evaluations. evaluate()/evaluate2() are the
-/// streams-out reference over the bit-plane core.
+/// noise, electronic ones, and the bits where they differ. The lane loop
+/// is their count sink: it advances every axis pass of an N-ary program
+/// word by word, holds each set's decisions for one 64-word block and
+/// counts the block as soon as it is full - a term's factor AND runs
+/// along the block's rows - and only a block that holds flips consults
+/// the lazy geometric-gap draws (simd::FlipDraw). No full-length decision
+/// row exists, so stream length costs no memory. The materialized path
+/// writes decision rows into per-thread scratch, toggles flips in place
+/// and counts the rows (count_product); a thread keeps at most 256 KiB of
+/// that scratch between evaluations. Either way a warm evaluation with an
+/// LFSR source of at most 16 bits makes no heap allocation.
+/// evaluate()/evaluate2() are the streams-out reference over the
+/// bit-plane core. PackedCell splits a run into its seed-independent
+/// setup and the per-repeat evaluation, so a batch prepares each grid
+/// cell once.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -278,6 +288,8 @@ class PackedKernel {
       const std::vector<double>& point, const PackedRunConfig& config) const;
 
  private:
+  friend class PackedCell;
+
   /// The one block loop, over raw word rows of `nwords` words: an x bank
   /// (order() rows), a y bank (order_y() rows; unused without one) and
   /// `programs` coefficient sets of (order()+1)*(order_y()+1) rows each,
@@ -301,14 +313,6 @@ class PackedKernel {
       const std::vector<stochastic::Bitstream>& y_streams,
       const std::vector<stochastic::Bitstream>& z_streams) const;
 
-  /// run_fused() into caller storage (`results` holds programs.size()
-  /// entries): the fused stimulus, the core and the flip pass on the
-  /// calling thread's scratch rows, counted without building streams.
-  void run_dense(std::span<const stochastic::SeparableProgram> programs,
-                 const std::vector<double>& point,
-                 const PackedRunConfig& config,
-                 PackedRunResult* results) const;
-
   const optsc::OpticalScCircuit* circuit_;
   std::size_t order_ = 0;
   std::size_t order_y_ = 0;  ///< 0 without a y bank
@@ -317,6 +321,72 @@ class PackedKernel {
   /// decisions_[p] bit k = noiseless decision for pattern p, adder k
   /// (one-input constructor only; empty for the ideal-MUX model).
   std::vector<std::uint32_t> decisions_;
+};
+
+/// One grid cell of packed evaluations: run_nd() or run_fused() split into
+/// the setup that does not depend on a task's seeds - the shape and
+/// operating-point checks, the coefficient sets' gather rows, the data
+/// banks' bounds, log1p(-BER), the term layout and the scratch buffers -
+/// done once here, and run(), which derives the seeds' walk starts and
+/// flip draws and evaluates. A cell's results equal the run path's for
+/// the same seeds bit for bit; BatchRunner builds one per grid cell and
+/// runs it once per repeat.
+///
+/// A cell borrows its kernel, programs and point, which must outlive it,
+/// and the calling thread's run-path scratch: it runs on the thread that
+/// built it, and a thread holds one cell (or run-path call) at a time.
+class PackedCell {
+ public:
+  /// run_nd() of `program` at `point`: a dense program runs as a
+  /// one-program fused run, a general one makes its axis passes.
+  /// \throws std::invalid_argument as run_nd() does.
+  /// \throws std::logic_error if the thread already holds a cell.
+  PackedCell(const PackedKernel& kernel,
+             const stochastic::SeparableProgram& program,
+             std::span<const double> point, const oscs::OperatingPoint& op,
+             stochastic::SourceKind source_kind);
+  /// run_fused() of dense `programs` at `point` on one shared stimulus.
+  /// \throws std::invalid_argument as run_fused() does.
+  /// \throws std::logic_error if the thread already holds a cell.
+  PackedCell(const PackedKernel& kernel,
+             std::span<const stochastic::SeparableProgram> programs,
+             std::span<const double> point, const oscs::OperatingPoint& op,
+             stochastic::SourceKind source_kind);
+  PackedCell(const PackedCell&) = delete;
+  PackedCell& operator=(const PackedCell&) = delete;
+
+  /// One evaluation with PackedRunConfig's seeds into `results`: one
+  /// entry per program of a fused cell, else one.
+  void run(std::uint64_t stimulus_seed, std::uint64_t noise_seed,
+           PackedRunResult* results);
+
+ private:
+  struct Scratch;
+  /// Holds the thread's scratch for the cell's lifetime, so a throwing
+  /// constructor still hands it back.
+  class Lease {
+   public:
+    Lease();
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Scratch& scratch;
+  };
+
+  void prepare_dense(std::span<const stochastic::SeparableProgram> programs,
+                     std::span<const double> point,
+                     const oscs::OperatingPoint& op,
+                     stochastic::SourceKind source_kind);
+  void prepare_terms(const stochastic::SeparableProgram& program,
+                     std::span<const double> point,
+                     const oscs::OperatingPoint& op,
+                     stochastic::SourceKind source_kind);
+  void run_materialized(std::uint64_t stimulus_seed, std::uint64_t noise_seed,
+                        PackedRunResult* results);
+  void fold(PackedRunResult* results) const;
+
+  const PackedKernel& kernel_;
+  Lease lease_;
 };
 
 /// Everything a kernel shape runs on: the circuit, the kernel built over

@@ -3,7 +3,8 @@
 /// \brief Runtime-dispatched word-parallel primitives behind the packed
 ///        kernel: carry-save bit-plane accumulation, select-mask
 ///        extraction, MUX OR-reduce (1D and 2D), product counting, and
-///        the fused select-then-compare lane loop of stimulus v2.
+///        the fused select-then-compare lane loop of stimulus v2, which
+///        counts its decisions as it makes them.
 ///
 /// The packed evaluation walks streams in plane-major *blocks* of packed
 /// words rather than one word at a time, so each primitive sees a
@@ -20,7 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 
 namespace oscs::engine::simd {
@@ -30,16 +33,53 @@ namespace oscs::engine::simd {
   return oscs::simd_backend();
 }
 
-/// Ones counts of one product over a stream's bits (count_product).
+/// Ones counts of one product over a stream's bits (count_product, and
+/// the per-term output of the select-then-compare loop).
 struct ProductCounts {
   std::size_t optical = 0;     ///< ones of the AND of the optical rows
   std::size_t electronic = 0;  ///< ones of the AND of the electronic rows
   std::size_t differ = 0;      ///< bits where the two products differ
 };
 
+/// Eq. 9 receiver flips of one decision stream, drawn lazily: independent
+/// per-bit flips by geometric gap sampling, where the next flipped bit
+/// lies 1 + floor(log1p(-u) / log1p(-BER)) bits past the last one for a
+/// fresh uniform u. A consumer takes `next`, then advance()s; the draw
+/// makes the same uniform draws in the same order as sampling every
+/// position up front, so the positions are identical, but it holds one
+/// position at a time. At a BER so small that the first gap passes the
+/// stream's end, start() already ends the draw.
+struct FlipDraw {
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  oscs::Xoshiro256 rng;
+  double log_keep = 0.0;  ///< log1p(-BER); flips only when negative
+  std::size_t length = 0;
+  std::size_t next = kNone;  ///< next flipped bit, or kNone once ended
+  std::size_t count = 0;     ///< flips consumed by advance()
+
+  /// Begin a `length`-bit stream's draw from the current `rng` state and
+  /// draw its first flip (none unless log_keep < 0).
+  void start(double log_keep_in, std::size_t length_in);
+  /// Count the flip at `next` and draw the one after it.
+  void advance();
+};
+
 /// Largest bank order the select-then-compare loop takes (the packed
 /// kernel's order limit): a grid has at most 13 * 13 cells.
 inline constexpr std::size_t kMaxLaneOrder = 12;
+
+/// Words of each set's decisions the lane loop holds before its count
+/// sink counts them: the block a SelectCompareJob's scratch holds.
+inline constexpr std::size_t kLaneBlockWords = 64;
+
+/// int16 entries of one coefficient set's gather row: the set's cell
+/// bounds, row-major, zero-padded to whole 8-cell chunks (one 16-byte
+/// vpshufb table each).
+[[nodiscard]] constexpr std::size_t lane_bound_stride(
+    std::size_t cells) noexcept {
+  return (cells + 7) / 8 * 8;
+}
 
 /// One LFSR comparator walk of the select-then-compare loop: lane t reads
 /// entry start + t of a biased cycle row (stochastic/sng_fill.hpp), whose
@@ -49,42 +89,72 @@ struct LaneWalk {
   std::uint16_t scramble = 1;  ///< low 16 bits of the odd scramble
 };
 
+/// The data banks of one lane-loop pass - a dense evaluation, or one axis
+/// of an N-ary program - and how many coefficient sets they select for.
+struct LanePass {
+  const LaneWalk* x = nullptr;  ///< order_x walks
+  std::int16_t x_bound = 0;
+  const LaneWalk* y = nullptr;  ///< order_y walks
+  std::int16_t y_bound = 0;
+  std::size_t sets = 0;  ///< the next `sets` coefficient sets of the job
+};
+
 /// One select-then-compare evaluation (stimulus v2, LFSR of at most 16
-/// bits): an x bank, a y bank and `set_count` coefficient sets, all given
-/// as cycle-table walks instead of stream rows. With
+/// bits), counted as it is decided. Every pass has an x bank, a y bank
+/// and its coefficient sets, all given as cycle-table walks instead of
+/// stream rows. With
 ///
 ///   above(row, walk, t, b) = int16(row[walk.start + t] * walk.scramble) > b
 ///
-/// (row index taken modulo the period), lane t of the loop counts
-/// k(t) = order_x - #{i : above(clock_row, x[i], t, x_bound)} and k_y(t)
-/// likewise over y, selects cell c(t) = k(t) * (order_y + 1) + k_y(t), and
-/// bit t of set s's electronic row is
+/// (row index taken modulo the period), lane t of pass p counts
+/// k(t) = order_x - #{i : above(clock_row, p.x[i], t, p.x_bound)} and
+/// k_y(t) likewise over y, selects cell c(t) = k(t) * (order_y + 1) +
+/// k_y(t), and bit t of set s's decision stream is
 ///
-///   NOT above(leap_row, sets[s], t, bounds[s * cells + c(t)]).
+///   NOT above(leap_row, sets[s], t, bounds[s * stride + c(t)])
 ///
-/// The bounds are stochastic::detail::inclusive_bound(T, width), so the
-/// data-bank bits are exactly the v1 bank streams and each set's bits the
-/// materialized v2 cells the adders select.
+/// with stride = lane_bound_stride(cells). The bounds are
+/// stochastic::detail::inclusive_bound(T, width), so the data-bank bits
+/// are exactly the v1 bank streams and each set's bits the materialized
+/// v2 cells the adders select.
+///
+/// Factors are decision streams, numbered term-major: factor f is set
+/// factor_set[f]'s stream (set f when factor_set is null), and every set
+/// is exactly one factor. A factor's optical stream is its decision
+/// stream with the flips of its draw toggled: the one draw flips[0] when
+/// flip_count == 1, else flips[f]. Term t is the AND of the factors from
+/// term_end[t - 1] (0 for the first term) up to term_end[t] (factor t
+/// alone when term_end is null), and counts[t] receives the ones of its
+/// electronic and optical products and the bits where they differ. The
+/// loop holds kLaneBlockWords words of each set's decisions at a time and
+/// counts each block as it fills: no full-length row exists unless the
+/// caller asks for one.
 struct SelectCompareJob {
   const std::uint16_t* clock_row = nullptr;  ///< data banks' row
   const std::uint16_t* leap_row = nullptr;   ///< coefficient sets' row
   std::size_t period = 0;  ///< cycle length (rows hold period + 63 entries)
-  const LaneWalk* x = nullptr;
   std::size_t order_x = 0;  ///< at most kMaxLaneOrder
-  std::int16_t x_bound = 0;
-  const LaneWalk* y = nullptr;
   std::size_t order_y = 0;  ///< at most kMaxLaneOrder
-  std::int16_t y_bound = 0;
+  const LanePass* passes = nullptr;
+  std::size_t pass_count = 0;
+  /// Every pass's coefficient sets, pass-major: one walk each.
   const LaneWalk* sets = nullptr;
-  std::size_t set_count = 0;
-  /// set_count * (order_x + 1) * (order_y + 1) bounds, set-major, cells
-  /// row-major.
+  /// One gather row of lane_bound_stride(cells) bounds per set.
   const std::int16_t* bounds = nullptr;
   std::size_t length = 0;  ///< stream bits
-  /// Per set, ceil(length/64) words: the MUX output, padding bits zero.
+  const std::uint32_t* factor_set = nullptr;
+  std::size_t factor_count = 0;
+  const std::uint32_t* term_end = nullptr;
+  std::size_t term_count = 0;
+  /// Advanced in place; their `count`s read the flips applied.
+  FlipDraw* flips = nullptr;
+  std::size_t flip_count = 0;  ///< 1 (shared) or factor_count
+  ProductCounts* counts = nullptr;  ///< term_count entries, overwritten
+  /// Scratch of kLaneBlockWords words per set and per flip draw.
+  std::uint64_t* decisions = nullptr;
+  /// Optional, per factor, ceil(length/64) words: the decision stream
+  /// (padding bits zero) and the optical stream. Null: no rows written.
   std::uint64_t* const* electronic = nullptr;
-  /// Per set, ceil(length/64) words: a copy of the electronic row (the
-  /// optical decision of a mux-exact kernel).
   std::uint64_t* const* optical = nullptr;
 };
 
@@ -134,8 +204,8 @@ struct KernelOps {
                                  const std::uint64_t* const* electronic,
                                  std::size_t factors, std::size_t length);
 
-  /// Run one SelectCompareJob: write every word of each set's electronic
-  /// and optical row.
+  /// Run one SelectCompareJob: count every term, advance the flip draws
+  /// to the stream's end and, when the job names rows, write them.
   void (*select_compare)(const SelectCompareJob& job);
 };
 

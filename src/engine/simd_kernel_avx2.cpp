@@ -6,8 +6,9 @@
 // Every primitive is pure bitwise logic over 64-bit lanes, so processing
 // four words per __m256i yields output bit-identical to the scalar
 // reference in simd_kernel.cpp; the equivalence suite pins that. The
-// product count compiles the scalar TU's loop body here, where -mavx2
-// turns std::popcount into the hardware instruction.
+// product count and the lane loop's count sink compile the scalar TU's
+// bodies here, where -mavx2 turns std::popcount into the hardware
+// instruction.
 
 #include "engine/simd_kernel.hpp"
 
@@ -151,32 +152,6 @@ ProductCounts count_product_avx2(const std::uint64_t* const* optical,
 
 namespace {
 
-/// Sets whose gather tables one pass over the words keeps; more sets take
-/// further passes, each recounting the banks.
-constexpr std::size_t kSetGroup = 8;
-/// 8-cell gather chunks of the largest grid.
-constexpr std::size_t kMaxChunks =
-    ((kMaxLaneOrder + 1) * (kMaxLaneOrder + 1) + 7) / 8;
-
-/// A set's bounds as vpshufb tables: chunk q holds cells 8q..8q+7 as
-/// int16, its 16 bytes broadcast to both 128-bit lanes (vpshufb looks up
-/// within a lane).
-struct GatherTable {
-  __m256i chunk[kMaxChunks];
-};
-
-void build_gather_table(const std::int16_t* bounds, std::size_t cells,
-                        GatherTable& table) {
-  for (std::size_t q = 0; q * 8 < cells; ++q) {
-    alignas(16) std::int16_t entries[8] = {};
-    for (std::size_t i = 0; i < 8 && q * 8 + i < cells; ++i) {
-      entries[i] = bounds[q * 8 + i];
-    }
-    table.chunk[q] = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(entries)));
-  }
-}
-
 /// Counts one bank over a word's 64 lanes (4 groups of 16): acc[g] starts
 /// at the bank order and drops by one per walk above `bound` (vpcmpgtw
 /// yields -1 there).
@@ -201,18 +176,33 @@ inline void count_bank(const std::uint16_t* row, const LaneWalk* walks,
   }
 }
 
-/// The word loop for one group of sets (at most kSetGroup), specialized
-/// on whether the grid spans more than one 8-cell gather chunk: the
-/// single-table loop unrolls fully.
-template <bool kChunked>
-void select_compare_group(const SelectCompareJob& job, std::size_t s0,
-                          std::size_t group, const GatherTable* tables,
-                          const __m256i* set_scramble) {
+/// Sets whose scramble vectors the loop keeps on the stack; further sets
+/// broadcast theirs per word.
+constexpr std::size_t kCachedSets = 32;
+
+/// The word loop, specialized on whether the grid spans more than one
+/// 8-cell gather chunk (the single-table loop unrolls fully) and on
+/// whether the job is one pass deciding one set (its table, scramble and
+/// bank bounds then stay in registers; a single-program dense run is the
+/// common case). Per word, every pass counts its banks once and decides
+/// each of its sets into the block; a full block goes to the sink. The
+/// job's fields are read into locals once.
+template <bool kChunked, bool kSingle>
+void select_compare_words(const SelectCompareJob& job) {
   const std::size_t n = job.order_x;
   const std::size_t m = job.order_y;
-  const std::size_t chunks = ((n + 1) * (m + 1) + 7) / 8;
+  const std::size_t cells = (n + 1) * (m + 1);
+  const std::size_t chunks = (cells + 7) / 8;
+  const std::size_t stride = lane_bound_stride(cells);
   const std::size_t nwords = (job.length + 63) / 64;
   const std::size_t period = job.period;
+  const std::uint16_t* const clock_row = job.clock_row;
+  const std::uint16_t* const leap_row = job.leap_row;
+  const LanePass* const passes = job.passes;
+  const std::size_t pass_count = kSingle ? 1 : job.pass_count;
+  const LaneWalk* const sets = job.sets;
+  const std::int16_t* const bounds = job.bounds;
+  std::uint64_t* const decisions = job.decisions;
   // Every walk advances one row entry per bit, so all of them move by the
   // same 64 mod period per word: one shared offset locates each walk, and
   // the 63 continuation entries keep a word's 64 lanes contiguous.
@@ -220,96 +210,128 @@ void select_compare_group(const SelectCompareJob& job, std::size_t s0,
   const std::uint64_t tail =
       job.length % 64 == 0 ? ~std::uint64_t{0}
                            : ~std::uint64_t{0} >> (64 - job.length % 64);
-  const __m256i x_bound = _mm256_set1_epi16(job.x_bound);
-  const __m256i y_bound = _mm256_set1_epi16(job.y_bound);
   const __m256i row_cells = _mm256_set1_epi16(static_cast<short>(m + 1));
   const __m256i seven = _mm256_set1_epi16(7);
   // vpshufb operand of cell c: the byte pair (2(c mod 8), 2(c mod 8) + 1)
   // of its chunk's table, i.e. (c mod 8) * 0x0202 + 0x0100 per lane.
   const __m256i pair_scale = _mm256_set1_epi16(0x0202);
   const __m256i pair_base = _mm256_set1_epi16(0x0100);
+  // A gather row's chunk q as a vpshufb table: its 16 bytes broadcast to
+  // both 128-bit lanes (vpshufb looks up within a lane).
+  const auto table = [](const std::int16_t* row, std::size_t q) {
+    return _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 8 * q)));
+  };
+  const auto broadcast = [](std::int16_t v) {
+    return _mm256_set1_epi16(static_cast<short>(v));
+  };
+  std::size_t set_count = 0;
+  for (std::size_t p = 0; p < pass_count; ++p) set_count += passes[p].sets;
+  __m256i scrambles[kCachedSets];
+  for (std::size_t g = 0; g < set_count && g < kCachedSets; ++g) {
+    scrambles[g] = broadcast(static_cast<std::int16_t>(sets[g].scramble));
+  }
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i single_table = kSingle ? table(bounds, 0) : zero;
+  const __m256i single_x = kSingle ? broadcast(passes[0].x_bound) : zero;
+  const __m256i single_y = kSingle ? broadcast(passes[0].y_bound) : zero;
 
+  LaneSink sink(job);
   std::size_t offset = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    __m256i cell[4];
-    count_bank(job.clock_row, job.x, n, offset, period, x_bound, cell);
-    if (m > 0) {
-      __m256i ky[4];
-      count_bank(job.clock_row, job.y, m, offset, period, y_bound, ky);
-      for (std::size_t g = 0; g < 4; ++g) {
-        cell[g] =
-            _mm256_add_epi16(_mm256_mullo_epi16(cell[g], row_cells), ky[g]);
-      }
-    }
-    __m256i index[4];
-    __m256i chunk[4];
-    for (std::size_t g = 0; g < 4; ++g) {
-      __m256i within = cell[g];
-      if constexpr (kChunked) {
-        chunk[g] = _mm256_srli_epi16(cell[g], 3);
-        within = _mm256_and_si256(cell[g], seven);
-      }
-      index[g] =
-          _mm256_add_epi16(_mm256_mullo_epi16(within, pair_scale), pair_base);
-    }
-    for (std::size_t s = 0; s < group; ++s) {
-      const GatherTable& table = tables[s];
-      std::size_t start = job.sets[s0 + s].start + offset;
-      if (start >= period) start -= period;
-      const std::uint16_t* lanes = job.leap_row + start;
-      __m256i above[4];
-      for (std::size_t g = 0; g < 4; ++g) {
-        __m256i bound = _mm256_shuffle_epi8(table.chunk[0], index[g]);
-        if constexpr (kChunked) {
-          for (std::size_t q = 1; q < chunks; ++q) {
-            bound = _mm256_blendv_epi8(
-                bound, _mm256_shuffle_epi8(table.chunk[q], index[g]),
-                _mm256_cmpeq_epi16(chunk[g],
-                                   _mm256_set1_epi16(static_cast<short>(q))));
+  for (std::size_t w0 = 0; w0 < nwords; w0 += kLaneBlockWords) {
+    const std::size_t words = std::min(kLaneBlockWords, nwords - w0);
+    for (std::size_t j = 0; j < words; ++j) {
+      const std::size_t w = w0 + j;
+      std::size_t g = 0;
+      for (std::size_t p = 0; p < pass_count; ++p) {
+        const LanePass& pass = passes[p];
+        __m256i cell[4];
+        count_bank(clock_row, pass.x, n, offset, period,
+                   kSingle ? single_x : broadcast(pass.x_bound), cell);
+        if (m > 0) {
+          __m256i ky[4];
+          count_bank(clock_row, pass.y, m, offset, period,
+                     kSingle ? single_y : broadcast(pass.y_bound), ky);
+          for (std::size_t q = 0; q < 4; ++q) {
+            cell[q] =
+                _mm256_add_epi16(_mm256_mullo_epi16(cell[q], row_cells), ky[q]);
           }
         }
-        const __m256i v = _mm256_mullo_epi16(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(lanes + 16 * g)),
-            set_scramble[s]);
-        above[g] = _mm256_cmpgt_epi16(v, bound);
+        __m256i index[4];
+        __m256i chunk[4];
+        for (std::size_t q = 0; q < 4; ++q) {
+          __m256i within = cell[q];
+          if constexpr (kChunked) {
+            chunk[q] = _mm256_srli_epi16(cell[q], 3);
+            within = _mm256_and_si256(cell[q], seven);
+          }
+          index[q] = _mm256_add_epi16(_mm256_mullo_epi16(within, pair_scale),
+                                      pair_base);
+        }
+        for (const std::size_t end = kSingle ? 1 : g + pass.sets; g < end;
+             ++g) {
+          std::size_t start = sets[g].start + offset;
+          if (start >= period) start -= period;
+          const std::uint16_t* lanes = leap_row + start;
+          const __m256i scramble =
+              kSingle || g < kCachedSets
+                  ? scrambles[g]
+                  : broadcast(static_cast<std::int16_t>(sets[g].scramble));
+          const std::int16_t* row = bounds + g * stride;
+          const __m256i first = kSingle ? single_table : table(row, 0);
+          __m256i above[4];
+          for (std::size_t q = 0; q < 4; ++q) {
+            __m256i bound = _mm256_shuffle_epi8(first, index[q]);
+            if constexpr (kChunked) {
+              for (std::size_t c = 1; c < chunks; ++c) {
+                bound = _mm256_blendv_epi8(
+                    bound, _mm256_shuffle_epi8(table(row, c), index[q]),
+                    _mm256_cmpeq_epi16(chunk[q],
+                                       broadcast(static_cast<std::int16_t>(c))));
+              }
+            }
+            const __m256i v = _mm256_mullo_epi16(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i*>(lanes + 16 * q)),
+                scramble);
+            above[q] = _mm256_cmpgt_epi16(v, bound);
+          }
+          // One pack + permute + movemask turns two 16-lane masks into 32
+          // stream-order bits; a decision is NOT above.
+          const auto low = static_cast<std::uint32_t>(
+              _mm256_movemask_epi8(_mm256_permute4x64_epi64(
+                  _mm256_packs_epi16(above[0], above[1]), 0xD8)));
+          const auto high = static_cast<std::uint32_t>(
+              _mm256_movemask_epi8(_mm256_permute4x64_epi64(
+                  _mm256_packs_epi16(above[2], above[3]), 0xD8)));
+          std::uint64_t bits = ~(static_cast<std::uint64_t>(high) << 32 | low);
+          if (w + 1 == nwords) bits &= tail;
+          decisions[g * kLaneBlockWords + j] = bits;
+        }
       }
-      // One pack + permute + movemask turns two 16-lane masks into 32
-      // stream-order bits; a decision is NOT above.
-      const auto low = static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(_mm256_permute4x64_epi64(
-              _mm256_packs_epi16(above[0], above[1]), 0xD8)));
-      const auto high = static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(_mm256_permute4x64_epi64(
-              _mm256_packs_epi16(above[2], above[3]), 0xD8)));
-      std::uint64_t bits = ~(static_cast<std::uint64_t>(high) << 32 | low);
-      if (w + 1 == nwords) bits &= tail;
-      job.electronic[s0 + s][w] = bits;
-      job.optical[s0 + s][w] = bits;
+      offset += step;
+      if (offset >= period) offset -= period;
     }
-    offset += step;
-    if (offset >= period) offset -= period;
+    sink.block(w0, words, decisions);
   }
+  sink.finish();
 }
 
 }  // namespace
 
 void select_compare_avx2(const SelectCompareJob& job) {
-  const std::size_t cells = (job.order_x + 1) * (job.order_y + 1);
-  GatherTable tables[kSetGroup];
-  __m256i set_scramble[kSetGroup];
-  for (std::size_t s0 = 0; s0 < job.set_count; s0 += kSetGroup) {
-    const std::size_t group = std::min(kSetGroup, job.set_count - s0);
-    for (std::size_t g = 0; g < group; ++g) {
-      build_gather_table(job.bounds + (s0 + g) * cells, cells, tables[g]);
-      set_scramble[g] =
-          _mm256_set1_epi16(static_cast<short>(job.sets[s0 + g].scramble));
-    }
-    if (cells > 8) {
-      select_compare_group<true>(job, s0, group, tables, set_scramble);
+  const bool chunked = (job.order_x + 1) * (job.order_y + 1) > 8;
+  const bool single = job.pass_count == 1 && job.passes[0].sets == 1;
+  if (chunked) {
+    if (single) {
+      select_compare_words<true, true>(job);
     } else {
-      select_compare_group<false>(job, s0, group, tables, set_scramble);
+      select_compare_words<true, false>(job);
     }
+  } else if (single) {
+    select_compare_words<false, true>(job);
+  } else {
+    select_compare_words<false, false>(job);
   }
 }
 

@@ -103,8 +103,11 @@ namespace detail {
 LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt,
                      LfsrWalk walk) {
   const LfsrSeed s = lfsr_seed(salt);
-  const std::size_t phase =
-      first_phase(cycle, Lfsr(cycle.width, s.seed).state());
+  // The state Lfsr(cycle.width, s.seed) starts in: the seed's low bits,
+  // the all-zero fixed point moved to 1.
+  const auto state =
+      static_cast<std::uint32_t>(s.seed & cycle.period());
+  const std::size_t phase = first_phase(cycle, state == 0 ? 1 : state);
   return {walk == LfsrWalk::kClock ? phase : cycle.leap_index(phase),
           s.scramble};
 }

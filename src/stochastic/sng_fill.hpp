@@ -123,10 +123,12 @@ struct LfsrCycle {
   }
   /// Index into `leap` of the one-clock phase `phase0` (< period()): the
   /// j with kLeapClocks * j == phase0 (mod period()). kLeapClocks = 2^4
-  /// and 2^w == 1 (mod 2^w - 1), so its inverse is 2^(-4 mod w).
+  /// and 2^w == 1 (mod 2^w - 1), so its inverse is 2^(-4 mod w), and
+  /// multiplying a w-bit value by 2^s modulo 2^w - 1 rotates it left by s
+  /// (a value below the period is not all ones, nor is its rotation).
   [[nodiscard]] std::size_t leap_index(std::size_t phase0) const noexcept {
     const unsigned shift = (width - 4 % width) % width;
-    return (phase0 << shift) % period();
+    return ((phase0 << shift) | (phase0 >> (width - shift))) & period();
   }
 };
 

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -169,6 +171,78 @@ TEST(PackedAllocBudget, WarmRunNdMakesNoHeapAllocation) {
   }
 }
 
+TEST(PackedAllocBudget, WarmLaneEvalsMakeNoHeapAllocation) {
+  // The lane loop counts its decisions block by block and draws flips
+  // lazily, so nothing it holds grows with the stream length or the flip
+  // count: 2^22 bits at BER 1e-2 (~42k flips per draw) allocates nothing.
+  const optsc::OpticalScCircuit c3(optsc::paper_defaults(3));
+  const PackedKernel order3(c3);
+  const PackedKernel two_bank(c3, 1, 1);
+  const std::vector<sc::SeparableProgram> one_d = {
+      sc::SeparableProgram(sc::BernsteinPoly({0.1, 0.8, 0.3, 0.95}))};
+  const std::vector<sc::SeparableProgram> two_d = {
+      sc::SeparableProgram(sc::BernsteinPoly2(1, 1, {0.2, 0.7, 0.4, 0.9}))};
+  const std::vector<sc::SeparableProgram> fused = {
+      sc::SeparableProgram(sc::BernsteinPoly({0.1, 0.8, 0.3, 0.95})),
+      sc::SeparableProgram(sc::BernsteinPoly({0.5, 0.5, 0.2, 0.1})),
+      sc::SeparableProgram(sc::BernsteinPoly({0.0, 0.3, 0.6, 1.0})),
+      sc::SeparableProgram(sc::BernsteinPoly({0.9, 0.7, 0.4, 0.2}))};
+  const std::vector<sc::SeparableProgram> three = {three_input_cubic()};
+  struct Case {
+    const char* name;
+    const PackedKernel* kernel;
+    const std::vector<sc::SeparableProgram>* programs;
+    bool fused;
+    std::vector<double> point;
+  };
+  const std::vector<Case> cases = {
+      {"1D order 3", &order3, &one_d, false, {0.4}},
+      {"2D (1,1)", &two_bank, &two_d, false, {0.3, 0.7}},
+      {"fused K = 4", &order3, &fused, true, {0.45}},
+      {"3-input", &order3, &three, false, {0.2, 0.5, 0.8}},
+  };
+  for (std::size_t length : {std::size_t{4096}, std::size_t{1} << 22}) {
+    for (double ber : {0.0, 1e-2}) {
+      oscs::OperatingPoint op = noisy_op(length);
+      op.ber = ber;
+      for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(c.name) + " length " +
+                     std::to_string(length) + " ber " + std::to_string(ber));
+        std::vector<PackedRunResult> results(c.programs->size());
+        const auto evaluate = [&](std::uint64_t seed) {
+          if (c.fused) {
+            PackedCell cell(*c.kernel, std::span(*c.programs), c.point, op,
+                            sc::SourceKind::kLfsr);
+            cell.run(seed, seed + 100, results.data());
+          } else {
+            PackedCell cell(*c.kernel, c.programs->front(), c.point, op,
+                            sc::SourceKind::kLfsr);
+            cell.run(seed, seed + 100, results.data());
+          }
+        };
+        evaluate(1);  // warm-up
+        EXPECT_EQ(allocations_during([&] {
+                    for (std::uint64_t seed = 2; seed <= 3; ++seed) {
+                      evaluate(seed);
+                    }
+                  }),
+                  0u);
+        EXPECT_EQ(results.front().length, length);
+        if (!c.fused) {
+          PackedRunConfig cfg;
+          cfg.op = op;
+          EXPECT_EQ(allocations_during([&] {
+                      results.front() =
+                          c.kernel->run_nd(c.programs->front(), c.point, cfg);
+                    }),
+                    0u)
+              << "run_nd";
+        }
+      }
+    }
+  }
+}
+
 TEST(PackedAllocBudget, FusedRunAllocatesOnlyItsResultVector) {
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(3));
   const PackedKernel kernel(circuit);
@@ -250,12 +324,14 @@ TEST(PackedAllocBudget, BatchAllocationsDoNotGrowWithRepeats) {
 
 TEST(PackedAllocBudget, LongStreamScratchIsReleased) {
   // 2^22 bits is 512 KiB per row, past the scratch a thread keeps between
-  // evaluations: each evaluation allocates its rows afresh.
+  // evaluations: each evaluation of a path that materializes rows (a
+  // 24-bit LFSR, past the cycle table) allocates its rows afresh.
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(3));
   const PackedKernel kernel(circuit);
   const sc::SeparableProgram program(sc::BernsteinPoly({0.1, 0.8, 0.3, 0.95}));
   PackedRunConfig cfg;
   cfg.op = noisy_op(std::size_t{1} << 22);
+  cfg.op.sng_width = 24;
   PackedRunResult result;
   const std::size_t first =
       allocations_during([&] { result = kernel.run_nd(program, {0.4}, cfg); });

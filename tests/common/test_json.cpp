@@ -143,6 +143,34 @@ TEST(JsonWriter, CompactModeEmitsOneLine) {
   EXPECT_EQ(json.str(), "{\"name\":\"grid\",\"count\":2,\"cells\":[0.5,1.5]}\n");
 }
 
+TEST(JsonWriter, KeysAndValuesEscapeEveryClass) {
+  // Every escape class between clean runs: quote, backslash, the five
+  // short control escapes, \u00XX for the rest of C0 (0x00, 0x01, 0x1f),
+  // and bytes that pass through unescaped (DEL, multi-byte UTF-8).
+  const std::string text = std::string("a\"b\\c\bd\fe\nf\rg\th") +
+                           std::string("\0", 1) + "i\x01j\x1f" "k\x7f" "l" +
+                           "\xc3\xa9" "m";
+  const std::string escaped =
+      "a\\\"b\\\\c\\bd\\fe\\nf\\rg\\th\\u0000i\\u0001j\\u001fk\x7fl\xc3\xa9m";
+  JsonWriter json(/*pretty=*/false);
+  json.begin_object()
+      .field(text, text)
+      .field("", "")
+      .field("\"", "\\")
+      .key("n")
+      .value(-42)
+      .end_object();
+  EXPECT_EQ(json.str(), "{\"" + escaped + "\":\"" + escaped +
+                            "\",\"\":\"\",\"\\\"\":\"\\\\\",\"n\":-42}\n");
+  EXPECT_EQ(json_escape(text), escaped);
+  const JsonValue parsed = json_parse(json.str());
+  ASSERT_EQ(parsed.members().size(), 4u);
+  EXPECT_EQ(parsed.members()[0].first, text);
+  EXPECT_EQ(parsed.members()[0].second.as_string(), text);
+  EXPECT_EQ(parsed.members()[2].first, "\"");
+  EXPECT_EQ(parsed.members()[2].second.as_string(), "\\");
+}
+
 TEST(JsonParse, ParsesScalarsContainersAndNesting) {
   EXPECT_TRUE(json_parse("null").is_null());
   EXPECT_EQ(json_parse("true").as_bool(), true);

@@ -8,12 +8,18 @@
 ///     (make_fused_sc_inputs2 with StimulusLayout::kPerSet).
 ///   * Counts: run_fused / run_nd (which take the lane loop for LFSR
 ///     sources of at most 16 bits) return exactly the counts of those
-///     reference rows after the same receiver flips.
+///     reference rows after the same receiver flips, sampled up front by
+///     the geometric gap rule; so do the lane primitive's own counts.
+///   * Count sink: flips at bit 0, at the last bit and several within
+///     one word, streams of several 64-word blocks, and empty terms; the
+///     lazy flip draw against up-front sampling, and at the design BER.
 ///   * Routing: other widths and source kinds materialize v2 rows, and a
 ///     physics-LUT kernel keeps the v1 layout with its parent results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +30,7 @@
 #include "engine/packed_sim.hpp"
 #include "engine/simd_kernel.hpp"
 #include "optsc/defaults.hpp"
+#include "optsc/link_budget.hpp"
 #include "stochastic/resc.hpp"
 #include "stochastic/separable.hpp"
 #include "stochastic/sng.hpp"
@@ -53,6 +60,7 @@ std::vector<oscs::SimdBackend> available_backends() {
 constexpr std::size_t kLengths[] = {1, 63, 64, 65, 4095, 4096};
 constexpr unsigned kWidths[] = {3, 8, 12, 16};
 constexpr std::size_t kSetCounts[] = {1, 4, 8};
+constexpr double kBers[] = {0.0, 1e-2, 0.5};
 
 /// Dense grid shapes: 1D orders 0-12, then the 2D grids.
 std::vector<KernelShape> dense_shapes() {
@@ -113,12 +121,21 @@ std::vector<PackedKernel::Streams> reference_rows(
   return rows;
 }
 
+/// What KernelOps::select_compare returns for one dense job: the rows it
+/// was asked to write and its per-set counts and flips.
+struct LaneOut {
+  std::vector<PackedKernel::Streams> rows;
+  std::vector<simd::ProductCounts> counts;
+  std::size_t flips = 0;
+};
+
 /// The same evaluation through KernelOps::select_compare, its walks set up
-/// by the helper the engine uses.
-std::vector<PackedKernel::Streams> lane_rows(
-    std::size_t n, std::size_t m, double x, double y,
-    const std::vector<std::vector<double>>& coeffs, std::size_t length,
-    const sc::ScInputConfig& stimulus) {
+/// by the helper the engine uses, one flip draw from `noise_seed` at
+/// `ber` shared by every set, and rows requested.
+LaneOut lane_eval(std::size_t n, std::size_t m, double x, double y,
+                  const std::vector<std::vector<double>>& coeffs,
+                  std::size_t length, const sc::ScInputConfig& stimulus,
+                  double ber, std::uint64_t noise_seed) {
   const sc::detail::LfsrCycle& cycle = sc::detail::lfsr_cycle(stimulus.width);
   const std::size_t k = coeffs.size();
   std::vector<simd::LaneWalk> walks;
@@ -131,9 +148,13 @@ std::vector<PackedKernel::Streams> lane_rows(
     return sc::detail::inclusive_bound(
         sc::comparator_threshold(p, stimulus.width), stimulus.width);
   };
-  std::vector<std::int16_t> bounds;
-  for (const std::vector<double>& set : coeffs) {
-    for (double p : set) bounds.push_back(bound(p));
+  const std::size_t cells = (n + 1) * (m + 1);
+  const std::size_t stride = simd::lane_bound_stride(cells);
+  std::vector<std::int16_t> bounds(k * stride, 0);
+  for (std::size_t s = 0; s < k; ++s) {
+    for (std::size_t c = 0; c < cells; ++c) {
+      bounds[s * stride + c] = bound(coeffs[s][c]);
+    }
   }
   const std::size_t nwords = (length + 63) / 64;
   // Rows start dirty so the loop must write every word.
@@ -141,24 +162,37 @@ std::vector<PackedKernel::Streams> lane_rows(
       2 * k, std::vector<std::uint64_t>(nwords, 0xA5A5A5A5A5A5A5A5ULL));
   std::vector<std::uint64_t*> rows;
   for (auto& row : words) rows.push_back(row.data());
+  const simd::LanePass pass{walks.data(), bound(x), walks.data() + n,
+                            bound(y), k};
+  simd::FlipDraw draw;
+  draw.rng = oscs::Xoshiro256(noise_seed);
+  draw.start(std::log1p(-ber), length);
+  LaneOut out;
+  out.counts.assign(k, {7, 7, 7});  // overwritten by the loop
+  std::vector<std::uint64_t> decisions((k + 1) * simd::kLaneBlockWords);
 
   simd::SelectCompareJob job;
   job.clock_row = cycle.row(sc::detail::LfsrWalk::kClock);
   job.leap_row = cycle.row(sc::detail::LfsrWalk::kLeap);
   job.period = cycle.period();
-  job.x = walks.data();
   job.order_x = n;
-  job.x_bound = bound(x);
-  job.y = walks.data() + n;
   job.order_y = m;
-  job.y_bound = bound(y);
+  job.passes = &pass;
+  job.pass_count = 1;
   job.sets = walks.data() + n + m;
-  job.set_count = k;
   job.bounds = bounds.data();
   job.length = length;
+  job.factor_count = k;
+  job.term_count = k;
+  job.flips = &draw;
+  job.flip_count = 1;
+  job.counts = out.counts.data();
+  job.decisions = decisions.data();
   job.optical = rows.data();
   job.electronic = rows.data() + k;
   simd::kernel_ops().select_compare(job);
+  EXPECT_EQ(draw.next, simd::FlipDraw::kNone) << "draw not run to the end";
+  out.flips = draw.count;
   // The job's contract leaves padding bits past `length` zero (a
   // Bitstream would mask them, so check the raw words).
   if (length % 64 != 0) {
@@ -166,14 +200,47 @@ std::vector<PackedKernel::Streams> lane_rows(
       EXPECT_EQ(row.back() >> (length % 64), 0u) << "length " << length;
     }
   }
-
-  std::vector<PackedKernel::Streams> out;
   for (std::size_t s = 0; s < k; ++s) {
-    out.push_back({sc::Bitstream::from_words(std::move(words[s]), length),
-                   sc::Bitstream::from_words(std::move(words[k + s]),
-                                             length)});
+    out.rows.push_back(
+        {sc::Bitstream::from_words(std::move(words[s]), length),
+         sc::Bitstream::from_words(std::move(words[k + s]), length)});
   }
   return out;
+}
+
+/// Flip positions of the Eq. 9 draw, sampled up front by the geometric
+/// gap rule from `rng`: the oracle the lazy simd::FlipDraw must reproduce.
+std::vector<std::size_t> reference_flip_positions(std::size_t length,
+                                                  double ber,
+                                                  oscs::Xoshiro256& rng) {
+  std::vector<std::size_t> positions;
+  if (ber <= 0.0 || length == 0) return positions;
+  const double log_keep = std::log1p(-ber);
+  for (std::size_t pos = 0; pos < length; ++pos) {
+    const double gap = std::floor(std::log1p(-rng.uniform01()) / log_keep);
+    if (gap >= static_cast<double>(length - pos)) break;
+    pos += static_cast<std::size_t>(gap);
+    positions.push_back(pos);
+  }
+  return positions;
+}
+
+std::vector<std::size_t> reference_flip_positions(std::size_t length,
+                                                  double ber,
+                                                  std::uint64_t seed) {
+  oscs::Xoshiro256 rng(seed);
+  return reference_flip_positions(length, ber, rng);
+}
+
+/// `stream` with the reference flips of `seed` at `ber` toggled in;
+/// `flips` receives their number.
+sc::Bitstream with_flips(sc::Bitstream stream, double ber, std::uint64_t seed,
+                         std::size_t* flips = nullptr) {
+  const std::vector<std::size_t> positions =
+      reference_flip_positions(stream.size(), ber, seed);
+  for (std::size_t pos : positions) stream.set_bit(pos, !stream.bit(pos));
+  if (flips != nullptr) *flips = positions.size();
+  return stream;
 }
 
 /// Counts of reference decision rows after the run path's flips:
@@ -182,11 +249,10 @@ std::vector<PackedKernel::Streams> lane_rows(
 PackedRunResult reference_counts(const PackedKernel::Streams& rows,
                                  std::size_t length, double ber,
                                  std::uint64_t noise_seed) {
-  sc::Bitstream optical = rows.optical;
-  oscs::Xoshiro256 rng(noise_seed);
   PackedRunResult r;
   r.length = length;
-  r.noise_flips = apply_noise_flips(optical, ber, rng);
+  const sc::Bitstream optical =
+      with_flips(rows.optical, ber, noise_seed, &r.noise_flips);
   r.optical_estimate = optical.probability();
   r.electronic_estimate = rows.electronic.probability();
   r.transmission_flips = (optical ^ rows.electronic).count_ones();
@@ -280,29 +346,38 @@ TEST(SelectCompare, LaneKernelMatchesMaterializedV2) {
                                              salt * 7 + length};
             const auto want = reference_rows(kernel, x, y, coeffs, length,
                                              stimulus);
-            const auto got = lane_rows(shape.order_x, shape.order_y, x, y,
-                                       coeffs, length, stimulus);
-            for (std::size_t s = 0; s < sets; ++s) {
-              ASSERT_EQ(got[s].electronic, want[s].electronic)
-                  << where << " set " << s;
-              ASSERT_EQ(got[s].optical, want[s].optical)
-                  << where << " set " << s;
-            }
-            for (double ber : {0.0, 1e-2}) {
+            for (double ber : kBers) {
+              const std::string at = where + " ber " + std::to_string(ber);
+              const std::uint64_t noise_seed = salt + 11;
+              const LaneOut got =
+                  lane_eval(shape.order_x, shape.order_y, x, y, coeffs,
+                            length, stimulus, ber, noise_seed);
               PackedRunConfig cfg;
               cfg.op.stream_length = length;
               cfg.op.sng_width = width;
               cfg.op.ber = ber;
               cfg.stimulus_seed = stimulus.seed;
-              cfg.noise_seed = salt + 11;
+              cfg.noise_seed = noise_seed;
               const std::vector<PackedRunResult> run =
                   kernel.run_fused(programs, point, cfg);
               for (std::size_t s = 0; s < sets; ++s) {
-                expect_same(run[s],
-                            reference_counts(want[s], length, ber,
-                                             cfg.noise_seed),
-                            where + " ber " + std::to_string(ber) +
-                                " set " + std::to_string(s));
+                const std::string set = at + " set " + std::to_string(s);
+                // Rows: the decisions, and the optical stream they become
+                // once the run path's flips are toggled in.
+                const sc::Bitstream flipped =
+                    with_flips(want[s].optical, ber, noise_seed);
+                ASSERT_EQ(got.rows[s].electronic, want[s].electronic) << set;
+                ASSERT_EQ(got.rows[s].optical, flipped) << set;
+                const PackedRunResult counts =
+                    reference_counts(want[s], length, ber, noise_seed);
+                expect_same(run[s], counts, set);
+                EXPECT_EQ(got.counts[s].optical,
+                          flipped.count_ones()) << set;
+                EXPECT_EQ(got.counts[s].electronic,
+                          want[s].electronic.count_ones()) << set;
+                EXPECT_EQ(got.counts[s].differ, counts.transmission_flips)
+                    << set;
+                EXPECT_EQ(got.flips, counts.noise_flips) << set;
               }
             }
           }
@@ -375,14 +450,18 @@ PackedRunResult reference_nd(const PackedKernel& kernel,
   PackedRunResult r;
   r.length = length;
   for (std::size_t f = 0; f < factors; ++f) {
-    oscs::Xoshiro256 rng(derive_factor_seed(cfg.noise_seed, f));
-    r.noise_flips += apply_noise_flips(optical[f], cfg.op.ber, rng);
+    std::size_t flips = 0;
+    optical[f] = with_flips(optical[f], cfg.op.ber,
+                            derive_factor_seed(cfg.noise_seed, f), &flips);
+    r.noise_flips += flips;
   }
   std::size_t f = 0;
+  // An empty term is the constant 1.
+  const sc::Bitstream one(std::vector<bool>(length, true));
   for (const sc::SeparableTerm& term : program.terms()) {
-    sc::Bitstream opt = optical[f];
-    sc::Bitstream elec = electronic[f];
-    for (std::size_t j = 1; j < term.factors.size(); ++j) {
+    sc::Bitstream opt = one;
+    sc::Bitstream elec = one;
+    for (std::size_t j = 0; j < term.factors.size(); ++j) {
       opt = opt & optical[f + j];
       elec = elec & electronic[f + j];
     }
@@ -406,7 +485,7 @@ TEST(SelectCompare, NaryAxisPassesMatchMaterializedV2) {
               nary_program(order, sets, width, salt);
           kernel.check_program(program);
           for (std::size_t length : kLengths) {
-            for (double ber : {0.0, 1e-2}) {
+            for (double ber : kBers) {
               PackedRunConfig cfg;
               cfg.op.stream_length = length;
               cfg.op.sng_width = width;
@@ -430,6 +509,235 @@ TEST(SelectCompare, NaryAxisPassesMatchMaterializedV2) {
           ++salt;
         }
       }
+    }
+  }
+}
+
+/// Lengths that end inside, on and past the lane loop's 64-word blocks.
+constexpr std::size_t kBlockLengths[] = {4097, 8191, 8192, 8193, 12293};
+
+/// Dense programs of a kernel shape over coefficient sets.
+std::vector<sc::SeparableProgram> dense_programs(
+    KernelShape shape, const std::vector<std::vector<double>>& coeffs) {
+  std::vector<sc::SeparableProgram> programs;
+  for (const auto& c : coeffs) {
+    if (shape.order_y == 0) {
+      programs.emplace_back(sc::BernsteinPoly(c));
+    } else {
+      programs.emplace_back(
+          sc::BernsteinPoly2(shape.order_x, shape.order_y, c));
+    }
+  }
+  return programs;
+}
+
+/// run_fused and the lane primitive (with rows) against the materialized
+/// reference for one dense shape, stream and flip seed.
+void expect_dense_matches(KernelShape shape, std::size_t sets,
+                          std::size_t length, double ber,
+                          std::uint64_t noise_seed, std::uint64_t salt,
+                          const std::string& where) {
+  const PackedKernel& kernel = kernel_for(shape);
+  const std::size_t cells = (shape.order_x + 1) * (shape.order_y + 1);
+  const auto coeffs = coefficient_sets(sets, cells, 16, salt);
+  const double x = 0.37;
+  const double y = 0.71;
+  const sc::ScInputConfig stimulus{sc::SourceKind::kLfsr, 16, salt + 3};
+  const auto want = reference_rows(kernel, x, y, coeffs, length, stimulus);
+  const LaneOut got = lane_eval(shape.order_x, shape.order_y, x, y, coeffs,
+                                length, stimulus, ber, noise_seed);
+  PackedRunConfig cfg;
+  cfg.op.stream_length = length;
+  cfg.op.sng_width = 16;
+  cfg.op.ber = ber;
+  cfg.stimulus_seed = stimulus.seed;
+  cfg.noise_seed = noise_seed;
+  const std::vector<double> point =
+      shape.order_y == 0 ? std::vector<double>{x} : std::vector<double>{x, y};
+  const std::vector<PackedRunResult> run =
+      kernel.run_fused(dense_programs(shape, coeffs), point, cfg);
+  for (std::size_t s = 0; s < sets; ++s) {
+    const std::string set = where + " set " + std::to_string(s);
+    const sc::Bitstream flipped = with_flips(want[s].optical, ber, noise_seed);
+    ASSERT_EQ(got.rows[s].electronic, want[s].electronic) << set;
+    ASSERT_EQ(got.rows[s].optical, flipped) << set;
+    const PackedRunResult counts =
+        reference_counts(want[s], length, ber, noise_seed);
+    expect_same(run[s], counts, set);
+    EXPECT_EQ(got.counts[s].optical, flipped.count_ones()) << set;
+    EXPECT_EQ(got.counts[s].electronic, want[s].electronic.count_ones())
+        << set;
+    EXPECT_EQ(got.counts[s].differ, counts.transmission_flips) << set;
+    EXPECT_EQ(got.flips, counts.noise_flips) << set;
+  }
+}
+
+/// A seed whose reference draw at `ber` over `length` bits (through
+/// `derive`, the seed a run hands its draw) flips bit 0 and bit
+/// length - 1 and, from three bits on, at least three bits of one word.
+template <typename Derive>
+std::uint64_t edge_flip_seed(std::size_t length, double ber, Derive&& derive) {
+  for (std::uint64_t seed = 1; seed < 200000; ++seed) {
+    const auto positions = reference_flip_positions(length, ber, derive(seed));
+    if (positions.empty() || positions.front() != 0 ||
+        positions.back() != length - 1) {
+      continue;
+    }
+    std::vector<std::size_t> per_word((length + 63) / 64);
+    for (std::size_t pos : positions) ++per_word[pos / 64];
+    if (length < 3 ||
+        *std::max_element(per_word.begin(), per_word.end()) >= 3) {
+      return seed;
+    }
+  }
+  ADD_FAILURE() << "no edge-flip seed for length " << length;
+  return 0;
+}
+
+TEST(LaneCountSink, FlipsAtStreamEdgesAndWithinOneWord) {
+  const auto same = [](std::uint64_t seed) { return seed; };
+  const auto first_factor = [](std::uint64_t seed) {
+    return derive_factor_seed(seed, 0);
+  };
+  for (oscs::SimdBackend backend : available_backends()) {
+    ScopedBackend scope(backend);
+    for (std::size_t length : {1u, 63u, 64u, 65u, 4095u, 4096u, 4097u}) {
+      for (double ber : {1e-2, 0.25}) {
+        const std::string where =
+            "length " + std::to_string(length) + " ber " +
+            std::to_string(ber) + " backend " +
+            oscs::simd_backend_name(backend);
+        const std::uint64_t dense_seed = edge_flip_seed(length, ber, same);
+        expect_dense_matches({3, 0}, 4, length, ber, dense_seed, length,
+                             where + " (3, 0)");
+        expect_dense_matches({3, 3}, 1, length, ber, dense_seed, length + 1,
+                             where + " (3, 3)");
+        // N-ary: the first factor's draw takes the edge flips.
+        const PackedKernel& kernel = kernel_for({3, 0});
+        const sc::SeparableProgram program = nary_program(3, 2, 16, length);
+        PackedRunConfig cfg;
+        cfg.op.stream_length = length;
+        cfg.op.sng_width = 16;
+        cfg.op.ber = ber;
+        cfg.stimulus_seed = length + 9;
+        cfg.noise_seed = edge_flip_seed(length, ber, first_factor);
+        const std::vector<double> point = {0.3, 0.7};
+        expect_same(kernel.run_nd(program, point, cfg),
+                    reference_nd(kernel, program, point, cfg),
+                    where + " N-ary");
+      }
+    }
+  }
+}
+
+TEST(LaneCountSink, MultiBlockStreamsMatchMaterializedV2) {
+  for (oscs::SimdBackend backend : available_backends()) {
+    ScopedBackend scope(backend);
+    std::uint64_t salt = 500;
+    for (std::size_t length : kBlockLengths) {
+      for (double ber : kBers) {
+        const std::string where =
+            "length " + std::to_string(length) + " ber " +
+            std::to_string(ber) + " backend " +
+            oscs::simd_backend_name(backend);
+        expect_dense_matches({3, 0}, 1, length, ber, salt, salt, where);
+        expect_dense_matches({6, 0}, 4, length, ber, salt + 1, salt, where);
+        expect_dense_matches({1, 1}, 1, length, ber, salt + 2, salt, where);
+        expect_dense_matches({5, 5}, 2, length, ber, salt + 3, salt, where);
+        const PackedKernel& kernel = kernel_for({3, 0});
+        const sc::SeparableProgram program = nary_program(3, 3, 16, salt);
+        PackedRunConfig cfg;
+        cfg.op.stream_length = length;
+        cfg.op.sng_width = 16;
+        cfg.op.ber = ber;
+        cfg.stimulus_seed = salt + 4;
+        cfg.noise_seed = salt + 5;
+        const std::vector<double> point = {0.45, 0.2};
+        expect_same(kernel.run_nd(program, point, cfg),
+                    reference_nd(kernel, program, point, cfg),
+                    where + " N-ary");
+        ++salt;
+      }
+    }
+  }
+}
+
+TEST(LaneCountSink, EmptyTermIsTheConstantOne) {
+  const auto coeffs = coefficient_sets(2, 4, 16, 77);
+  std::vector<sc::SeparableTerm> terms(3);
+  terms[0].weight = 0.5;
+  terms[0].factors.push_back({0, sc::BernsteinPoly(coeffs[0])});
+  terms[1].weight = 0.25;  // no factors: the constant term
+  terms[2].weight = 0.25;
+  terms[2].factors.push_back({1, sc::BernsteinPoly(coeffs[1])});
+  const sc::SeparableProgram program(2, std::move(terms));
+  const PackedKernel& kernel = kernel_for({3, 0});
+  for (oscs::SimdBackend backend : available_backends()) {
+    ScopedBackend scope(backend);
+    for (std::size_t length : {65u, 4096u, 8193u}) {
+      for (double ber : kBers) {
+        PackedRunConfig cfg;
+        cfg.op.stream_length = length;
+        cfg.op.sng_width = 16;
+        cfg.op.ber = ber;
+        cfg.stimulus_seed = length;
+        cfg.noise_seed = length + 1;
+        const std::vector<double> point = {0.6, 0.3};
+        expect_same(kernel.run_nd(program, point, cfg),
+                    reference_nd(kernel, program, point, cfg),
+                    "length " + std::to_string(length) + " ber " +
+                        std::to_string(ber) + " backend " +
+                        oscs::simd_backend_name(backend));
+      }
+    }
+  }
+}
+
+TEST(FlipDraw, LazyDrawMatchesUpFrontSampling) {
+  for (double ber : {1e-76, 1e-12, 1e-6, 3e-5, 1e-4, 1e-2, 0.25, 0.5}) {
+    for (std::size_t length : {1u, 2u, 63u, 64u, 65u, 4096u, 100000u}) {
+      for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        const std::string where = "ber " + std::to_string(ber) + " length " +
+                                  std::to_string(length) + " seed " +
+                                  std::to_string(seed);
+        const std::vector<std::size_t> want =
+            reference_flip_positions(length, ber, seed);
+        simd::FlipDraw draw;
+        draw.rng = oscs::Xoshiro256(seed);
+        draw.start(std::log1p(-ber), length);
+        std::vector<std::size_t> got;
+        for (; draw.next != simd::FlipDraw::kNone; draw.advance()) {
+          got.push_back(draw.next);
+        }
+        ASSERT_EQ(got, want) << where;
+        EXPECT_EQ(draw.count, want.size()) << where;
+        // The up-front API draws through the same rule and leaves the
+        // caller's generator where the reference sampler leaves its own.
+        oscs::Xoshiro256 api(seed + 1000);
+        oscs::Xoshiro256 reference(seed + 1000);
+        EXPECT_EQ(sample_flip_positions(length, ber, api),
+                  reference_flip_positions(length, ber, reference))
+            << where;
+        EXPECT_EQ(api(), reference()) << where;
+      }
+    }
+  }
+}
+
+TEST(FlipDraw, DesignBerDrawEndsBeforeBitZero) {
+  const oscs::OperatingPoint design =
+      optsc::design_operating_point(circuit(3), 4096, 16);
+  ASSERT_GT(design.ber, 0.0);
+  ASSERT_LT(design.ber, 1e-30);
+  for (std::size_t length : {std::size_t{1}, std::size_t{4096},
+                             std::size_t{1} << 26}) {
+    for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+      simd::FlipDraw draw;
+      draw.rng = oscs::Xoshiro256(seed);
+      draw.start(std::log1p(-design.ber), length);
+      ASSERT_EQ(draw.next, simd::FlipDraw::kNone)
+          << "length " << length << " seed " << seed;
+      EXPECT_EQ(draw.count, 0u);
     }
   }
 }
