@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "engine/packed_sim.hpp"
 #include "engine/simd_kernel.hpp"
 #include "optsc/circuit.hpp"
@@ -90,10 +91,42 @@ void BM_LfsrSngStream(benchmark::State& state) {
 }
 BENCHMARK(BM_LfsrSngStream);
 
+/// The backends this binary and CPU can run: the rows below register once
+/// per backend, so one run prints both instantiations of each kernel.
+std::vector<SimdBackend> available_backends() {
+  std::vector<SimdBackend> backends = {SimdBackend::kScalar};
+  if (simd_avx2_compiled() && simd_avx2_runtime()) {
+    backends.push_back(SimdBackend::kAvx2);
+  }
+  return backends;
+}
+
+/// Runs a row on one backend and restores env/CPU resolution after it.
+class RowBackend {
+ public:
+  explicit RowBackend(SimdBackend backend) { set_simd_backend(backend); }
+  ~RowBackend() { reset_simd_backend(); }
+  RowBackend(const RowBackend&) = delete;
+  RowBackend& operator=(const RowBackend&) = delete;
+};
+
+/// Registers `fn` as "<name>/<backend>" once per available backend;
+/// `args` sets the row's arguments.
+template <class Args>
+void register_per_backend(const std::string& name,
+                          void (*fn)(benchmark::State&, SimdBackend),
+                          const Args& args) {
+  for (SimdBackend backend : available_backends()) {
+    args(benchmark::RegisterBenchmark(
+        (name + "/" + simd_backend_name(backend)).c_str(), fn, backend));
+  }
+}
+
 /// One serving stimulus stream: fill_stream's LFSR setup plus the
 /// comparator fill into caller words, a fresh salt (so a fresh phase) per
 /// stream as fill_fused_stimulus draws them. Args: SNG width, stream bits.
-void BM_FillStream(benchmark::State& state) {
+void BM_FillStream(benchmark::State& state, SimdBackend backend) {
+  const RowBackend row_backend(backend);
   const auto width = static_cast<unsigned>(state.range(0));
   const auto length = static_cast<std::size_t>(state.range(1));
   std::vector<std::uint64_t> words((length + 63) / 64);
@@ -107,9 +140,6 @@ void BM_FillStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(length));
 }
-BENCHMARK(BM_FillStream)
-    ->ArgNames({"width", "bits"})
-    ->ArgsProduct({{8, 16}, {256, 4096}});
 
 /// Deterministic coefficient grid in [0, 1], distinct per `salt`.
 std::vector<double> grid_coefficients(std::size_t cells, std::size_t salt) {
@@ -225,7 +255,8 @@ BENCHMARK(BM_RunNdLong);
 /// and gather rows prepared once, one dense job of BM_RunDense's shapes at
 /// 4096 bits and the design BER: BM_RunDense minus this row is the share
 /// of an eval spent outside the loop (setup, walk starts, flip draw).
-void BM_LaneLoop(benchmark::State& state) {
+void BM_LaneLoop(benchmark::State& state, SimdBackend backend) {
+  const RowBackend row_backend(backend);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m = static_cast<std::size_t>(state.range(1));
   const DenseCase c = dense_case(n, m, static_cast<std::size_t>(state.range(2)));
@@ -287,13 +318,36 @@ void BM_LaneLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_LaneLoop)
-    ->ArgNames({"n", "m", "k"})
-    ->Args({3, 0, 1})
-    ->Args({6, 0, 1})
-    ->Args({6, 0, 4})
-    ->Args({1, 1, 1})
-    ->Args({3, 3, 1});
+
+/// The materialized path's block loop alone: PackedKernel::evaluate (bit
+/// planes, select masks, MUX OR-reduce) on the order-6 serving kernel over
+/// make_sc_inputs stimulus built once, 4096 bits.
+void BM_BitPlaneCore(benchmark::State& state, SimdBackend backend) {
+  const RowBackend row_backend(backend);
+  const engine::KernelBackend kernel = engine::make_backend({6, 0}, 16);
+  const sc::ScInputs inputs = sc::make_sc_inputs(
+      0.4, grid_coefficients(7, 0), 6, 4096, {sc::SourceKind::kLfsr, 16, 7});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.kernel->evaluate(inputs));
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+
+[[maybe_unused]] const bool kPerBackendRows = [] {
+  register_per_backend("BM_FillStream", BM_FillStream, [](auto* row) {
+    row->ArgNames({"width", "bits"})->ArgsProduct({{8, 16}, {256, 4096}});
+  });
+  register_per_backend("BM_LaneLoop", BM_LaneLoop, [](auto* row) {
+    row->ArgNames({"n", "m", "k"})
+        ->Args({3, 0, 1})
+        ->Args({6, 0, 1})
+        ->Args({6, 0, 4})
+        ->Args({1, 1, 1})
+        ->Args({3, 3, 1});
+  });
+  register_per_backend("BM_BitPlaneCore", BM_BitPlaneCore, [](auto*) {});
+  return true;
+}();
 
 /// One serve reply of a 9-cell 1D evaluation (the certification grid at
 /// 4096 bits x 8 repeats) through serve::write_response.

@@ -8,12 +8,16 @@
 ///
 /// The packed evaluation walks streams in plane-major *blocks* of packed
 /// words rather than one word at a time, so each primitive sees a
-/// contiguous run it can vectorize. Two implementations exist: a scalar
-/// one (the bit-exact reference, always compiled) and an AVX2 one
-/// (compiled only in the `*_avx2.cpp` translation unit when the toolchain
-/// supports -mavx2, entered only after a runtime cpuid check). Every
-/// operation is pure bitwise logic, so the two are bit-identical by
-/// construction; the equivalence suite pins that.
+/// contiguous run it can vectorize. Every primitive is written once
+/// (simd_kernel_body.hpp) and compiled twice: into the baseline-ISA
+/// translation unit (the scalar backend) and, when the toolchain supports
+/// -mavx2, into the `*_avx2.cpp` one, entered only after a runtime cpuid
+/// check. The lane loop's vectors are as wide as the TU's ISA allows (8
+/// or 16 int16 lanes), and two steps of the AVX2 instantiation use
+/// intrinsics (the bound gather, the bit packing) beside generic
+/// versions. The bit planes are bitwise logic and the lane loop exact
+/// 16-bit integer arithmetic, so both instantiations produce the same
+/// bits; the equivalence suites pin that.
 ///
 /// Backend selection rides the process-wide seam in common/simd.hpp:
 /// `set_simd_backend()` > `OSCS_KERNEL_BACKEND` env (scalar|avx2|auto) >
@@ -220,28 +224,8 @@ struct KernelOps {
 
 #if defined(OSCS_HAVE_AVX2)
 namespace detail {
-/// AVX2 implementations (simd_kernel_avx2.cpp, compiled with -mavx2).
-/// Bit-identical to the scalar reference.
-void accumulate_planes_avx2(const std::uint64_t* const* streams,
-                            std::size_t n_streams, std::size_t w0,
-                            std::size_t count, std::uint64_t* planes,
-                            std::size_t plane_count, std::size_t stride);
-void select_masks_avx2(const std::uint64_t* planes, std::size_t plane_count,
-                       std::size_t count, std::size_t n_values,
-                       std::uint64_t* sel, std::size_t stride);
-void mux_or_reduce_avx2(const std::uint64_t* sel, std::size_t n_sel,
-                        std::size_t stride, std::size_t count,
-                        const std::uint64_t* const* z_words, std::size_t w0,
-                        std::uint64_t* mux);
-void mux2_or_reduce_avx2(const std::uint64_t* sel_x, std::size_t nx,
-                         const std::uint64_t* sel_y, std::size_t ny,
-                         std::size_t stride, std::size_t count,
-                         const std::uint64_t* const* z_words, std::size_t w0,
-                         std::uint64_t* mux);
-ProductCounts count_product_avx2(const std::uint64_t* const* optical,
-                                 const std::uint64_t* const* electronic,
-                                 std::size_t factors, std::size_t length);
-void select_compare_avx2(const SelectCompareJob& job);
+/// The primitive set compiled with -mavx2 (simd_kernel_avx2.cpp).
+[[nodiscard]] const KernelOps& avx2_kernel_ops() noexcept;
 }  // namespace detail
 #endif
 

@@ -2,11 +2,12 @@
 /// \file simd_kernel_count.hpp
 /// \brief The counting bodies behind `KernelOps::count_product` and the
 ///        count sink of `KernelOps::select_compare`. Both backend
-///        translation units include it, so one source compiles twice: to
+///        translation units compile it, so one source compiles twice: to
 ///        libgcc's software popcount in the baseline-ISA scalar TU and to
 ///        the hardware `popcnt` that -mavx2 enables in the AVX2 TU. The
 ///        bodies have internal linkage, so neither copy can stand in for
-///        the other at link time. Include it from those two files only.
+///        the other at link time. Include it only through
+///        simd_kernel_body.hpp.
 
 #include <algorithm>
 #include <bit>

@@ -7,6 +7,7 @@
 
 #include "common/simd.hpp"
 #include "stochastic/lfsr.hpp"
+#include "stochastic/sng_lanes.hpp"
 
 namespace oscs::stochastic::detail {
 
@@ -70,22 +71,8 @@ void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
                             std::uint64_t scramble, std::uint64_t mask,
                             std::uint64_t threshold, std::size_t length,
                             std::uint64_t* words, LfsrWalk walk) {
-  const std::uint16_t* row = cycle.row(walk);
-  const std::size_t period = cycle.period();
-  const std::size_t nwords = (length + 63) / 64;
-  std::size_t idx = phase0;
-  std::size_t bit = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    std::uint64_t word = 0;
-    const std::size_t limit = length - bit < 64 ? length - bit : 64;
-    for (std::size_t i = 0; i < limit; ++i) {
-      const std::uint64_t v = (cycle.decode(row[idx]) * scramble) & mask;
-      word |= static_cast<std::uint64_t>(v < threshold) << i;
-      if (++idx == period) idx = 0;
-    }
-    words[w] = word;
-    bit += limit;
-  }
+  lanes::fill_lfsr_body(cycle, phase0, scramble, mask, threshold, length,
+                        words, walk);
 }
 
 void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,

@@ -1,11 +1,12 @@
 #pragma once
 /// \file sng_fill.hpp
-/// \brief Bulk comparator fill for SNG stream generation - the dominant
-///        cost of a packed evaluation (profiling: ~95% of run() at 4096
-///        bits went through the per-bit virtual RandomSource::next()
-///        loop).
+/// \brief Bulk comparator fill for SNG stream generation: the stimulus of
+///        the materialized path (v1 rows, v2 set rows) and the Sng bulk
+///        API. It replaces a per-bit virtual RandomSource::next() loop.
+///        Served evaluations draw no fill: the lane loop
+///        (engine/simd_kernel.hpp) walks the same biased rows directly.
 ///
-/// Two ideas make the LFSR path word-parallel:
+/// Four ideas make the LFSR path word-parallel:
 ///
 ///   1. *Canonical cycle table.* A maximal-length LFSR of width w visits
 ///      every nonzero state exactly once per period 2^w - 1, and
@@ -27,14 +28,14 @@
 ///      because c * a = ((state * a) << (16 - w)) + 0x8000 * a modulo
 ///      2^16, 0x8000 * a = 0x8000 modulo 2^16 when a is odd, and flipping
 ///      the top bit maps unsigned 16-bit order onto signed order. The
-///      shift drops the bits above the mask, so the AVX2 backend needs
-///      one `vpmullw` and one `vpcmpgtw` per 16 comparators - no mask,
-///      no unsigned-compare emulation. It packs decisions into 64-bit
-///      words 32 bits at a time (one pack + permute + movemask). The row
-///      continues the cycle for 63 entries past the period, so every
-///      word's 64 phases are one contiguous run of the row, across the
-///      cycle wrap too: the loop never stages or splits a word, and it
-///      masks the stream's tail once, on the last word.
+///      shift drops the bits above the mask, so a vector of comparators
+///      costs one 16-bit multiply and one signed compare (`vpmullw` +
+///      `vpcmpgtw` per 16 under AVX2) - no mask, no unsigned-compare
+///      emulation - before its lane masks are packed into stream bits.
+///      The row continues the cycle for 63 entries past the period, so
+///      every word's 64 phases are one contiguous run of the row, across
+///      the cycle wrap too: the loop never stages or splits a word, and
+///      it masks the stream's tail once, on the last word.
 ///
 ///   3. *Leap row.* Stimulus contract v2 (stochastic/resc.hpp) draws one
 ///      comparator per coefficient set and compares it against the
@@ -49,7 +50,8 @@
 ///      continued exactly like the one-clock row, so both fills walk it
 ///      unchanged. The data banks keep the one-clock row.
 ///
-///   4. *Inclusive bound.* A v2 cell decides NOT (c * a > bias(T - 1))
+///   4. *Inclusive bound.* A v2 cell (and every fill, its threshold
+///      clamped to 2^w) decides NOT (c * a > bias(T - 1))
 ///      with bias(T - 1) = ((T - 1) << (16 - w)) ^ 0x8000 and
 ///      bias(-1) = 0x8000: the same signed identity, taken as u <= T - 1.
 ///      Unlike bias(T), it encodes every threshold 0..2^w with no branch:
@@ -57,12 +59,14 @@
 ///      int16 minimum, which no scrambled state reaches (state != 0 and
 ///      an odd a keep u != 0).
 ///
-/// The scalar fill evaluates the original formula over the decoded
-/// states (`LfsrCycle::state`), so it checks the identity independently;
-/// both fills are bit-identical to the per-bit reference loop
-/// (`Sng::generate_reference`), and the equivalence suite pins that
+/// The fill is one source (sng_lanes.hpp, which also holds the comparator
+/// step the lane loop shares) compiled twice: 8-lane vectors in the
+/// baseline translation unit, 16-lane ones in the -mavx2 one. Both are
+/// bit-identical to the per-bit reference loop (`Sng::generate_reference`),
+/// which evaluates the original formula on the clocked register and so
+/// checks the identity independently; the equivalence suite pins that
 /// across widths, thresholds, scrambles, phases and tail lengths. The
-/// active implementation follows `oscs::simd_backend()` (see
+/// active instantiation follows `oscs::simd_backend()` (see
 /// common/simd.hpp).
 
 #include <cstddef>
@@ -139,10 +143,11 @@ struct LfsrCycle {
 /// Fill ceil(length/64) packed words: bit t of the stream is
 /// ((state_walk((phase0 + t) mod period) * scramble) & mask) < threshold,
 /// where state_walk(i) is the state `walk`'s row holds at index i, with
-/// phase0 < period(), mask = 2^w - 1 and an odd scramble (the AVX2
+/// phase0 < period(), mask = 2^w - 1 and an odd scramble (the biased
 /// identity needs it; every LFSR source forces it). Padding bits past
 /// `length` in the last word are left zero, and nothing past that word is
-/// written. `words` must hold ceil(length/64) entries.
+/// written. `words` must hold ceil(length/64) entries. This entry point
+/// runs the baseline-ISA instantiation.
 void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
                             std::uint64_t scramble, std::uint64_t mask,
                             std::uint64_t threshold, std::size_t length,
@@ -150,7 +155,7 @@ void fill_lfsr_words_scalar(const LfsrCycle& cycle, std::size_t phase0,
                             LfsrWalk walk = LfsrWalk::kClock);
 
 #if defined(OSCS_HAVE_AVX2)
-/// AVX2 variant of fill_lfsr_words_scalar; bit-identical output.
+/// The -mavx2 instantiation of the same body; bit-identical output.
 void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
                           std::uint64_t scramble, std::uint64_t mask,
                           std::uint64_t threshold, std::size_t length,
@@ -158,7 +163,7 @@ void fill_lfsr_words_avx2(const LfsrCycle& cycle, std::size_t phase0,
                           LfsrWalk walk = LfsrWalk::kClock);
 #endif
 
-/// Dispatched entry point (scalar or AVX2 per the active backend).
+/// Dispatched entry point (the instantiation of the active backend).
 void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,
                      std::uint64_t scramble, std::uint64_t mask,
                      std::uint64_t threshold, std::size_t length,

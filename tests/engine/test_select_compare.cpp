@@ -59,7 +59,7 @@ std::vector<oscs::SimdBackend> available_backends() {
 
 constexpr std::size_t kLengths[] = {1, 63, 64, 65, 4095, 4096};
 constexpr unsigned kWidths[] = {3, 8, 12, 16};
-constexpr std::size_t kSetCounts[] = {1, 4, 8};
+constexpr std::size_t kSetCounts[] = {1, 4, 8, 40};
 constexpr double kBers[] = {0.0, 1e-2, 0.5};
 
 /// Dense grid shapes: 1D orders 0-12, then the 2D grids.
