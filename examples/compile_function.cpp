@@ -35,7 +35,9 @@ int run_demo(int argc, char** argv) {
   args.add_string("function", "sigmoid",
                   "registry id (sigmoid, tanh, sin, cos, exp_neg, sqrt, "
                   "square, cube, gamma)");
-  args.add_int("width", 16, "SNG resolution [bits]");
+  args.add_int("width", 16,
+               "SNG resolution [bits]: an LFSR width, 3..16 (the widths "
+               "the engine's lane loop runs)");
   args.add_int("length", 4096, "certification stream length [bits]");
   args.add_int("repeats", 16, "certification MC repeats per grid point");
   if (!args.parse(argc, argv)) return 0;

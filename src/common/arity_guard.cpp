@@ -6,7 +6,9 @@ namespace {
 
 std::string render(const GuardStyle& style, std::string_view name) {
   if (!style.quote_names) return std::string(name);
-  return "'" + std::string(name) + "'";
+  // Appending (not "'" + std::string(name)) keeps GCC 12's -Wrestrict
+  // false positive on the prepend path out of -Werror builds.
+  return std::string("'").append(name).append("'");
 }
 
 }  // namespace

@@ -218,27 +218,11 @@ Certification certify(const CompiledProgram& program,
   return certify_program(program, point_form(reference), options);
 }
 
-Certification certify2_at(
-    const CompiledProgram& program,
-    const std::function<double(double, double)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options) {
-  require(program.is_bivariate(), "certify2_at: univariate program");
-  return certify_program_at(program, point_form(reference), op, options);
-}
-
 Certification certify2(const CompiledProgram& program,
                        const std::function<double(double, double)>& reference,
                        const CertificationOptions& options) {
   require(program.is_bivariate(), "certify2: univariate program");
   return certify_program(program, point_form(reference), options);
-}
-
-Certification certify_nd_at(const CompiledProgram& program,
-                            const PointReference& reference,
-                            const oscs::OperatingPoint& op,
-                            const CertificationOptions& options) {
-  require(program.is_nd(), "certify_nd_at: dense program");
-  return certify_program_at(program, reference, op, options);
 }
 
 Certification certify_nd(const CompiledProgram& program,

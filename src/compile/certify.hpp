@@ -11,8 +11,9 @@
 ///   * certify_program() / certify_program_at() - any program, reference
 ///                      over coordinate tuples;
 ///   * certify() / certify2() / certify_nd() - per-arity wrappers at the
-///                      program's design operating point, and their
-///                      `_at` forms at an explicit `oscs::OperatingPoint`;
+///                      program's design operating point;
+///   * certify_at()   - the univariate wrapper at an explicit
+///                      `oscs::OperatingPoint`, which certify_grid() runs;
 ///   * certify_grid() - an MAE/CI surface across a grid of probe powers
 ///                      and stream lengths (the link budget maps each
 ///                      probe power to its BER; ROADMAP "noise-aware
@@ -107,15 +108,6 @@ using PointReference = std::function<double(const std::vector<double>&)>;
     const std::function<double(double, double)>& reference,
     const CertificationOptions& options = {});
 
-/// Bivariate certification at an explicit operating point (BER, stream
-/// length and SNG width all come from `op`).
-/// \throws std::invalid_argument on invalid options, an invalid operating
-///         point or a univariate program.
-[[nodiscard]] Certification certify2_at(
-    const CompiledProgram& program,
-    const std::function<double(double, double)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
-
 /// Certify an N-ary separable `program` against its reference at its
 /// design operating point. The MC grid is the tensor of
 /// options.grid_points interior points per axis - grid_points^arity
@@ -127,15 +119,6 @@ using PointReference = std::function<double(const std::vector<double>&)>;
     const CompiledProgram& program,
     const std::function<double(const std::vector<double>&)>& reference,
     const CertificationOptions& options = {});
-
-/// N-ary certification at an explicit operating point (BER, stream length
-/// and SNG width all come from `op`).
-/// \throws std::invalid_argument on invalid options, an invalid operating
-///         point or a dense (uni/bivariate) program.
-[[nodiscard]] Certification certify_nd_at(
-    const CompiledProgram& program,
-    const std::function<double(const std::vector<double>&)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
 
 /// Controls for the operating-point grid sweep.
 struct GridCertificationOptions {

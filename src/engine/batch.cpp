@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "optsc/link_budget.hpp"
+#include "stochastic/lfsr.hpp"
 
 namespace oscs::engine {
 
@@ -346,6 +347,11 @@ BatchSummary BatchRunner::run_lattice(const BatchRequest& request,
     kernel_->check_program(program);
   }
   const oscs::OperatingPoint base = request.op.value_or(design_point_);
+  // Each cell would reject the width too, but only after the pool took
+  // its slab; refuse the batch before any task is submitted.
+  if (request.source_kind == sc::SourceKind::kLfsr) {
+    sc::check_lfsr_width(base.sng_width, "BatchRunner");
+  }
 
   // Task t evaluates program group g at point xi, length li and repeat rep
   // (repeat innermost): one program per task unfused; every program on

@@ -213,10 +213,12 @@ class BatchRunner {
   /// behavior; N-ary requests evaluate their input tuples through
   /// `PackedKernel::run_nd`, folding each program's weighted term
   /// estimates into the same `BatchSummary` shape.
-  /// \throws std::invalid_argument per `BatchRequest::validate()` or
-  ///         when a program does not run on the kernel
+  /// \throws std::invalid_argument per `BatchRequest::validate()`, when
+  ///         a program does not run on the kernel
   ///         (`PackedKernel::check_program`: kernel shape or factor order
-  ///         mismatch) - all raised before any task is submitted.
+  ///         mismatch) or on an LFSR width outside
+  ///         `stochastic::kLfsrWidths` - all raised before any task is
+  ///         submitted.
   [[nodiscard]] BatchSummary run_nd(const BatchRequest& request,
                                     ThreadPool& pool) const;
 

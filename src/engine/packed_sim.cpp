@@ -75,14 +75,6 @@ double density(std::size_t ones, std::size_t length) {
   return static_cast<double>(ones) / static_cast<double>(length);
 }
 
-/// True when a stimulus-v2 evaluation runs the lane loop: an LFSR source
-/// the cycle table serves. Every other source or width materializes the
-/// same v2 rows (fill_fused_stimulus) for the bit-plane core.
-bool lane_stimulus(sc::SourceKind kind, unsigned width) {
-  return kind == sc::SourceKind::kLfsr && width >= 3 &&
-         width <= sc::detail::kMaxLfsrTableWidth;
-}
-
 /// The lane loop's bound for probability p (SelectCompareJob).
 std::int16_t lane_bound(double p, unsigned width) {
   return sc::detail::inclusive_bound(sc::comparator_threshold(p, width),
@@ -155,6 +147,13 @@ struct PackedCell::Scratch {
   /// The cell fields every shape shares.
   void begin(const PackedKernel& kernel, std::span<const double> at,
              const oscs::OperatingPoint& op, sc::SourceKind kind) {
+    // An LFSR (whose width lfsr_cycle checks) runs a mux-exact kernel's
+    // stimulus-v2 evaluation in the lane loop. Every other source, and
+    // a physics-LUT kernel, materializes the rows (fill_fused_stimulus)
+    // for the bit-plane core.
+    const bool lfsr = kind == sc::SourceKind::kLfsr;
+    cycle = lfsr ? &sc::detail::lfsr_cycle(op.sng_width) : nullptr;
+    lanes = lfsr && kernel.mux_exact();
     point = at;
     length = op.stream_length;
     nwords = (length + 63) / 64;
@@ -164,8 +163,6 @@ struct PackedCell::Scratch {
       ber = op.ber;
       log_keep = std::log1p(-ber);
     }
-    lanes = kernel.mux_exact() && lane_stimulus(kind, op.sng_width);
-    cycle = lanes ? &sc::detail::lfsr_cycle(op.sng_width) : nullptr;
   }
 
   /// The lane loop's seed-free half: bank walk slots and bounds per pass,

@@ -39,12 +39,12 @@
 /// Stimulus. A mux-exact kernel runs stimulus contract v2
 /// (stochastic/resc.hpp): one comparator per coefficient set, so the MUX
 /// output is [v(t) < T_k(t)] and no coefficient stream needs to exist.
-/// With an LFSR source of at most 16 bits the run paths evaluate it in
-/// one fused lane loop (simd::KernelOps::select_compare): per 16 lanes the
-/// data-bank comparators count k (and k_y) in 16-bit lanes, a vpshufb
+/// With an LFSR source the run paths evaluate it in one fused lane loop
+/// (simd::KernelOps::select_compare): per 16 lanes the data-bank
+/// comparators count k (and k_y) in 16-bit lanes, a vpshufb
 /// gathers the set's bound for the selected cell, and one vpmullw +
 /// vpcmpgtw against the set's leap-row comparator decides - no x/y/z
-/// rows, carry-save planes or select masks. Every other source or width
+/// rows, carry-save planes or select masks. Every other source
 /// materializes the same v2 rows (fill_fused_stimulus) for the bit-plane
 /// core above, which also serves as the lane loop's bit-identity oracle.
 /// A physics-LUT kernel keeps v1, one comparator per cell, because its
@@ -62,7 +62,8 @@
 /// writes decision rows into per-thread scratch, toggles flips in place
 /// and counts the rows (count_product); a thread keeps at most 256 KiB of
 /// that scratch between evaluations. Either way a warm evaluation with an
-/// LFSR source of at most 16 bits makes no heap allocation.
+/// LFSR source makes no heap allocation. An LFSR width outside
+/// stochastic::kLfsrWidths is rejected when the cell is set up.
 /// evaluate()/evaluate2() are the streams-out reference over the
 /// bit-plane core. PackedCell splits a run into its seed-independent
 /// setup and the per-repeat evaluation, so a batch prepares each grid
@@ -248,8 +249,9 @@ class PackedKernel {
   /// decision stream). Program 0 is bit-identical to a one-program run.
   /// Allocates only the returned vector.
   /// \throws std::invalid_argument on an empty program list, a general
-  ///         separable program, a point arity or kernel shape mismatch, or
-  ///         an invalid operating point.
+  ///         separable program, a point arity or kernel shape mismatch, an
+  ///         invalid operating point or an LFSR width outside
+  ///         stochastic::kLfsrWidths.
   [[nodiscard]] std::vector<PackedRunResult> run_fused(
       std::span<const stochastic::SeparableProgram> programs,
       const std::vector<double>& point, const PackedRunConfig& config) const;
@@ -281,8 +283,9 @@ class PackedKernel {
   /// flips and transmission_flips counts, per term, the bits where the
   /// noisy optical product differs from the ideal electronic product.
   /// \throws std::invalid_argument on a point arity mismatch, a program
-  ///         that does not run on this kernel (check_program), or an
-  ///         invalid operating point.
+  ///         that does not run on this kernel (check_program), an invalid
+  ///         operating point or an LFSR width outside
+  ///         stochastic::kLfsrWidths.
   [[nodiscard]] PackedRunResult run_nd(
       const stochastic::SeparableProgram& program,
       const std::vector<double>& point, const PackedRunConfig& config) const;

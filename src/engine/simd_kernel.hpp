@@ -79,8 +79,9 @@ inline constexpr std::size_t kLaneBlockWords = 64;
 
 /// int16 entries of one coefficient set's gather row: the set's cell
 /// bounds, row-major, zero-padded to whole 8-cell chunks (one 16-byte
-/// vpshufb table each).
-[[nodiscard]] constexpr std::size_t lane_bound_stride(
+/// vpshufb table each). Internal linkage, like
+/// stochastic::detail::inclusive_bound: the -mavx2 lane loop calls it.
+[[nodiscard]] static constexpr std::size_t lane_bound_stride(
     std::size_t cells) noexcept {
   return (cells + 7) / 8 * 8;
 }
@@ -103,10 +104,10 @@ struct LanePass {
   std::size_t sets = 0;  ///< the next `sets` coefficient sets of the job
 };
 
-/// One select-then-compare evaluation (stimulus v2, LFSR of at most 16
-/// bits), counted as it is decided. Every pass has an x bank, a y bank
-/// and its coefficient sets, all given as cycle-table walks instead of
-/// stream rows. With
+/// One select-then-compare evaluation (stimulus v2, LFSR source), counted
+/// as it is decided. Every pass has an x bank, a y bank and its
+/// coefficient sets, all given as cycle-table walks instead of stream
+/// rows. With
 ///
 ///   above(row, walk, t, b) = int16(row[walk.start + t] * walk.scramble) > b
 ///

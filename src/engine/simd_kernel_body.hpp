@@ -14,15 +14,14 @@
 /// beside the generic version the baseline TU compiles: the vpshufb bound
 /// gather (BoundGather, here) and the bit packing (lanes::pack_bits). The
 /// counting bodies come from simd_kernel_count.hpp. Everything has
-/// internal linkage, so the linker can never substitute the -mavx2 copy
-/// into the baseline path. Include it from those two files only.
+/// internal linkage and calls only internal-linkage helpers, builtins and
+/// out-of-line functions (see stochastic/sng_lanes.hpp), so the linker
+/// can never substitute the -mavx2 copy into the baseline path. Include
+/// it from those two files only.
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #include "engine/simd_kernel.hpp"
 #include "engine/simd_kernel_count.hpp"
@@ -57,6 +56,12 @@ inline void store_words(std::uint64_t* p, Words v, std::size_t n) {
   std::memcpy(p, &v, n * sizeof(std::uint64_t));
 }
 
+/// A word count known at compile time.
+template <std::size_t N>
+struct WordCount {
+  constexpr operator std::size_t() const noexcept { return N; }
+};
+
 /// Run op(i, n) over words [0, count): n words from word i, n a
 /// compile-time kVectorWords for every whole vector and 1 for each word of
 /// the tail.
@@ -64,9 +69,9 @@ template <class Op>
 inline void for_each_vector(std::size_t count, const Op& op) {
   std::size_t i = 0;
   for (; i + kVectorWords <= count; i += kVectorWords) {
-    op(i, std::integral_constant<std::size_t, kVectorWords>{});
+    op(i, WordCount<kVectorWords>{});
   }
-  for (; i < count; ++i) op(i, std::integral_constant<std::size_t, 1>{});
+  for (; i < count; ++i) op(i, WordCount<1>{});
 }
 
 void accumulate_planes_body(const std::uint64_t* const* streams,
@@ -171,7 +176,7 @@ class BoundGather {
       }
       // The vpshufb operand of cell c: the byte pair (2(c mod 8),
       // 2(c mod 8) + 1) of its chunk's table.
-      index_[q] = std::bit_cast<__m256i>(within * 0x0202 + 0x0100);
+      index_[q] = __builtin_bit_cast(__m256i, within * 0x0202 + 0x0100);
     }
   }
 
@@ -184,10 +189,10 @@ class BoundGather {
         const I16 in_chunk = chunk_[q] == static_cast<std::int16_t>(c);
         bound = _mm256_blendv_epi8(
             bound, _mm256_shuffle_epi8(table(row, c), index_[q]),
-            std::bit_cast<__m256i>(in_chunk));
+            __builtin_bit_cast(__m256i, in_chunk));
       }
     }
-    return std::bit_cast<I16>(bound);
+    return __builtin_bit_cast(I16, bound);
   }
 
  private:
@@ -255,7 +260,8 @@ void select_compare_words(const SelectCompareJob& job) {
   LaneSink sink(job);
   std::size_t offset = 0;
   for (std::size_t w0 = 0; w0 < nwords; w0 += kLaneBlockWords) {
-    const std::size_t words = std::min(kLaneBlockWords, nwords - w0);
+    const std::size_t words =
+        nwords - w0 < kLaneBlockWords ? nwords - w0 : kLaneBlockWords;
     for (std::size_t j = 0; j < words; ++j) {
       const std::size_t w = w0 + j;
       std::size_t g = 0;

@@ -5,12 +5,11 @@
 ///        translation units compile it, so one source compiles twice: to
 ///        libgcc's software popcount in the baseline-ISA scalar TU and to
 ///        the hardware `popcnt` that -mavx2 enables in the AVX2 TU. The
-///        bodies have internal linkage, so neither copy can stand in for
-///        the other at link time. Include it only through
-///        simd_kernel_body.hpp.
+///        bodies have internal linkage and call only builtins and
+///        out-of-line functions (stochastic/sng_lanes.hpp says why), so
+///        neither copy can stand in for the other at link time. Include
+///        it only through simd_kernel_body.hpp.
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -18,6 +17,10 @@
 
 namespace oscs::engine::simd {
 namespace {
+
+inline std::size_t ones(std::uint64_t word) {
+  return static_cast<std::size_t>(__builtin_popcountll(word));
+}
 
 inline ProductCounts count_product_body(
     const std::uint64_t* const* optical,
@@ -37,15 +40,11 @@ inline ProductCounts count_product_body(
       opt &= tail;
       elec &= tail;
     }
-    counts.optical += static_cast<std::size_t>(std::popcount(opt));
-    counts.electronic += static_cast<std::size_t>(std::popcount(elec));
-    counts.differ += static_cast<std::size_t>(std::popcount(opt ^ elec));
+    counts.optical += ones(opt);
+    counts.electronic += ones(elec);
+    counts.differ += ones(opt ^ elec);
   }
   return counts;
-}
-
-inline std::size_t ones(std::uint64_t word) {
-  return static_cast<std::size_t>(std::popcount(word));
 }
 
 /// The count sink of a SelectCompareJob, fed one block of at most
@@ -137,7 +136,7 @@ class LaneSink {
     const std::size_t end_bit = 64 * (w0 + words);
     for (std::size_t i = 0; i < draws_; ++i) {
       std::uint64_t* row = masks + i * kLaneBlockWords;
-      std::fill_n(row, words, std::uint64_t{0});
+      for (std::size_t j = 0; j < words; ++j) row[j] = 0;
       for (FlipDraw& draw = flips_[i]; draw.next < end_bit; draw.advance()) {
         row[draw.next / 64 - w0] |= std::uint64_t{1} << (draw.next % 64);
       }
@@ -187,7 +186,7 @@ class LaneSink {
   void next_flip_word() {
     std::size_t next = FlipDraw::kNone;
     for (std::size_t i = 0; i < draws_; ++i) {
-      next = std::min(next, flips_[i].next);
+      if (flips_[i].next < next) next = flips_[i].next;
     }
     flip_word_ = next == FlipDraw::kNone ? next : next / 64;
   }

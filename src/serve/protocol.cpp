@@ -4,6 +4,7 @@
 
 #include "common/arity_guard.hpp"
 #include "common/json.hpp"
+#include "stochastic/lfsr.hpp"
 
 namespace oscs::serve {
 
@@ -44,17 +45,12 @@ std::string member_string(const JsonValue& v, const std::string& name) {
   return v.as_string();
 }
 
-/// SNG width with the serving range enforced before any narrowing cast -
-/// a silent wrap would run the request at a width the client never asked
-/// for (and poison the cache key). Serving always drives its SNGs from an
-/// LFSR, whose primitive taps exist for 3..32 bits; rejecting here costs
-/// no cold compile, cache traffic or in-flight slot. (OperatingPoint
-/// itself admits [1, 62] for the counter and low-discrepancy sources.)
-unsigned member_width(const JsonValue& v, const std::string& name) {
-  const std::uint64_t width = member_uint(v, name);
-  if (width < 3 || width > 32) {
-    bad_request("'" + name + "' must lie in [3, 32]");
-  }
+/// "sng_width", range-checked before any narrowing cast: a silent wrap
+/// would run the request at a width the client never asked for (and
+/// poison the cache key).
+unsigned member_sng_width(const JsonValue& v) {
+  const std::uint64_t width = member_uint(v, "sng_width");
+  check_sng_width(width);
   return static_cast<unsigned>(width);
 }
 
@@ -136,7 +132,7 @@ oscs::OperatingPoint parse_operating_point(const JsonValue& v) {
       op.stream_length =
           static_cast<std::size_t>(member_uint(value, "stream_length"));
     } else if (key == "sng_width") {
-      op.sng_width = member_width(value, "sng_width");
+      op.sng_width = member_sng_width(value);
     } else {
       bad_request("unknown operating_point member '" + key + "'");
     }
@@ -145,6 +141,14 @@ oscs::OperatingPoint parse_operating_point(const JsonValue& v) {
 }
 
 }  // namespace
+
+void check_sng_width(std::uint64_t width) {
+  if (!stochastic::kLfsrWidths.contains(width)) {
+    bad_request("'sng_width' must lie in [" +
+                std::to_string(stochastic::kLfsrWidths.min) + ", " +
+                std::to_string(stochastic::kLfsrWidths.max) + "]");
+  }
+}
 
 ServeRequest parse_request(const std::string& text) {
   JsonValue doc;
@@ -225,7 +229,7 @@ ServeRequest parse_request(const std::string& text) {
     } else if (key == "seed") {
       req.seed = member_uint(value, "seed");
     } else if (key == "sng_width") {
-      req.sng_width = member_width(value, "sng_width");
+      req.sng_width = member_sng_width(value);
     } else if (key == "operating_point") {
       req.operating_point = parse_operating_point(value);
     } else if (key == "probe_power_mw") {

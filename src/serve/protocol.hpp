@@ -27,7 +27,7 @@
 ///    "stream_lengths": [4096],         // default [4096]
 ///    "repeats": 8,                     // default 8
 ///    "seed": 1,                        // default 1
-///    "sng_width": 16,                  // optional override
+///    "sng_width": 16,                  // optional override, in [3, 16]
 ///    "operating_point": {...},         // optional explicit op, or
 ///    "probe_power_mw": 0.8}            // optional link-budget derivation
 /// Single-program sugar: a top-level "function" or "coefficients" member
@@ -157,6 +157,15 @@ struct ServeRequest {
   /// Probe power to map through the execution circuit's link budget.
   std::optional<double> probe_power_mw;
 };
+
+/// Serving drives its SNGs from LFSRs, so a request's "sng_width", top
+/// level or inside "operating_point", must lie in stochastic::kLfsrWidths
+/// (the widths the lane loop runs; OperatingPoint itself admits [1, 62]
+/// for the counter and low-discrepancy sources). parse_request and the
+/// typed ProgramServer::handle both check it before any compile, cache
+/// lookup or admission slot.
+/// \throws ServeError(400, "bad_request") naming 'sng_width' otherwise.
+void check_sng_width(std::uint64_t width);
 
 /// Parse and shape-validate one request document.
 /// \throws ServeError(400, "bad_request") on malformed JSON, unknown

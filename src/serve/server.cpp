@@ -12,6 +12,7 @@
 #include "compile/registry.hpp"
 #include "compile/serialize.hpp"
 #include "optsc/link_budget.hpp"
+#include "stochastic/lfsr.hpp"
 #include "stochastic/resc.hpp"
 
 namespace oscs::serve {
@@ -231,6 +232,14 @@ stochastic::SeparableProgram raw_program(const ProgramSpec& spec,
   return std::move(*program);
 }
 
+/// `options` with its compile width checked, before any server member
+/// (the engine pool's threads among them) is built.
+ServerOptions checked(ServerOptions options) {
+  stochastic::check_lfsr_width(options.compile.sng_width,
+                               "ProgramServer: compile.sng_width");
+  return options;
+}
+
 }  // namespace
 
 BuildInfo current_build_info() {
@@ -240,7 +249,7 @@ BuildInfo current_build_info() {
 }
 
 ProgramServer::ProgramServer(ServerOptions options)
-    : options_(options),
+    : options_(checked(options)),
       build_info_(current_build_info()),
       compiler_(options.compile, options.cache_capacity),
       pool_(options.threads),
@@ -554,11 +563,15 @@ ServeResponse ProgramServer::evaluate(const ServeRequest& request,
     throw ServeError(400, "bad_request",
                      "handle() only serves evaluate requests");
   }
-  // The typed entry point bypasses parse_request; repeat the shape
-  // checks before anything dereferences the request. The axes lift 'xs'
-  // and 'ys' into the one spelling everything downstream sees, and their
-  // coordinates are checked here - before a bad point costs compile work,
-  // an admission gate or an in-flight slot.
+  // The typed entry point bypasses parse_request; repeat the shape and
+  // width checks before anything dereferences the request. The axes lift
+  // 'xs' and 'ys' into the one spelling everything downstream sees, and
+  // their coordinates are checked here - before a bad point costs compile
+  // work, an admission gate or an in-flight slot.
+  if (request.sng_width.has_value()) check_sng_width(*request.sng_width);
+  if (request.operating_point.has_value()) {
+    check_sng_width(request.operating_point->sng_width);
+  }
   std::vector<std::vector<double>> axes;
   for (const NamedAxis& axis : evaluate_axes(request)) {
     const std::string error =

@@ -191,6 +191,8 @@ struct ServerMetrics {
 /// handle_json()/handle() concurrently; they share one compiler cache.
 class ProgramServer {
  public:
+  /// \throws std::invalid_argument if options.compile.sng_width lies
+  ///         outside stochastic::kLfsrWidths (serving SNGs are LFSRs).
   explicit ProgramServer(ServerOptions options = {});
 
   /// One request line in, one response line out (always terminated with

@@ -1,60 +1,53 @@
 #include "stochastic/lfsr.hpp"
 
 #include <bit>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 namespace oscs::stochastic {
 
-std::uint32_t Lfsr::taps_for_width(unsigned width) {
-  // Primitive polynomials (Fibonacci tap masks, bit w-1 = x^w term source),
-  // from the standard XAPP052 table. Each yields period 2^w - 1.
-  switch (width) {
-    case 3:  return 0x6;         // 3,2
-    case 4:  return 0xC;         // 4,3
-    case 5:  return 0x14;        // 5,3
-    case 6:  return 0x30;        // 6,5
-    case 7:  return 0x60;        // 7,6
-    case 8:  return 0xB8;        // 8,6,5,4
-    case 9:  return 0x110;       // 9,5
-    case 10: return 0x240;       // 10,7
-    case 11: return 0x500;       // 11,9
-    case 12: return 0xE08;       // 12,11,10,4
-    case 13: return 0x1C80;      // 13,12,11,8
-    case 14: return 0x3802;      // 14,13,12,2
-    case 15: return 0x6000;      // 15,14
-    case 16: return 0xD008;      // 16,15,13,4
-    case 17: return 0x12000;     // 17,14
-    case 18: return 0x20400;     // 18,11
-    case 19: return 0x72000;     // 19,18,17,14
-    case 20: return 0x90000;     // 20,17
-    case 21: return 0x140000;    // 21,19
-    case 22: return 0x300000;    // 22,21
-    case 23: return 0x420000;    // 23,18
-    case 24: return 0xE10000;    // 24,23,22,17
-    case 25: return 0x1200000;   // 25,22
-    case 26: return 0x2000023;   // 26,6,2,1
-    case 27: return 0x4000013;   // 27,5,2,1
-    case 28: return 0x9000000;   // 28,25
-    case 29: return 0x14000000;  // 29,27
-    case 30: return 0x20000029;  // 30,6,4,1
-    case 31: return 0x48000000;  // 31,28
-    case 32: return 0x80200003;  // 32,22,2,1
-    default:
-      throw std::invalid_argument("Lfsr: width " + std::to_string(width) +
-                                  " unsupported (need 3..32)");
+void check_lfsr_width(std::uint64_t width, std::string_view who) {
+  if (!kLfsrWidths.contains(width)) {
+    throw std::invalid_argument(
+        std::string(who) + ": LFSR width " + std::to_string(width) +
+        " outside [" + std::to_string(kLfsrWidths.min) + ", " +
+        std::to_string(kLfsrWidths.max) + "]");
   }
 }
 
-Lfsr::Lfsr(unsigned width, std::uint32_t seed) : width_(width) {
-  taps_ = taps_for_width(width);  // validates the width
-  mask_ = width == 32 ? 0xFFFFFFFFu : ((1u << width) - 1u);
-  state_ = seed & mask_;
-  if (state_ == 0) state_ = 1;  // the all-zero state is a fixed point
+std::uint32_t Lfsr::taps_for_width(unsigned width) {
+  check_lfsr_width(width, "Lfsr");
+  // Primitive polynomials (Fibonacci tap masks, bit w-1 = x^w term source),
+  // from the standard XAPP052 table, indexed by width. Each yields period
+  // 2^w - 1.
+  static constexpr std::uint32_t kTaps[] = {
+      0x6,     // 3: 3,2
+      0xC,     // 4: 4,3
+      0x14,    // 5: 5,3
+      0x30,    // 6: 6,5
+      0x60,    // 7: 7,6
+      0xB8,    // 8: 8,6,5,4
+      0x110,   // 9: 9,5
+      0x240,   // 10: 10,7
+      0x500,   // 11: 11,9
+      0xE08,   // 12: 12,11,10,4
+      0x1C80,  // 13: 13,12,11,8
+      0x3802,  // 14: 14,13,12,2
+      0x6000,  // 15: 15,14
+      0xD008,  // 16: 16,15,13,4
+  };
+  static_assert(std::size(kTaps) == kLfsrWidths.max - kLfsrWidths.min + 1,
+                "one tap mask per supported width");
+  return kTaps[width - kLfsrWidths.min];
 }
 
-std::uint64_t Lfsr::period() const noexcept {
-  return (width_ == 64 ? 0 : (1ULL << width_)) - 1ULL;
+Lfsr::Lfsr(unsigned width, std::uint32_t seed)
+    : width_(width),
+      taps_(taps_for_width(width)),
+      mask_((1u << width) - 1u),
+      state_(seed & mask_) {
+  if (state_ == 0) state_ = 1;  // the all-zero state is a fixed point
 }
 
 std::uint32_t Lfsr::step() noexcept {

@@ -164,8 +164,8 @@ struct FusedScInputs2 {
 /// each to ceil(length/64) words: the banks, then each program's cells
 /// row-major; `coeff_sets[k]` points at program k's
 /// (order_x+1)*(order_y+1) row-major coefficients. Every stream comes
-/// from fill_stream / fill_set_streams, so LFSR stimulus of at most 16
-/// bits fills without allocating.
+/// from fill_stream / fill_set_streams, so LFSR stimulus fills without
+/// allocating.
 /// \throws std::invalid_argument on a width the source kind cannot run.
 void fill_fused_stimulus(double x, double y,
                          std::span<const double* const> coeff_sets,
@@ -186,8 +186,8 @@ namespace detail {
 /// (order_x + order_y) starts on `cycle` (lfsr_cycle(config.width)): a
 /// bank (i < banks) walks the one-clock row, set i - banks the leap row,
 /// each from stimulus_salt(config, i). These are the streams
-/// fill_fused_stimulus(kPerSet) writes for an LFSR the table serves, so a
-/// walk-based evaluation reads the same bits.
+/// fill_fused_stimulus(kPerSet) writes for an LFSR, so a walk-based
+/// evaluation reads the same bits.
 [[nodiscard]] LfsrStart v2_walk_start(const LfsrCycle& cycle,
                                       const ScInputConfig& config,
                                       std::size_t banks, std::size_t i);

@@ -34,56 +34,6 @@ std::size_t first_phase(const detail::LfsrCycle& cycle,
   return phase == cycle.period() ? 0 : phase;
 }
 
-/// detail::kLeapClocks clocks of a width-w Fibonacci LFSR as one map. The
-/// register update is linear over GF(2) with no constant term, so the
-/// image of a state is the XOR of the images of its bytes, tabulated from
-/// the images of the w unit states.
-class LfsrLeap {
- public:
-  explicit LfsrLeap(unsigned width) {
-    std::uint32_t unit[32] = {};
-    for (unsigned i = 0; i < width; ++i) {
-      Lfsr lfsr(width, std::uint32_t{1} << i);
-      for (std::size_t c = 0; c < detail::kLeapClocks; ++c) (void)lfsr.step();
-      unit[i] = lfsr.state();
-    }
-    for (unsigned b = 0; b < 4; ++b) {
-      table_[b][0] = 0;
-      for (unsigned v = 1; v < 256; ++v) {
-        table_[b][v] = table_[b][v & (v - 1)] ^ unit[8 * b + std::countr_zero(v)];
-      }
-    }
-  }
-
-  [[nodiscard]] std::uint32_t operator()(std::uint32_t state) const noexcept {
-    return table_[0][state & 0xFFu] ^ table_[1][(state >> 8) & 0xFFu] ^
-           table_[2][(state >> 16) & 0xFFu] ^ table_[3][state >> 24];
-  }
-
- private:
-  std::uint32_t table_[4][256];
-};
-
-/// Compare one comparator sequence, drawn 64 values at a time from
-/// `draw`, against each cell's threshold: rows[c] bit t = v(t) < T_c.
-template <typename Draw>
-void compare_set(unsigned width, std::span<const double> coeffs,
-                 std::size_t length, std::uint64_t* const* rows, Draw&& draw) {
-  std::uint64_t block[64];
-  for (std::size_t w = 0, t = 0; t < length; ++w, t += 64) {
-    const std::size_t bits = std::min<std::size_t>(64, length - t);
-    for (std::size_t b = 0; b < bits; ++b) block[b] = draw();
-    for (std::size_t c = 0; c < coeffs.size(); ++c) {
-      const std::uint64_t threshold = comparator_threshold(coeffs[c], width);
-      std::uint64_t word = 0;
-      for (std::size_t b = 0; b < bits; ++b) {
-        word |= static_cast<std::uint64_t>(block[b] < threshold) << b;
-      }
-      rows[c][w] = word;
-    }
-  }
-}
-
 }  // namespace
 
 std::uint64_t comparator_threshold(double p, unsigned width) noexcept {
@@ -122,9 +72,9 @@ bool RandomSource::fill_comparator_words(std::uint64_t /*threshold*/,
 
 LfsrSource::LfsrSource(unsigned width, std::uint32_t seed,
                        std::uint64_t scramble)
-    : lfsr_(width, seed),
+    : lfsr_(width, seed),  // validates the width
       scramble_(scramble | 1ULL),  // must be odd to stay bijective
-      mask_(width >= 64 ? ~0ULL : (1ULL << width) - 1ULL) {}
+      mask_((std::uint64_t{1} << width) - 1) {}
 
 unsigned LfsrSource::width() const noexcept { return lfsr_.width(); }
 
@@ -135,7 +85,6 @@ std::uint64_t LfsrSource::next() {
 bool LfsrSource::fill_comparator_words(std::uint64_t threshold,
                                        std::size_t length,
                                        std::uint64_t* words) {
-  if (lfsr_.width() > detail::kMaxLfsrTableWidth) return false;
   if (length == 0) return true;
   const detail::LfsrCycle& cycle = detail::lfsr_cycle(lfsr_.width());
   const std::size_t phase0 = first_phase(cycle, lfsr_.state());
@@ -263,8 +212,7 @@ std::unique_ptr<RandomSource> make_source(SourceKind kind, unsigned width,
 
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                  double p, std::size_t length, std::uint64_t* words) {
-  if (kind == SourceKind::kLfsr && width >= 3 &&
-      width <= detail::kMaxLfsrTableWidth) {
+  if (kind == SourceKind::kLfsr) {
     // The table walk LfsrSource::fill_comparator_words makes, started
     // straight from the seeded register state; nothing is left to reseat.
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
@@ -282,8 +230,7 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
 void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
                       std::span<const double> coeffs, std::size_t length,
                       std::uint64_t* const* rows) {
-  if (kind == SourceKind::kLfsr && width >= 3 &&
-      width <= detail::kMaxLfsrTableWidth) {
+  if (kind == SourceKind::kLfsr) {
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
     const detail::LfsrStart start =
         detail::lfsr_start(cycle, salt, detail::LfsrWalk::kLeap);
@@ -295,23 +242,23 @@ void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
     }
     return;
   }
-  // Every other source draws the set's comparator sequence once; each
-  // cell then compares it against its own threshold.
-  if (kind == SourceKind::kLfsr) {
-    const LfsrSeed s = lfsr_seed(salt);
-    Lfsr lfsr(width, s.seed);  // validates the width
-    const LfsrLeap leap(width);
-    const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
-    std::uint32_t state = lfsr.step();  // bit 0: one clock past the seed
-    compare_set(width, coeffs, length, rows, [&] {
-      const std::uint64_t value = (state * s.scramble) & mask;
-      state = leap(state);
-      return value;
-    });
-    return;
-  }
+  // Every other source draws the set's comparator sequence once, 64
+  // values at a time; each cell then compares them against its own
+  // threshold.
   const std::unique_ptr<RandomSource> source = make_source(kind, width, salt);
-  compare_set(width, coeffs, length, rows, [&] { return source->next(); });
+  std::uint64_t block[64];
+  for (std::size_t w = 0, t = 0; t < length; ++w, t += 64) {
+    const std::size_t bits = std::min<std::size_t>(64, length - t);
+    for (std::size_t b = 0; b < bits; ++b) block[b] = source->next();
+    for (std::size_t c = 0; c < coeffs.size(); ++c) {
+      const std::uint64_t threshold = comparator_threshold(coeffs[c], width);
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        word |= static_cast<std::uint64_t>(block[b] < threshold) << b;
+      }
+      rows[c][w] = word;
+    }
+  }
 }
 
 }  // namespace oscs::stochastic

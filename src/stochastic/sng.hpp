@@ -36,13 +36,13 @@ class RandomSource {
                                      std::size_t length, std::uint64_t* words);
 };
 
-/// LFSR-state source - the conventional hardware SNG. Different seeds of
-/// the same LFSR produce *phase-shifted copies of one sequence*, whose
-/// comparator outputs correlate at fixed lags and bias multi-stream SC
-/// arithmetic. The optional odd `scramble` multiplier (a bijection on
-/// Z/2^w, hardware-wise a trivial remap of the state bits) decorrelates
-/// streams sharing a polynomial while preserving the exact full-period
-/// balance.
+/// LFSR-state source - the conventional hardware SNG, of a width in
+/// kLfsrWidths (lfsr.hpp). Different seeds of the same LFSR produce
+/// *phase-shifted copies of one sequence*, whose comparator outputs
+/// correlate at fixed lags and bias multi-stream SC arithmetic. The
+/// optional odd `scramble` multiplier (a bijection on Z/2^w,
+/// hardware-wise a trivial remap of the state bits) decorrelates streams
+/// sharing a polynomial while preserving the exact full-period balance.
 class LfsrSource final : public RandomSource {
  public:
   explicit LfsrSource(unsigned width, std::uint32_t seed = 1,
@@ -50,8 +50,7 @@ class LfsrSource final : public RandomSource {
   [[nodiscard]] unsigned width() const noexcept override;
   std::uint64_t next() override;
 
-  /// Word-parallel fill via the canonical cycle table (widths up to
-  /// detail::kMaxLfsrTableWidth; wider registers return false). Walks the
+  /// Word-parallel fill via the canonical cycle table. Walks the
   /// precomputed state cycle from this source's phase - scalar or AVX2
   /// per the active `oscs::simd_backend()` - then reseats the register,
   /// so interleaving with next() stays exact.
@@ -142,6 +141,8 @@ enum class SourceKind { kLfsr, kCounter, kVanDerCorput, kChaoticLaser };
 
 /// Factory: build a source of the given kind. `salt` decorrelates multiple
 /// sources of the same kind (seed / phase offset).
+/// \throws std::invalid_argument on a width the source kind cannot run
+///         (an LFSR outside kLfsrWidths).
 [[nodiscard]] std::unique_ptr<RandomSource> make_source(SourceKind kind,
                                                         unsigned width,
                                                         std::uint64_t salt);
@@ -154,12 +155,12 @@ enum class SourceKind { kLfsr, kCounter, kVanDerCorput, kChaoticLaser };
 
 /// Fill one SNG stream into caller memory: `words` (ceil(length/64)
 /// entries) receives exactly the words of
-/// Sng(make_source(kind, width, salt)).generate(p, length). An LFSR of at
-/// most detail::kMaxLfsrTableWidth bits starts the bulk cycle-table fill
-/// at its seeded register's phase - no source object, no register reseat
-/// - so that path never allocates; other kinds and wider registers
-/// generate through make_source and copy.
-/// \throws std::invalid_argument on a width the source kind cannot run.
+/// Sng(make_source(kind, width, salt)).generate(p, length). An LFSR
+/// starts the bulk cycle-table fill at its seeded register's phase - no
+/// source object, no register reseat - so that path never allocates;
+/// other kinds generate through make_source and copy.
+/// \throws std::invalid_argument on a width the source kind cannot run
+///         (an LFSR outside kLfsrWidths).
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                  double p, std::size_t length, std::uint64_t* words);
 
@@ -169,13 +170,12 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
 /// threshold of coeffs[c]. An LFSR comparator leaps detail::kLeapClocks
 /// clocks per bit: bit 0 reads the state one clock past the seeded
 /// register (as fill_stream's bit 0 does), bit t the state 16t clocks
-/// later; at most detail::kMaxLfsrTableWidth bits it walks the cycle
-/// table's leap row; a wider register's sequence is drawn once for the
-/// whole set, 16 clocks per value through a GF(2) jump map.
-/// Other kinds compare their own sequence for `salt`, so each row equals
-/// fill_stream(kind, width, salt, coeffs[c], ...). The sequence is drawn
-/// 64 values at a time, so memory stays constant in `length`.
-/// \throws std::invalid_argument on a width the source kind cannot run.
+/// later: it walks the cycle table's leap row. Other kinds compare their
+/// own sequence for `salt`, drawn once for the whole set 64 values at a
+/// time (memory stays constant in `length`), so each row equals
+/// fill_stream(kind, width, salt, coeffs[c], ...).
+/// \throws std::invalid_argument on a width the source kind cannot run
+///         (an LFSR outside kLfsrWidths).
 void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,
                       std::span<const double> coeffs, std::size_t length,
                       std::uint64_t* const* rows);

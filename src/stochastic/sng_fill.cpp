@@ -51,16 +51,16 @@ LfsrCycle build_cycle(unsigned width) {
 
 }  // namespace
 
+const std::uint16_t* LfsrCycle::row(LfsrWalk walk) const noexcept {
+  return walk == LfsrWalk::kClock ? comparator.data() : leap.data();
+}
+
 const LfsrCycle& lfsr_cycle(unsigned width) {
-  if (width < 3 || width > kMaxLfsrTableWidth) {
-    throw std::invalid_argument(
-        "lfsr_cycle: width " + std::to_string(width) + " outside 3.." +
-        std::to_string(kMaxLfsrTableWidth));
-  }
+  check_lfsr_width(width, "lfsr_cycle");
   // One immutable table per width, built on first use. A function-local
   // static array of once-initialized slots keeps later lookups lock-free.
-  static std::once_flag flags[kMaxLfsrTableWidth + 1];
-  static std::unique_ptr<const LfsrCycle> tables[kMaxLfsrTableWidth + 1];
+  static std::once_flag flags[kLfsrWidths.max + 1];
+  static std::unique_ptr<const LfsrCycle> tables[kLfsrWidths.max + 1];
   std::call_once(flags[width], [width] {
     tables[width] = std::make_unique<const LfsrCycle>(build_cycle(width));
   });

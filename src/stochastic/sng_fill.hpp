@@ -73,13 +73,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace oscs::stochastic::detail {
+#include "stochastic/lfsr.hpp"
 
-/// Largest LFSR width served by the canonical cycle table. At 16 bits the
-/// three rows cost ~384 KiB. Wider registers (the wire accepts
-/// `sng_width` up to 32) take the per-bit reference loop; the design
-/// operating point and the registry run at 16.
-constexpr unsigned kMaxLfsrTableWidth = 16;
+namespace oscs::stochastic::detail {
 
 /// Clocks the leap row advances per entry (see the file comment).
 constexpr std::size_t kLeapClocks = 16;
@@ -90,9 +86,10 @@ enum class LfsrWalk {
   kLeap,   ///< kLeapClocks clocks per bit (`LfsrCycle::leap`)
 };
 
-/// Canonical state cycle of the width-w maximal-length LFSR.
+/// Canonical state cycle of the width-w maximal-length LFSR. Every width
+/// in kLfsrWidths has one; at 16 bits its three rows cost ~384 KiB.
 struct LfsrCycle {
-  /// Register width w in bits (3..kMaxLfsrTableWidth).
+  /// Register width w in bits (kLfsrWidths).
   unsigned width = 0;
   /// comparator[i] = (state_i << (16 - w)) ^ 0x8000, where state_i is the
   /// register state after i clocks from state 1 (the biased form feeds
@@ -121,10 +118,10 @@ struct LfsrCycle {
   [[nodiscard]] std::uint16_t decode(std::uint16_t biased) const noexcept {
     return static_cast<std::uint16_t>((biased ^ 0x8000u) >> (16 - width));
   }
-  /// The biased row a walk reads.
-  [[nodiscard]] const std::uint16_t* row(LfsrWalk walk) const noexcept {
-    return walk == LfsrWalk::kClock ? comparator.data() : leap.data();
-  }
+  /// The biased row a walk reads. Defined out of line, so the -mavx2 fill
+  /// (sng_fill_avx2.cpp) calls the baseline copy instead of emitting its
+  /// own (see sng_lanes.hpp).
+  [[nodiscard]] const std::uint16_t* row(LfsrWalk walk) const noexcept;
   /// Index into `leap` of the one-clock phase `phase0` (< period()): the
   /// j with kLeapClocks * j == phase0 (mod period()). kLeapClocks = 2^4
   /// and 2^w == 1 (mod 2^w - 1), so its inverse is 2^(-4 mod w), and
@@ -137,7 +134,7 @@ struct LfsrCycle {
 };
 
 /// The (lazily built, immutable, thread-safe) cycle table for a width.
-/// \throws std::invalid_argument if width is outside 3..kMaxLfsrTableWidth.
+/// \throws std::invalid_argument if width is outside kLfsrWidths.
 [[nodiscard]] const LfsrCycle& lfsr_cycle(unsigned width);
 
 /// Fill ceil(length/64) packed words: bit t of the stream is
@@ -171,8 +168,11 @@ void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,
 
 /// bias(threshold - 1) of the file comment as int16: a v2 cell with
 /// comparator threshold T (0..2^width) emits 1 iff
-/// int16(row * scramble) <= inclusive_bound(T, width).
-[[nodiscard]] constexpr std::int16_t inclusive_bound(
+/// int16(row * scramble) <= inclusive_bound(T, width). Internal linkage:
+/// the -mavx2 instantiations call it, and an inline function they call
+/// would be emitted there as a weak copy the linker may pick for
+/// baseline callers.
+[[nodiscard]] static constexpr std::int16_t inclusive_bound(
     std::uint64_t threshold, unsigned width) noexcept {
   const std::uint64_t below = threshold == 0 ? 0 : threshold - 1;
   return static_cast<std::int16_t>(

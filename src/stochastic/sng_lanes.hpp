@@ -9,7 +9,14 @@
 ///        linker can never substitute the -mavx2 copy into the baseline
 ///        path. Include it only from backend translation units
 ///        (sng_fill.cpp, sng_fill_avx2.cpp) and from headers only they
-///        include (engine/simd_kernel_body.hpp).
+///        include (engine/simd_kernel_body.hpp). The bodies call only
+///        internal-linkage helpers, builtins and out-of-line functions:
+///        an inline function with external linkage (a std:: template, a
+///        member of a shared struct) would be emitted into the -mavx2
+///        object as a weak copy whenever the compiler declines to inline
+///        it, as it does at -O0, and the linker may bind baseline callers
+///        to that copy. CI compiles both -mavx2 objects at -O0 and fails
+///        when either defines any symbol but its entry point.
 ///
 /// The step: load kLanes row entries, multiply by the odd scramble,
 /// compare signed against the lanes' bounds, and pack the lane masks of
@@ -18,8 +25,6 @@
 /// baseline one ORs weighted lanes together through shuffles, which needs
 /// no byte shuffle or movemask instruction.
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -58,7 +63,7 @@ inline U16 load(const std::uint16_t* row) {
 /// Lane masks of kLanes comparator steps: lane t is -1 iff
 /// int16(row[t] * scramble) > bound[t], else 0.
 inline I16 above(const std::uint16_t* row, U16 scramble, I16 bound) {
-  return std::bit_cast<I16>(load(row) * scramble) > bound;
+  return __builtin_bit_cast(I16, load(row) * scramble) > bound;
 }
 
 /// The stream word of 64 lane masks (each lane 0 or -1): bit
@@ -71,8 +76,8 @@ inline std::uint64_t pack_bits(const I16 (&masks)[kWordVectors]) {
   const auto bits32 = [](I16 a, I16 b) {
     return static_cast<std::uint32_t>(
         _mm256_movemask_epi8(_mm256_permute4x64_epi64(
-            _mm256_packs_epi16(std::bit_cast<__m256i>(a),
-                               std::bit_cast<__m256i>(b)),
+            _mm256_packs_epi16(__builtin_bit_cast(__m256i, a),
+                               __builtin_bit_cast(__m256i, b)),
             0xD8)));
   };
   return bits32(masks[0], masks[1]) |
@@ -86,8 +91,8 @@ inline std::uint64_t pack_bits(const I16 (&masks)[kWordVectors]) {
   const U16 low = {1, 2, 4, 8, 16, 32, 64, 128};
   U16 chunk[4];
   for (std::size_t c = 0; c < 4; ++c) {
-    chunk[c] = (std::bit_cast<U16>(masks[2 * c]) & low) |
-               (std::bit_cast<U16>(masks[2 * c + 1]) & (low << 8));
+    chunk[c] = (__builtin_bit_cast(U16, masks[2 * c]) & low) |
+               (__builtin_bit_cast(U16, masks[2 * c + 1]) & (low << 8));
   }
   const auto fold = [](U16 a, U16 b, U16 first, U16 second) {
     return __builtin_shuffle(a, b, first) | __builtin_shuffle(a, b, second);
@@ -135,10 +140,10 @@ inline void fill_lfsr_body(const detail::LfsrCycle& cycle, std::size_t phase0,
   const std::size_t nwords = (length + 63) / 64;
   const U16 negated = splat(static_cast<std::uint16_t>(0 - scramble));
   const I16 bound = splat(static_cast<std::int16_t>(~detail::inclusive_bound(
-      std::min(threshold, mask + 1), cycle.width)));
+      threshold < mask + 1 ? threshold : mask + 1, cycle.width)));
   const auto same_bound = [bound](std::size_t) { return bound; };
   const std::uint16_t* row = cycle.row(walk);
-  const std::size_t period = cycle.period();
+  const std::size_t period = mask;  // 2^w - 1
   const std::size_t step = period > 64 ? 64 : 64 % period;
   std::size_t idx = phase0;
   for (std::size_t w = 0; w < nwords; ++w) {

@@ -325,13 +325,14 @@ TEST(PackedAllocBudget, BatchAllocationsDoNotGrowWithRepeats) {
 TEST(PackedAllocBudget, LongStreamScratchIsReleased) {
   // 2^22 bits is 512 KiB per row, past the scratch a thread keeps between
   // evaluations: each evaluation of a path that materializes rows (a
-  // 24-bit LFSR, past the cycle table) allocates its rows afresh.
+  // 24-bit counter source) allocates its rows afresh.
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(3));
   const PackedKernel kernel(circuit);
   const sc::SeparableProgram program(sc::BernsteinPoly({0.1, 0.8, 0.3, 0.95}));
   PackedRunConfig cfg;
   cfg.op = noisy_op(std::size_t{1} << 22);
   cfg.op.sng_width = 24;
+  cfg.source_kind = sc::SourceKind::kCounter;
   PackedRunResult result;
   const std::size_t first =
       allocations_during([&] { result = kernel.run_nd(program, {0.4}, cfg); });

@@ -79,8 +79,8 @@ TEST(Cli, WrongTypeQueryThrows) {
   ArgParser p = make_parser();
   const char* argv[] = {"demo"};
   ASSERT_TRUE(p.parse(1, argv));
-  EXPECT_THROW(p.get_int("spacing"), std::logic_error);
-  EXPECT_THROW(p.flag("nonexistent"), std::logic_error);
+  EXPECT_THROW((void)p.get_int("spacing"), std::logic_error);
+  EXPECT_THROW((void)p.flag("nonexistent"), std::logic_error);
 }
 
 TEST(Cli, UsageListsAllOptions) {

@@ -126,7 +126,7 @@ TEST(LeastSquares, MinimizesResidualForInconsistentData) {
 TEST(VectorOps, NormAndDot) {
   EXPECT_DOUBLE_EQ(norm2({3.0, 4.0}), 5.0);
   EXPECT_DOUBLE_EQ(dot({1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}), 32.0);
-  EXPECT_THROW(dot({1.0}, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)dot({1.0}, {1.0, 2.0}), std::invalid_argument);
 }
 
 }  // namespace

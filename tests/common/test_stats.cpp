@@ -52,8 +52,8 @@ TEST(ErrorMetrics, MaeRmseMaxAbs) {
 }
 
 TEST(ErrorMetrics, RejectsMismatchedOrEmpty) {
-  EXPECT_THROW(mae({1.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(rmse({}, {}), std::invalid_argument);
+  EXPECT_THROW((void)mae({1.0}, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)rmse({}, {}), std::invalid_argument);
 }
 
 TEST(Pearson, PerfectAndAnticorrelated) {

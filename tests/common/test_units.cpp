@@ -25,8 +25,8 @@ TEST(Units, LinearToDbInvertsDbToLinear) {
 }
 
 TEST(Units, LinearToDbRejectsNonPositive) {
-  EXPECT_THROW(linear_to_db(0.0), std::domain_error);
-  EXPECT_THROW(linear_to_db(-1.0), std::domain_error);
+  EXPECT_THROW((void)linear_to_db(0.0), std::domain_error);
+  EXPECT_THROW((void)linear_to_db(-1.0), std::domain_error);
 }
 
 TEST(Units, DbmRoundTrip) {
@@ -42,8 +42,8 @@ TEST(Units, WavelengthFrequencyRoundTrip) {
   const double f = wavelength_nm_to_freq_ghz(1550.0);
   EXPECT_NEAR(f, 193414.489, 0.001);
   EXPECT_NEAR(freq_ghz_to_wavelength_nm(f), 1550.0, 1e-9);
-  EXPECT_THROW(wavelength_nm_to_freq_ghz(0.0), std::domain_error);
-  EXPECT_THROW(freq_ghz_to_wavelength_nm(-1.0), std::domain_error);
+  EXPECT_THROW((void)wavelength_nm_to_freq_ghz(0.0), std::domain_error);
+  EXPECT_THROW((void)freq_ghz_to_wavelength_nm(-1.0), std::domain_error);
 }
 
 TEST(Units, DecibelTypeArithmetic) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "engine/batch.hpp"
+#include "obs/metrics.hpp"
 #include "optsc/defaults.hpp"
 
 namespace oscs::engine {
@@ -31,6 +32,13 @@ const BatchRunner& runner() {
   static const BatchRunner instance{
       optsc::OpticalScCircuit(optsc::paper_defaults(2))};
   return instance;
+}
+
+/// Jobs every thread pool of the process has run so far.
+std::uint64_t pool_tasks_run() {
+  const obs::Counter* tasks =
+      obs::Registry::global().find_counter("oscs_engine_pool_tasks_total");
+  return tasks != nullptr ? tasks->value() : 0;
 }
 
 /// Both entry points, one signature: the tests below run every bad
@@ -108,6 +116,15 @@ TEST_P(BatchValidationTest, RejectsInvalidOperatingPoint) {
     req.op = oscs::OperatingPoint{};
     req.op->stream_length = 0;
     EXPECT_THROW((void)GetParam()(req), std::invalid_argument);
+  }
+  // An LFSR width outside the lane loop's range runs no task at all.
+  for (unsigned width : {2u, 17u, 24u, 32u}) {
+    BatchRequest req = valid_request();
+    req.op = oscs::OperatingPoint{}.with_sng_width(width);
+    const std::uint64_t before = pool_tasks_run();
+    EXPECT_THROW((void)GetParam()(req), std::invalid_argument)
+        << "width " << width;
+    EXPECT_EQ(pool_tasks_run(), before) << "width " << width;
   }
 }
 

@@ -90,7 +90,6 @@ TEST(PackedCell, RunsMatchTheRunPathsSeedForSeed) {
     unsigned width;
   };
   const Route routes[] = {{sc::SourceKind::kLfsr, 16},
-                          {sc::SourceKind::kLfsr, 24},
                           {sc::SourceKind::kCounter, 16}};
   // The run path's results per seed come first: a run path takes the
   // thread's scratch, so it cannot run while the thread holds a cell.

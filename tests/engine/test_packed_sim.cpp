@@ -49,8 +49,8 @@ TEST(PackedKernel, DecisionLutMatchesTheCircuitPhysics) {
           << "pattern " << p << " k " << k;
     }
   }
-  EXPECT_THROW(kernel.decision(8, 0), std::out_of_range);
-  EXPECT_THROW(kernel.decision(0, 3), std::out_of_range);
+  EXPECT_THROW((void)kernel.decision(8, 0), std::out_of_range);
+  EXPECT_THROW((void)kernel.decision(0, 3), std::out_of_range);
 }
 
 TEST(PackedKernel, NoiselessPassIsBitIdenticalToPerBitPhysics) {
@@ -221,15 +221,30 @@ TEST(PackedKernel, RejectsBadInputs) {
   const OpticalScCircuit c(paper_defaults());
   const PackedKernel kernel(c);
   PackedRunConfig cfg;
-  EXPECT_THROW(kernel.run(sc::paper_f2_bernstein(), 0.5, cfg),
+  EXPECT_THROW((void)kernel.run(sc::paper_f2_bernstein(), 0.5, cfg),
                std::invalid_argument);  // degree 3 on an order-2 circuit
   cfg.op.stream_length = 0;
-  EXPECT_THROW(kernel.run(order2_poly(), 0.5, cfg), std::invalid_argument);
+  EXPECT_THROW((void)kernel.run(order2_poly(), 0.5, cfg),
+               std::invalid_argument);
   cfg.op.stream_length = 64;
   cfg.op.ber = 0.75;  // outside [0, 0.5]
-  EXPECT_THROW(kernel.run(order2_poly(), 0.5, cfg), std::invalid_argument);
+  EXPECT_THROW((void)kernel.run(order2_poly(), 0.5, cfg),
+               std::invalid_argument);
   EXPECT_THROW(kernel.run_fused({}, {0.5}, PackedRunConfig{}),
                std::invalid_argument);
+  // LFSR widths outside the lane loop's range, on both run paths.
+  const std::vector<sc::SeparableProgram> programs = {
+      sc::SeparableProgram(order2_poly())};
+  for (unsigned width : {2u, 17u, 24u, 32u}) {
+    PackedRunConfig wide;
+    wide.op.sng_width = width;
+    EXPECT_THROW((void)kernel.run_nd(programs[0], {0.5}, wide),
+                 std::invalid_argument)
+        << "width " << width;
+    EXPECT_THROW((void)kernel.run_fused(programs, {0.5}, wide),
+                 std::invalid_argument)
+        << "width " << width;
+  }
 
   sc::ScInputs bad;
   bad.x_streams.assign(2, sc::Bitstream(64));

@@ -290,19 +290,19 @@ TEST(SeparableRunNdGeneral, RejectsMalformedRequests) {
   cfg.op = test_op(0.0, 256);
 
   // Point arity mismatch.
-  EXPECT_THROW(kernel.run_nd(program, {0.3, 0.8}, cfg),
+  EXPECT_THROW((void)kernel.run_nd(program, {0.3, 0.8}, cfg),
                std::invalid_argument);
   // Factor degree must match the circuit order (kernel is order 1 here;
   // a degree-2 factor cannot run on it).
   sc::SeparableTerm bad;
   bad.factors = {{0, sc::BernsteinPoly({0.1, 0.5, 0.9})}};
-  EXPECT_THROW(kernel.run_nd(sc::SeparableProgram(3, {bad}), {0.1, 0.2, 0.3},
-                             cfg),
+  EXPECT_THROW((void)kernel.run_nd(sc::SeparableProgram(3, {bad}),
+                                   {0.1, 0.2, 0.3}, cfg),
                std::invalid_argument);
   // General programs need a univariate kernel.
   const optsc::OpticalScCircuit c2(optsc::paper_defaults(1));
   const PackedKernel kernel2(c2, 1, 1);
-  EXPECT_THROW(kernel2.run_nd(program, {0.3, 0.8, 0.6}, cfg),
+  EXPECT_THROW((void)kernel2.run_nd(program, {0.3, 0.8, 0.6}, cfg),
                std::invalid_argument);
 }
 

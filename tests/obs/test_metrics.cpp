@@ -94,7 +94,7 @@ TEST(Registry, ReferencesStayValidAcrossGrowth) {
   Registry r;
   Counter& first = r.counter("first", "registered before the flood");
   for (int i = 0; i < 200; ++i) {
-    (void)r.counter("c" + std::to_string(i), "filler");
+    (void)r.counter(std::string("c").append(std::to_string(i)), "filler");
   }
   first.inc();
   EXPECT_EQ(r.find_counter("first")->value(), 1u);

@@ -78,13 +78,13 @@ TEST(Circuit, SelectedOneOutweighsSelectedZero) {
 
 TEST(Circuit, BitVectorShapeValidation) {
   const OpticalScCircuit c(paper_defaults());
-  EXPECT_THROW(c.channel_transmission(0, {true}, {true, false}),
+  EXPECT_THROW((void)c.channel_transmission(0, {true}, {true, false}),
                std::invalid_argument);
   EXPECT_THROW(
-      c.channel_transmission(0, {true, false, true}, {true, false, true}),
+      (void)c.channel_transmission(0, {true, false, true}, {true, false, true}),
       std::invalid_argument);
   EXPECT_THROW(
-      c.channel_breakdown(5, {true, false, true}, {true, false}),
+      (void)c.channel_breakdown(5, {true, false, true}, {true, false}),
       std::out_of_range);
 }
 

@@ -80,8 +80,8 @@ TEST(PumpPathTest, ExcessLossAttenuatesAllLevels) {
 
 TEST(PumpPathTest, BitCountValidation) {
   const PumpPath path(paper_mzi(), 2);
-  EXPECT_THROW(path.transmission({true}), std::invalid_argument);
-  EXPECT_THROW(path.transmission_for_count(3), std::invalid_argument);
+  EXPECT_THROW((void)path.transmission({true}), std::invalid_argument);
+  EXPECT_THROW((void)path.transmission_for_count(3), std::invalid_argument);
 }
 
 class PumpPathOrderP : public ::testing::TestWithParam<std::size_t> {};

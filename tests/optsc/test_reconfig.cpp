@@ -32,8 +32,8 @@ TEST(Reconfig, ConfigureProducesValidPerOrderParams) {
     EXPECT_DOUBLE_EQ(p.system.wl_spacing_nm, 0.2);
     EXPECT_NO_THROW(p.validate());
   }
-  EXPECT_THROW(rc.configure(0), std::invalid_argument);
-  EXPECT_THROW(rc.configure(7), std::invalid_argument);
+  EXPECT_THROW((void)rc.configure(0), std::invalid_argument);
+  EXPECT_THROW((void)rc.configure(7), std::invalid_argument);
 }
 
 TEST(Reconfig, ConfigureIsCachedAndStable) {
@@ -72,7 +72,7 @@ TEST(Reconfig, EnergyMatchesEnergyModel) {
 
 TEST(Reconfig, RecommendSharedSpacingRejectsEmpty) {
   EXPECT_THROW(
-      ReconfigurableCircuit::recommend_shared_spacing(EnergySpec{}, {}),
+      (void)ReconfigurableCircuit::recommend_shared_spacing(EnergySpec{}, {}),
       std::invalid_argument);
 }
 

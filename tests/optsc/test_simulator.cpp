@@ -20,10 +20,10 @@ TEST(Simulator, RejectsOrderMismatchAndEmptyStream) {
   const OpticalScCircuit c(paper_defaults());
   const TransientSimulator sim(c);
   SimulationConfig cfg;
-  EXPECT_THROW(sim.run(stochastic::paper_f2_bernstein(), 0.5, cfg),
+  EXPECT_THROW((void)sim.run(stochastic::paper_f2_bernstein(), 0.5, cfg),
                std::invalid_argument);  // degree 3 on an order-2 circuit
   cfg.stream_length = 0;
-  EXPECT_THROW(sim.run(order2_poly(), 0.5, cfg), std::invalid_argument);
+  EXPECT_THROW((void)sim.run(order2_poly(), 0.5, cfg), std::invalid_argument);
 }
 
 TEST(Simulator, ThresholdSitsInsidePhysicalEye) {
@@ -121,7 +121,7 @@ TEST(Simulator, MeasuredBerTracksAnalyticPrediction) {
   // the worst-case bound.
   EXPECT_GT(measured, 1e-4);
   EXPECT_LT(measured, 1.5e-2);
-  EXPECT_THROW(sim.measure_transmission_ber(0, 1), std::invalid_argument);
+  EXPECT_THROW((void)sim.measure_transmission_ber(0, 1), std::invalid_argument);
 }
 
 TEST(Simulator, LongerStreamsImproveAccuracy) {

@@ -21,7 +21,8 @@ CircuitParams sized_circuit(double margin) {
 TEST(Yield, ValidatesConfig) {
   YieldConfig cfg;
   cfg.samples = 0;
-  EXPECT_THROW(estimate_yield(paper_defaults(), cfg), std::invalid_argument);
+  EXPECT_THROW((void)estimate_yield(paper_defaults(), cfg),
+               std::invalid_argument);
 }
 
 TEST(Yield, NoVariationGivesFullYield) {

@@ -29,8 +29,10 @@ TEST(TpaIndex, Eq4LinearInPumpPower) {
   // The subtraction from n0 ~ 3.48 leaves ~1e-8 relative noise on the
   // ~1e-7 shifts; linearity holds to that accuracy.
   EXPECT_NEAR(shift2 / shift1, 2.0, 1e-6);
-  EXPECT_THROW(tpa_effective_index(n0, n2, -1.0, area), std::invalid_argument);
-  EXPECT_THROW(tpa_effective_index(n0, n2, 0.01, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)tpa_effective_index(n0, n2, -1.0, area),
+               std::invalid_argument);
+  EXPECT_THROW((void)tpa_effective_index(n0, n2, 0.01, 0.0),
+               std::invalid_argument);
 }
 
 TEST(AoFilter, ValidatesOte) {
@@ -48,7 +50,7 @@ TEST(AoFilter, DetuningIsLinearInPump) {
   EXPECT_NEAR(f.detuning_nm(10.0), 0.1, 1e-12);
   EXPECT_NEAR(f.detuning_nm(591.86), 5.9186, 1e-4);
   EXPECT_DOUBLE_EQ(f.detuning_nm(0.0), 0.0);
-  EXPECT_THROW(f.detuning_nm(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)f.detuning_nm(-1.0), std::invalid_argument);
 }
 
 TEST(AoFilter, ResonanceBlueShiftsUnderPump) {
@@ -63,7 +65,7 @@ TEST(AoFilter, RequiredPumpInvertsDetuning) {
   for (double delta : {0.1, 1.1, 2.1, 5.0}) {
     EXPECT_NEAR(f.detuning_nm(f.required_pump_mw(delta)), delta, 1e-12);
   }
-  EXPECT_THROW(f.required_pump_mw(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)f.required_pump_mw(-0.1), std::invalid_argument);
 }
 
 TEST(AoFilter, DropPeakFollowsThePump) {

@@ -21,7 +21,7 @@ TEST(CwLaserTest, EnergyPerBitScalesWithPeriodAndEfficiency) {
   EXPECT_DOUBLE_EQ(CwLaser(1.0, 0.2).energy_per_bit_pj(1e-9), 5.0);
   // Twice the bit period, twice the energy.
   EXPECT_DOUBLE_EQ(CwLaser(1.0, 0.2).energy_per_bit_pj(2e-9), 10.0);
-  EXPECT_THROW(CwLaser(1.0, 0.2).energy_per_bit_pj(0.0),
+  EXPECT_THROW((void)CwLaser(1.0, 0.2).energy_per_bit_pj(0.0),
                std::invalid_argument);
 }
 
@@ -42,7 +42,7 @@ TEST(PulsedLaserTest, DutyCycledAveragePower) {
   const PulsedLaser pump(100.0, 26e-12, 0.2);
   // At 1 Gb/s the duty cycle is 26e-12 / 1e-9 = 2.6%.
   EXPECT_NEAR(pump.average_power_mw(1e-9), 2.6, 1e-12);
-  EXPECT_THROW(pump.average_power_mw(0.0), std::invalid_argument);
+  EXPECT_THROW((void)pump.average_power_mw(0.0), std::invalid_argument);
 }
 
 TEST(PulsedLaserTest, PulseVsCwEnergyAdvantage) {

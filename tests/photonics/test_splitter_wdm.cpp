@@ -65,7 +65,7 @@ TEST(ChannelPlanTest, Validation) {
 
 TEST(ChannelPlanTest, ChannelIndexOutOfRangeThrows) {
   const ChannelPlan plan(1550.0, 1.0, 3);
-  EXPECT_THROW(plan.channel(3), std::out_of_range);
+  EXPECT_THROW((void)plan.channel(3), std::out_of_range);
 }
 
 class PlanOrderP : public ::testing::TestWithParam<std::size_t> {};

@@ -117,14 +117,18 @@ TEST(ParseRequest, RejectsMalformedRequests) {
   // Sugar form must reject degree-on-coefficients exactly like 'programs'.
   expect_bad_request(R"({"coefficients": [0.1, 0.5], "degree": 4,
                          "xs": [0.5]})");
-  // SNG width outside the serving LFSR's [3, 32] is rejected before any
+  // SNG width outside the serving LFSR's [3, 16] is rejected before any
   // narrowing cast can silently wrap it (4294967312 = 2^32 + 16).
   expect_bad_request(R"({"function": "f", "xs": [0.5], "sng_width": 0})");
   expect_bad_request(R"({"function": "f", "xs": [0.5], "sng_width": 63})");
   expect_bad_request(R"({"function": "f", "xs": [0.5], "sng_width": 2})");
+  expect_bad_request(R"({"function": "f", "xs": [0.5], "sng_width": 17})");
+  expect_bad_request(R"({"function": "f", "xs": [0.5], "sng_width": 32})");
   expect_bad_request(R"({"function": "f", "xs": [0.5], "sng_width": 33})");
   expect_bad_request(R"({"function": "f", "xs": [0.5],
                          "operating_point": {"sng_width": 2}})");
+  expect_bad_request(R"({"function": "f", "xs": [0.5],
+                         "operating_point": {"sng_width": 17}})");
   expect_bad_request(R"({"function": "f", "xs": [0.5],
                          "operating_point": {"sng_width": 33}})");
   expect_bad_request(

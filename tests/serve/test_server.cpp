@@ -287,29 +287,69 @@ TEST(ProgramServerTest, OutOfRangeCoordinatesAreRejectedBeforeResolve) {
 }
 
 TEST(ProgramServerTest, UnsupportedSngWidthIsRejectedBeforeResolve) {
-  // Serving SNGs are LFSRs, whose taps cover 3..32 bits: a width outside
-  // that range answers 400 naming the wire member, before any cold
-  // compile attempt, cache traffic or in-flight slot.
+  // Serving SNGs are LFSRs of the lane loop's widths, 3..16: a width
+  // outside that range answers 400 naming the wire member - on the wire
+  // and through the typed entry point, top level or in operating_point -
+  // before any cold compile attempt, cache traffic or in-flight slot.
   ProgramServer server(fast_options());
-  const char* lines[] = {
-      R"({"function": "sigmoid", "xs": [0.5], "sng_width": 40})",
-      R"({"function": "sigmoid", "xs": [0.5],
-          "operating_point": {"sng_width": 40}})",
+  std::vector<std::string> lines = {
       R"({"coefficients": [0.1, 0.5, 0.9], "xs": [0.5], "sng_width": 2})",
+      // 2^32 + 16: a narrowing cast would wrap it to the valid width 16.
+      R"({"function": "sigmoid", "xs": [0.5], "sng_width": 4294967312})",
   };
-  for (const char* line : lines) {
+  for (unsigned width : {0u, 2u, 17u, 24u, 32u, 33u, 40u}) {
+    const std::string w = std::to_string(width);
+    lines.push_back(R"({"function": "sigmoid", "xs": [0.5], "sng_width": )" +
+                    w + "}");
+    lines.push_back(R"({"function": "sigmoid", "xs": [0.5],
+                        "operating_point": {"sng_width": )" +
+                    w + "}}");
+  }
+  for (const std::string& line : lines) {
     const JsonValue doc = json_parse(server.handle_json(line));
     ASSERT_FALSE(doc.find("ok")->as_bool()) << line;
     EXPECT_EQ(doc.find("error")->find("status")->as_number(), 400.0) << line;
     EXPECT_EQ(doc.find("error")->find("message")->as_string(),
-              "'sng_width' must lie in [3, 32]")
+              "'sng_width' must lie in [3, 16]")
         << line;
+  }
+  for (unsigned width : {0u, 2u, 17u, 24u, 32u, 33u, 40u}) {
+    for (bool in_op : {false, true}) {
+      ServeRequest typed;
+      ProgramSpec spec;
+      spec.function_id = "sigmoid";
+      typed.programs.push_back(spec);
+      typed.xs = {0.5};
+      if (in_op) {
+        typed.operating_point = oscs::OperatingPoint{}.with_sng_width(width);
+      } else {
+        typed.sng_width = width;
+      }
+      const std::string where = "typed width " + std::to_string(width) +
+                                (in_op ? " in operating_point" : "");
+      try {
+        (void)server.handle(typed);
+        ADD_FAILURE() << where << " accepted";
+      } catch (const ServeError& e) {
+        EXPECT_EQ(e.status(), 400) << where;
+        EXPECT_EQ(e.reason(), "bad_request") << where;
+        EXPECT_EQ(std::string(e.what()), "'sng_width' must lie in [3, 16]")
+            << where;
+      }
+    }
   }
   const ServerMetrics m = server.metrics();
   EXPECT_EQ(m.cache.misses, 0u);
   EXPECT_EQ(m.cache.inserts, 0u);
   EXPECT_EQ(m.resolve.count, 0u);
   EXPECT_EQ(m.in_flight, 0u);
+  // A server whose compiler defaults to such a width refuses to start.
+  for (unsigned width : {2u, 17u, 24u, 32u}) {
+    ServerOptions options = fast_options();
+    options.compile.sng_width = width;
+    EXPECT_THROW({ ProgramServer rejected(options); }, std::invalid_argument)
+        << "compile width " << width;
+  }
 }
 
 TEST(ProgramServerTest, ColdCompileBudgetRejectsThenServesWhenWarm) {

@@ -19,7 +19,7 @@ TEST(BernsteinBasis, EndpointValues) {
       EXPECT_DOUBLE_EQ(bernstein_basis(i, n, 0.0), 0.0);
     }
   }
-  EXPECT_THROW(bernstein_basis(4, 3, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)bernstein_basis(4, 3, 0.5), std::invalid_argument);
 }
 
 class PartitionOfUnityP : public ::testing::TestWithParam<std::size_t> {};

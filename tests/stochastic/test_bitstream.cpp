@@ -24,7 +24,7 @@ TEST(BitstreamTest, ConstructionAndIndexing) {
 
 TEST(BitstreamTest, BoundsChecked) {
   Bitstream s(8);
-  EXPECT_THROW(s.bit(8), std::out_of_range);
+  EXPECT_THROW((void)s.bit(8), std::out_of_range);
   EXPECT_THROW(s.set_bit(100, true), std::out_of_range);
 }
 
@@ -78,7 +78,7 @@ TEST(BitstreamTest, WordAccessorsExposePackedRepresentation) {
   EXPECT_EQ(s.word(0), 1ULL);
   EXPECT_EQ(s.word(1), 2ULL);
   EXPECT_EQ(s.word(2), 2ULL);
-  EXPECT_THROW(s.word(3), std::out_of_range);
+  EXPECT_THROW((void)s.word(3), std::out_of_range);
   EXPECT_EQ(Bitstream{}.word_count(), 0u);
 }
 
@@ -101,7 +101,7 @@ TEST(BitstreamTest, FromWordsMasksTailBits) {
   EXPECT_EQ(s.size(), 70u);
   EXPECT_EQ(s.count_ones(), 70u);
   EXPECT_EQ(s.word(1), (1ULL << 6) - 1ULL);
-  EXPECT_THROW(s.bit(70), std::out_of_range);
+  EXPECT_THROW((void)s.bit(70), std::out_of_range);
 }
 
 TEST(BitstreamTest, FromWordsRejectsWordCountMismatch) {
@@ -147,8 +147,8 @@ TEST(SccTest, InterleavedIndependentLikeStreamsNearZero) {
 }
 
 TEST(SccTest, RejectsInvalidInput) {
-  EXPECT_THROW(scc(Bitstream(3), Bitstream(4)), std::invalid_argument);
-  EXPECT_THROW(scc(Bitstream{}, Bitstream{}), std::invalid_argument);
+  EXPECT_THROW((void)scc(Bitstream(3), Bitstream(4)), std::invalid_argument);
+  EXPECT_THROW((void)scc(Bitstream{}, Bitstream{}), std::invalid_argument);
 }
 
 // Regression: tail-mask handling for stream lengths that are not a

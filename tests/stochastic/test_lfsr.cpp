@@ -11,8 +11,11 @@ namespace {
 
 TEST(LfsrTest, RejectsUnsupportedWidths) {
   EXPECT_THROW(Lfsr(2), std::invalid_argument);
+  EXPECT_THROW(Lfsr(17), std::invalid_argument);
+  EXPECT_THROW(Lfsr(20), std::invalid_argument);
+  EXPECT_THROW(Lfsr(32), std::invalid_argument);
   EXPECT_THROW(Lfsr(33), std::invalid_argument);
-  EXPECT_THROW(Lfsr::taps_for_width(1), std::invalid_argument);
+  EXPECT_THROW((void)Lfsr::taps_for_width(1), std::invalid_argument);
 }
 
 TEST(LfsrTest, ZeroSeedIsCoercedToNonzero) {
@@ -58,10 +61,9 @@ TEST_P(LfsrPeriodP, MaximalPeriodAndFullStateCoverage) {
   EXPECT_EQ(steps, period);
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths3To18, LfsrPeriodP,
+INSTANTIATE_TEST_SUITE_P(Widths3To16, LfsrPeriodP,
                          ::testing::Values(3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u,
-                                           11u, 12u, 13u, 14u, 15u, 16u,
-                                           17u, 18u));
+                                           11u, 12u, 13u, 14u, 15u, 16u));
 
 TEST(LfsrTest, BalancedStatesOverFullPeriod) {
   // Over one full period the state, read as a w-bit number, is uniform
@@ -86,12 +88,6 @@ TEST(LfsrTest, DifferentSeedsAreShiftsOfTheSameSequence) {
     sb.insert(b.step());
   }
   EXPECT_EQ(sa, sb);
-}
-
-TEST(LfsrTest, Width32StepsWithoutOverflow) {
-  Lfsr lfsr(32, 0xDEADBEEF);
-  for (int i = 0; i < 1000; ++i) lfsr.step();
-  EXPECT_NE(lfsr.state(), 0u);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST(SeparableProgramTest, DenseUnivariateFormDelegates) {
   for (double x : {0.0, 0.3, 1.0}) {
     EXPECT_DOUBLE_EQ(program({x}), poly(x));
   }
-  EXPECT_THROW(program.dense2(), std::logic_error);
+  EXPECT_THROW((void)program.dense2(), std::logic_error);
 }
 
 TEST(SeparableProgramTest, DenseBivariateFormDelegates) {
@@ -55,7 +55,7 @@ TEST(SeparableProgramTest, DenseBivariateFormDelegates) {
   EXPECT_FALSE(program.has_dense1());
   EXPECT_TRUE(program.terms().empty());
   EXPECT_DOUBLE_EQ(program({0.25, 0.75}), poly(0.25, 0.75));
-  EXPECT_THROW(program.dense1(), std::logic_error);
+  EXPECT_THROW((void)program.dense1(), std::logic_error);
 }
 
 TEST(SeparableProgramTest, GeneralFormEvaluatesSumOfProducts) {
@@ -102,8 +102,8 @@ TEST(SeparableProgramTest, ConstructionRejectsMalformedTerms) {
 
 TEST(SeparableProgramTest, EvaluationRejectsArityMismatch) {
   const SeparableProgram program = trilinear();
-  EXPECT_THROW(program({0.1, 0.2}), std::invalid_argument);
-  EXPECT_THROW(program({0.1, 0.2, 0.3, 0.4}), std::invalid_argument);
+  EXPECT_THROW((void)program({0.1, 0.2}), std::invalid_argument);
+  EXPECT_THROW((void)program({0.1, 0.2, 0.3, 0.4}), std::invalid_argument);
 }
 
 TEST(SeparableProgramTest, ScCompatibilityChecksCoefficientsAndWeights) {

@@ -153,7 +153,7 @@ TEST(SngFill, Avx2FillMatchesScalarAcrossCycleWrap) {
 TEST(SngFill, BiasedRowMatchesReferenceAtEveryWidth) {
   constexpr std::uint64_t kGuard = 0xC3C3C3C3C3C3C3C3ULL;
   oscs::Xoshiro256 rng(0x5EEDF111ULL);
-  for (unsigned width = 3; width <= detail::kMaxLfsrTableWidth; ++width) {
+  for (unsigned width = kLfsrWidths.min; width <= kLfsrWidths.max; ++width) {
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
     const std::size_t period = cycle.period();
     // The row's 63 entries past the period continue the cycle.
@@ -216,12 +216,6 @@ TEST(SngFill, BiasedRowMatchesReferenceAtEveryWidth) {
   }
 }
 
-TEST(SngFill, WideLfsrFallsBackToReferenceLoop) {
-  // Width 20 exceeds the cycle-table limit: the bulk fill must decline
-  // and generate() must still match the reference bit for bit.
-  expect_generate_matches_reference(SourceKind::kLfsr, 20);
-}
-
 TEST(SngFill, BulkFillReseatsTheRegisterExactly) {
   // A bulk fill must leave the source exactly where `length` per-bit
   // steps would have, so generate() and next_bit() interleave exactly.
@@ -280,14 +274,13 @@ TEST(SngFill, LeapRowIsTheCycleDecimatedBy16) {
 TEST(SngFill, SetStreamsLeapSixteenClocksPerBit) {
   // Per-bit reference: the seeded register clocked once for bit 0 and 16
   // more times per later bit, scrambled and compared against each cell's
-  // threshold - for table widths (leap row, both backends) and wider
-  // registers (clocked directly).
+  // threshold - the leap row's walk, under both backends.
   const std::vector<double> coeffs = {0.0, 0.3, 0.77, 1.0};
   for (oscs::SimdBackend backend : {oscs::SimdBackend::kScalar,
                                     oscs::SimdBackend::kAvx2}) {
     if (backend == oscs::SimdBackend::kAvx2 && !avx2_available()) continue;
     ScopedBackend scope(backend);
-    for (unsigned width : {3u, 8u, 16u, 17u, 24u}) {
+    for (unsigned width : {3u, 8u, 16u}) {
       for (std::size_t length : kLengths) {
         const std::uint64_t salt = 40 + width + length;
         // make_source's register: its first next() is bit 0's value.
@@ -350,6 +343,23 @@ TEST(SngFill, SetStreamsOfOtherSourcesMatchFillStream) {
 TEST(SngFill, CycleTableRejectsUnsupportedWidths) {
   EXPECT_THROW((void)detail::lfsr_cycle(2), std::invalid_argument);
   EXPECT_THROW((void)detail::lfsr_cycle(17), std::invalid_argument);
+  // Every LFSR entry point serves only the cycle table's widths.
+  const std::vector<double> coeffs = {0.3, 0.7};
+  std::vector<std::uint64_t> words(2 * 2);
+  std::uint64_t* rows[] = {words.data(), words.data() + 2};
+  for (unsigned width : {17u, 20u, 32u}) {
+    EXPECT_THROW((void)make_source(SourceKind::kLfsr, width, 1),
+                 std::invalid_argument)
+        << "width " << width;
+    EXPECT_THROW(
+        fill_stream(SourceKind::kLfsr, width, 1, 0.5, 100, words.data()),
+        std::invalid_argument)
+        << "width " << width;
+    EXPECT_THROW(
+        fill_set_streams(SourceKind::kLfsr, width, 1, coeffs, 100, rows),
+        std::invalid_argument)
+        << "width " << width;
+  }
 }
 
 /// The backends this build and CPU can run, scalar first.
@@ -370,9 +380,6 @@ TEST(FillStream, MatchesSngGenerate) {
   };
   std::vector<Case> cases;
   for (unsigned width = 3; width <= 16; ++width) {
-    cases.push_back({SourceKind::kLfsr, width});
-  }
-  for (unsigned width : {17u, 24u, 32u}) {
     cases.push_back({SourceKind::kLfsr, width});
   }
   for (unsigned width : {3u, 8u, 16u}) {
