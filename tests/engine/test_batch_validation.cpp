@@ -128,6 +128,34 @@ TEST_P(BatchValidationTest, RejectsInvalidOperatingPoint) {
   }
 }
 
+TEST_P(BatchValidationTest, AcceptsTheEdgeLfsrWidths) {
+  // The LFSR range is inclusive: its end widths run at the width asked.
+  for (unsigned width : {3u, 16u}) {
+    BatchRequest req = valid_request();
+    req.op = oscs::OperatingPoint{}.with_sng_width(width);
+    const BatchSummary summary = GetParam()(req);
+    EXPECT_EQ(summary.cells.size(), 2u) << "width " << width;
+    EXPECT_EQ(summary.op.sng_width, width);
+  }
+}
+
+TEST_P(BatchValidationTest, AcceptsWideRegistersOfOtherSources) {
+  // The LFSR range binds LFSRs only: the widths an LFSR may not take
+  // still run on the other sources.
+  for (sc::SourceKind kind :
+       {sc::SourceKind::kCounter, sc::SourceKind::kVanDerCorput,
+        sc::SourceKind::kChaoticLaser}) {
+    for (unsigned width : {17u, 24u, 32u}) {
+      BatchRequest req = valid_request();
+      req.source_kind = kind;
+      req.op = oscs::OperatingPoint{}.with_sng_width(width);
+      const BatchSummary summary = GetParam()(req);
+      EXPECT_EQ(summary.cells.size(), 2u)
+          << "kind " << static_cast<int>(kind) << " width " << width;
+    }
+  }
+}
+
 TEST_P(BatchValidationTest, RejectsPolynomialOrderMismatch) {
   BatchRequest req = valid_request();
   req.polynomials.push_back(sc::BernsteinPoly({0.1, 0.9}));  // order 1

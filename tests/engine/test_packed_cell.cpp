@@ -170,8 +170,12 @@ TEST(PackedCell, OneCellPerThread) {
     expect_same(elsewhere, here, "two threads");
   }
   // Released: the thread runs again, and a throwing constructor (a point
-  // of the wrong arity) hands the scratch back too.
+  // of the wrong arity, an LFSR wider than 16 bits) hands the scratch
+  // back too.
   EXPECT_THROW(PackedCell(kernel, program, std::vector<double>{0.1, 0.2}, op,
+                          sc::SourceKind::kLfsr),
+               std::invalid_argument);
+  EXPECT_THROW(PackedCell(kernel, program, point, op.with_sng_width(17),
                           sc::SourceKind::kLfsr),
                std::invalid_argument);
   PackedCell again(kernel, program, point, op, sc::SourceKind::kLfsr);

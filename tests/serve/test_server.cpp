@@ -352,6 +352,48 @@ TEST(ProgramServerTest, UnsupportedSngWidthIsRejectedBeforeResolve) {
   }
 }
 
+TEST(ProgramServerTest, EdgeSngWidthsAreServed) {
+  // The range is inclusive: widths 3 and 16, top level or in
+  // operating_point, on the wire and through the typed entry point, run
+  // at the width asked for.
+  ProgramServer server(fast_options());
+  for (unsigned width : {3u, 16u}) {
+    const std::string w = std::to_string(width);
+    for (bool in_op : {false, true}) {
+      const std::string where =
+          "width " + w + (in_op ? " in operating_point" : "");
+      const std::string member =
+          in_op ? R"("operating_point": {"sng_width": )" + w + "}"
+                : R"("sng_width": )" + w;
+      const std::string line = server.handle_json(
+          R"({"function": "sigmoid", "xs": [0.5], "stream_lengths": [256],
+              "repeats": 2, )" +
+          member + "}");
+      const JsonValue doc = json_parse(line);
+      ASSERT_TRUE(doc.find("ok")->as_bool()) << where << ": " << line;
+      EXPECT_EQ(doc.find("op")->find("sng_width")->as_number(),
+                static_cast<double>(width))
+          << where;
+
+      ServeRequest typed;
+      ProgramSpec spec;
+      spec.function_id = "sigmoid";
+      typed.programs.push_back(spec);
+      typed.xs = {0.5};
+      typed.stream_lengths = {256};
+      typed.repeats = 2;
+      if (in_op) {
+        typed.operating_point = oscs::OperatingPoint{}.with_sng_width(width);
+      } else {
+        typed.sng_width = width;
+      }
+      const ServeResponse response = server.handle(typed);
+      EXPECT_EQ(response.cells.size(), 1u) << "typed " << where;
+      EXPECT_EQ(response.op.sng_width, width) << "typed " << where;
+    }
+  }
+}
+
 TEST(ProgramServerTest, ColdCompileBudgetRejectsThenServesWhenWarm) {
   ServerOptions options = fast_options();
   options.max_cold_degree = 2;  // sigmoid's registry degree is above this
