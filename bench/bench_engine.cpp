@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
     eng::BatchSummary summary;
     for (long t = 0; t < trials; ++t) {
       const auto t0 = std::chrono::steady_clock::now();
-      summary = runner.run(req, threads);
+      summary = runner.run_nd(req, threads);
       samples.push_back(seconds_since(t0));
       best = std::min(best, samples.back());
     }
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     for (const sc::BernsteinPoly& p : programs) {
       eng::BatchRequest single = fused_req;
       single.polynomials = {p};
-      mae += runner.run(single, fused_pool).optical_mae;
+      mae += runner.run_nd(single, fused_pool).optical_mae;
     }
     t_independent = std::min(t_independent, seconds_since(t0));
     independent_mae = mae / static_cast<double>(programs.size());

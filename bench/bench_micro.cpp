@@ -82,15 +82,6 @@ void BM_MrrFirstFullDesign(benchmark::State& state) {
 }
 BENCHMARK(BM_MrrFirstFullDesign);
 
-void BM_LfsrSngStream(benchmark::State& state) {
-  sc::Sng sng(sc::make_source(sc::SourceKind::kLfsr, 16, 7));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sng.generate(0.37, 4096).count_ones());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_LfsrSngStream);
-
 /// The backends this binary and CPU can run: the rows below register once
 /// per backend, so one run prints both instantiations of each kernel.
 std::vector<SimdBackend> available_backends() {

@@ -12,7 +12,8 @@
 /// Producers: `optsc::LinkBudget::operating_point` (probe power -> BER via
 /// Eqs. 8-9) and `optsc::design_operating_point` (a circuit's built-in
 /// probe power). Consumers: `engine::PackedRunConfig`, `engine::
-/// BatchRequest`, `compile::certify_at` / `certify_grid` / `auto_tune`.
+/// BatchRequest`, `compile::certify_program_at` / `certify_grid` /
+/// `auto_tune`.
 
 #include <cstddef>
 

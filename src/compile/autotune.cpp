@@ -109,7 +109,6 @@ AutoTuneResult walk_candidates(const char* name,
   cert_options.repeats = options.repeats;
   cert_options.grid_points = options.grid_points;
   cert_options.seed = options.seed;
-  cert_options.source_kind = options.source_kind;
   cert_options.threads = options.threads;
 
   // One compile per (degree cap, width); every stream length reuses it.

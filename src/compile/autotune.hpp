@@ -33,7 +33,6 @@ struct AutoTuneOptions {
   std::size_t repeats = 8;
   std::size_t grid_points = 9;
   std::uint64_t seed = 0xA070;
-  stochastic::SourceKind source_kind = stochastic::SourceKind::kLfsr;
   std::size_t threads = 0;
 
   /// \throws std::invalid_argument on an empty candidate dimension or a

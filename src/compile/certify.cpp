@@ -130,7 +130,6 @@ Certification certify_program_at(const CompiledProgram& program,
   request.stream_lengths = {op.stream_length};
   request.repeats = options.repeats;
   request.seed = options.seed;
-  request.source_kind = options.source_kind;
   request.op = op;
 
   // Reuse the program's prebuilt kernel: certification shares the decision
@@ -201,15 +200,6 @@ Certification certify_program(const CompiledProgram& program,
   return certify_program_at(program, reference, op, options);
 }
 
-Certification certify_at(const CompiledProgram& program,
-                         const std::function<double(double)>& reference,
-                         const oscs::OperatingPoint& op,
-                         const CertificationOptions& options) {
-  require(program.program_nd().has_dense1(),
-          "certify_at: program is not univariate");
-  return certify_program_at(program, point_form(reference), op, options);
-}
-
 Certification certify(const CompiledProgram& program,
                       const std::function<double(double)>& reference,
                       const CertificationOptions& options) {
@@ -236,6 +226,8 @@ GridCertification certify_grid(const CompiledProgram& program,
                                const std::function<double(double)>& reference,
                                const GridCertificationOptions& options) {
   options.validate();
+  require(program.program_nd().has_dense1(),
+          "certify_grid: program is not univariate");
 
   std::vector<double> probes = options.probe_powers_mw;
   if (probes.empty()) {
@@ -248,7 +240,6 @@ GridCertification certify_grid(const CompiledProgram& program,
   cell_options.repeats = options.repeats;
   cell_options.grid_points = options.grid_points;
   cell_options.seed = options.seed;
-  cell_options.source_kind = options.source_kind;
   cell_options.threads = options.threads;
 
   const optsc::LinkBudget budget(program.circuit(),
@@ -261,7 +252,8 @@ GridCertification certify_grid(const CompiledProgram& program,
       GridCell cell;
       cell.op =
           budget.operating_point(probe, length, program.key().width);
-      cell.cert = certify_at(program, reference, cell.op, cell_options);
+      cell.cert = certify_program_at(program, point_form(reference), cell.op,
+                                     cell_options);
       const std::size_t index = grid.cells.size();
       if (grid.cells.empty() ||
           cell.cert.mc_mae < grid.cells[grid.best_cell].cert.mc_mae) {

@@ -12,12 +12,10 @@
 ///                      over coordinate tuples;
 ///   * certify() / certify2() / certify_nd() - per-arity wrappers at the
 ///                      program's design operating point;
-///   * certify_at()   - the univariate wrapper at an explicit
-///                      `oscs::OperatingPoint`, which certify_grid() runs;
 ///   * certify_grid() - an MAE/CI surface across a grid of probe powers
-///                      and stream lengths (the link budget maps each
-///                      probe power to its BER; ROADMAP "noise-aware
-///                      certification")
+///                      and stream lengths, one certify_program_at() per
+///                      cell (the link budget maps each probe power to
+///                      its BER; ROADMAP "noise-aware certification")
 
 #include <cstddef>
 #include <cstdint>
@@ -27,7 +25,6 @@
 
 #include "common/operating_point.hpp"
 #include "compile/program.hpp"
-#include "stochastic/sng.hpp"
 
 namespace oscs::compile {
 
@@ -41,7 +38,6 @@ struct CertificationOptions {
   std::size_t repeats = 16;          ///< MC repeats per grid point
   std::size_t grid_points = 9;       ///< interior x grid: i/(grid_points+1)
   std::uint64_t seed = 0xCE47;       ///< master seed (deterministic result)
-  stochastic::SourceKind source_kind = stochastic::SourceKind::kLfsr;
   bool noise_enabled = true;  ///< apply the link-budget BER noise model
   std::size_t threads = 0;    ///< BatchRunner workers (0 = hardware)
 
@@ -57,14 +53,15 @@ using PointReference = std::function<double(const std::vector<double>&)>;
 /// of options.grid_points interior points i/(grid_points+1) per axis -
 /// grid_points^arity coordinate tuples, last axis fastest - evaluated
 /// through BatchRunner::run_nd on the program's prebuilt kernel (BER,
-/// stream length and SNG width all come from `op`). One draw is that grid
-/// at options.repeats repeats per point - the statistic one request at
-/// the certified setting measures - and the run makes kCertificationDraws
-/// independent draws in one batch: mc_mae, mc_mae_ci and mc_worst are the
-/// per-draw figures averaged over the draws, so a certificate estimates
-/// what a request should see instead of carrying one draw's luck. The
-/// deterministic approximation error samples a dense lattice of 512
-/// (univariate), 128 (bivariate) or 24 (N-ary separable) steps per axis.
+/// stream length and SNG width all come from `op`) with LFSR stimulus.
+/// One draw is that grid at options.repeats repeats per point - the
+/// statistic one request at the certified setting measures - and the run
+/// makes kCertificationDraws independent draws in one batch: mc_mae,
+/// mc_mae_ci and mc_worst are the per-draw figures averaged over the
+/// draws, so a certificate estimates what a request should see instead
+/// of carrying one draw's luck. The deterministic approximation error
+/// samples a dense lattice of 512 (univariate), 128 (bivariate) or 24
+/// (N-ary separable) steps per axis.
 /// \throws std::invalid_argument on invalid options or operating point.
 [[nodiscard]] Certification certify_program_at(
     const CompiledProgram& program, const PointReference& reference,
@@ -86,16 +83,6 @@ using PointReference = std::function<double(const std::vector<double>&)>;
     const CompiledProgram& program,
     const std::function<double(double)>& reference,
     const CertificationOptions& options = {});
-
-/// Certify at an explicit operating point (BER, stream length and SNG
-/// width all come from `op`; options.stream_length / noise_enabled are
-/// ignored). The building block certify_grid() uses.
-/// \throws std::invalid_argument on invalid options or operating point,
-///         or a bivariate / N-ary program.
-[[nodiscard]] Certification certify_at(
-    const CompiledProgram& program,
-    const std::function<double(double)>& reference,
-    const oscs::OperatingPoint& op, const CertificationOptions& options = {});
 
 /// Certify a bivariate `program` against its two-input reference at its
 /// design operating point. The MC grid is the tensor of
@@ -130,7 +117,6 @@ struct GridCertificationOptions {
   std::size_t repeats = 8;
   std::size_t grid_points = 9;
   std::uint64_t seed = 0xCE47;
-  stochastic::SourceKind source_kind = stochastic::SourceKind::kLfsr;
   std::size_t threads = 0;
 
   /// \throws std::invalid_argument on an empty probe/length grid, a
@@ -165,7 +151,8 @@ struct GridCertification {
 /// its BER, then certified at every stream length. The common random
 /// numbers (one seed for all cells) make adjacent cells directly
 /// comparable.
-/// \throws std::invalid_argument on invalid options.
+/// \throws std::invalid_argument on invalid options or a bivariate /
+///         N-ary program.
 [[nodiscard]] GridCertification certify_grid(
     const CompiledProgram& program,
     const std::function<double(double)>& reference,

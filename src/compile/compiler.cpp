@@ -8,6 +8,7 @@
 #include "common/binio.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "stochastic/sng.hpp"
 
 namespace oscs::compile {
 
@@ -50,7 +51,8 @@ void certification_digest(Fnv1a& digest, const CompileOptions& options) {
     digest.u64(options.certification.repeats);
     digest.u64(options.certification.grid_points);
     digest.u64(options.certification.seed);
-    digest.u64(static_cast<std::uint64_t>(options.certification.source_kind));
+    // Certification draws LFSR streams; the word keeps the digest layout.
+    digest.u64(static_cast<std::uint64_t>(stochastic::SourceKind::kLfsr));
     digest.u64(options.certification.noise_enabled ? 1u : 0u);
   }
 }

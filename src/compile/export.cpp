@@ -50,10 +50,6 @@ oscs::CsvTable grid_csv(const GridCertification& grid) {
   return table;
 }
 
-void write_grid_csv(const GridCertification& grid, const std::string& path) {
-  grid_csv(grid).write(path);
-}
-
 namespace {
 
 void grid_body(oscs::JsonWriter& json, const GridCertification& grid) {
@@ -94,15 +90,6 @@ std::string grid_json(const std::vector<GridCertification>& grids) {
   for (const GridCertification& grid : grids) grid_body(json, grid);
   json.end_array().end_object();
   return json.str();
-}
-
-void write_grid_json(const GridCertification& grid, const std::string& path) {
-  oscs::write_text_file(grid_json(grid), path, "write_grid_json");
-}
-
-void write_grid_json(const std::vector<GridCertification>& grids,
-                     const std::string& path) {
-  oscs::write_text_file(grid_json(grids), path, "write_grid_json");
 }
 
 }  // namespace oscs::compile

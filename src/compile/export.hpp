@@ -26,10 +26,6 @@ namespace oscs::compile {
 /// length, repeats, MC MAE/CI/worst, electronic MAE, approximation floor.
 [[nodiscard]] oscs::CsvTable grid_csv(const GridCertification& grid);
 
-/// Write grid_csv() to `path`, creating parent directories as needed.
-/// \throws std::runtime_error if the file cannot be opened.
-void write_grid_csv(const GridCertification& grid, const std::string& path);
-
 /// Whole surface as a JSON document: the function id, best/worst cells
 /// and a "cells" array mirroring grid_csv().
 [[nodiscard]] std::string grid_json(const GridCertification& grid);
@@ -37,11 +33,5 @@ void write_grid_csv(const GridCertification& grid, const std::string& path);
 /// Several surfaces (e.g. the whole registry) as one JSON document.
 [[nodiscard]] std::string grid_json(
     const std::vector<GridCertification>& grids);
-
-/// Write grid_json() to `path`, creating parent directories as needed.
-/// \throws std::runtime_error if the file cannot be opened.
-void write_grid_json(const GridCertification& grid, const std::string& path);
-void write_grid_json(const std::vector<GridCertification>& grids,
-                     const std::string& path);
 
 }  // namespace oscs::compile

@@ -93,7 +93,7 @@ std::size_t slab_size(const BatchRequest& request, std::size_t workers,
 
 /// Export one finished batch into the engine counters. `passes_per_task`
 /// is the number of kernel passes per (point, length, repeat): the sum of
-/// kernel_passes() over the programs for run(), 1 for the fused mode
+/// kernel_passes() over the programs for run_nd(), 1 for the fused mode
 /// (shared stimulus).
 void record_batch(const BatchRequest& request, const BatchSummary& summary,
                   std::size_t passes_per_task) {
@@ -439,17 +439,6 @@ BatchSummary BatchRunner::run_nd(const BatchRequest& request,
 
 BatchSummary BatchRunner::run_nd(const BatchRequest& request,
                                  std::size_t threads) const {
-  ThreadPool pool(threads);
-  return run_nd(request, pool);
-}
-
-BatchSummary BatchRunner::run(const BatchRequest& request,
-                              ThreadPool& pool) const {
-  return run_nd(request, pool);
-}
-
-BatchSummary BatchRunner::run(const BatchRequest& request,
-                              std::size_t threads) const {
   ThreadPool pool(threads);
   return run_nd(request, pool);
 }

@@ -50,7 +50,7 @@ namespace oscs::engine {
 /// nonempty; `ys` is only legal (and then mandatory, same length as
 /// `xs`) in the bivariate form, and `inputs` only in the N-ary form -
 /// `validate()` rejects every other combination (through the shared
-/// oscs::arity guard), run(), run_fused() and run_nd() all call it
+/// oscs::arity guard), run_nd() and run_fused() both call it
 /// before submitting any task.
 struct BatchRequest {
   std::vector<stochastic::BernsteinPoly> polynomials;
@@ -222,42 +222,23 @@ class BatchRunner {
   [[nodiscard]] BatchSummary run_nd(const BatchRequest& request,
                                     ThreadPool& pool) const;
 
-  /// Convenience overload of run_nd on a temporary pool.
+  /// Convenience overload of run_nd on a temporary pool of `threads`
+  /// workers (0 picks the hardware concurrency).
   [[nodiscard]] BatchSummary run_nd(const BatchRequest& request,
                                     std::size_t threads = 0) const;
-
-  /// Thin wrapper over run_nd(), kept as the legacy entry point: one
-  /// task per (cell, repeat), each with its own stimulus. Accepts the
-  /// univariate and bivariate arities (a bivariate request evaluates its
-  /// (xs[i], ys[i]) pairs through the two-input kernel mode); bit-
-  /// identical to the pre-run_nd implementation.
-  /// \throws std::invalid_argument per `BatchRequest::validate()` (empty
-  ///         grids, zero repeats, out-of-range x/y, mismatched x/y vector
-  ///         lengths, invalid operating point), or when a program's
-  ///         kernel shape does not match the kernel (a polynomial order
-  ///         mismatch, a bivariate request on a univariate runner and vice
-  ///         versa) - all raised before any task is submitted. run_fused()
-  ///         shares this exact contract.
-  [[nodiscard]] BatchSummary run(const BatchRequest& request,
-                                 ThreadPool& pool) const;
-
-  /// Convenience: run on a temporary pool of `threads` workers (0 picks
-  /// the hardware concurrency).
-  [[nodiscard]] BatchSummary run(const BatchRequest& request,
-                                 std::size_t threads = 0) const;
 
   /// Fused mode: one task per (x, length, repeat) evaluates ALL requested
   /// polynomials on one shared SNG stimulus with one flip-mask pass,
   /// amortizing stimulus generation and the adder/select pass across
-  /// programs. Statistically equivalent to run() per program (identical
+  /// programs. Statistically equivalent to run_nd() per program (identical
   /// marginal estimator distribution; programs within a task share data
-  /// streams and flip positions); not bit-identical to run() for K > 1
+  /// streams and flip positions); not bit-identical to run_nd() for K > 1
   /// because the sample layout differs. Cells come back in the same
-  /// polynomial-major order as run(). Dense programs fuse in either
+  /// polynomial-major order as run_nd(). Dense programs fuse in either
   /// spelling - `polynomials`/`polynomials2` with `xs`/`ys`, or their
   /// dense delegation forms in `programs_nd` with `inputs` - bit-
   /// identically.
-  /// \throws std::invalid_argument with the same error contract as run():
+  /// \throws std::invalid_argument with the same error contract as run_nd():
   ///         `BatchRequest::validate()` plus the order check, raised
   ///         before any task is submitted; also on a general sum-of-rank-1
   ///         program (those run unfused through run_nd()).

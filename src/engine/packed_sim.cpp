@@ -271,14 +271,6 @@ void flip_positions(sc::Bitstream& stream,
   for (std::size_t pos : positions) stream.set_bit(pos, !stream.bit(pos));
 }
 
-std::size_t apply_noise_flips(sc::Bitstream& stream, double flip_p,
-                              oscs::Xoshiro256& rng) {
-  const std::vector<std::size_t> positions =
-      sample_flip_positions(stream.size(), flip_p, rng);
-  flip_positions(stream, positions);
-  return positions.size();
-}
-
 KernelShape kernel_shape(const sc::SeparableProgram& program) noexcept {
   if (program.has_dense2()) {
     return {program.dense2().deg_x(), program.dense2().deg_y()};

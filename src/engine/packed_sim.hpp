@@ -129,11 +129,6 @@ struct PackedRunResult {
 void flip_positions(stochastic::Bitstream& stream,
                     const std::vector<std::size_t>& positions);
 
-/// Flip each bit independently with probability `flip_p` (one sample +
-/// apply pass). Returns the number of flips applied.
-std::size_t apply_noise_flips(stochastic::Bitstream& stream, double flip_p,
-                              oscs::Xoshiro256& rng);
-
 /// The packed kernel a program runs on: the x-bank order and the y-bank
 /// order (0 = no y bank).
 struct KernelShape {

@@ -268,13 +268,7 @@ ServeRequest parse_request(const std::string& text) {
     req.ys.assign(req.xs.empty() ? 1 : req.xs.size(), *y_sugar);
   }
 
-  if (req.op == RequestOp::kEvaluate) {
-    (void)evaluate_axes(req);
-    raise(arity::both_error(arity::kWireStyle, "operating_point",
-                            "probe_power_mw",
-                            req.operating_point.has_value(),
-                            req.probe_power_mw.has_value()));
-  }
+  if (req.op == RequestOp::kEvaluate) (void)evaluate_axes(req);
   return req;
 }
 
@@ -314,6 +308,9 @@ std::vector<NamedAxis> evaluate_axes(const ServeRequest& request) {
     bad_request("'stream_lengths' must be nonempty");
   }
   if (request.repeats == 0) bad_request("'repeats' must be positive");
+  raise(arity::both_error(arity::kWireStyle, "operating_point",
+                          "probe_power_mw", request.operating_point.has_value(),
+                          request.probe_power_mw.has_value()));
   return axes;
 }
 

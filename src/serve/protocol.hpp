@@ -152,7 +152,8 @@ struct ServeRequest {
   std::size_t repeats = 8;
   std::uint64_t seed = 1;
   std::optional<unsigned> sng_width;
-  /// Explicit operating point (takes precedence over probe_power_mw).
+  /// Explicit operating point; a request carries at most one of it and
+  /// probe_power_mw (evaluate_axes rejects both).
   std::optional<oscs::OperatingPoint> operating_point;
   /// Probe power to map through the execution circuit's link budget.
   std::optional<double> probe_power_mw;
@@ -181,9 +182,10 @@ struct NamedAxis {
 
 /// The evaluate shape rules every entry point shares - programs present,
 /// "inputs" exclusive with "xs"/"ys", every axis nonempty and pairing
-/// element-wise with the first, stream lengths present, repeats positive -
-/// then the request's input axes: "inputs" as given, or "xs" (plus "ys")
-/// as the one- and two-axis spelling. The axes borrow from `request`.
+/// element-wise with the first, stream lengths present, repeats positive,
+/// at most one of "operating_point"/"probe_power_mw" - then the request's
+/// input axes: "inputs" as given, or "xs" (plus "ys") as the one- and
+/// two-axis spelling. The axes borrow from `request`.
 /// \throws ServeError(400, "bad_request") on the first rule broken.
 [[nodiscard]] std::vector<NamedAxis> evaluate_axes(
     const ServeRequest& request);

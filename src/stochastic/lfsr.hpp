@@ -50,15 +50,6 @@ class Lfsr {
   /// Advance one clock; returns the new state.
   std::uint32_t step() noexcept;
 
-  /// Jump straight to `state` (masked to the register width, forced
-  /// nonzero). Used by the bulk comparator fill, which walks the
-  /// canonical state cycle by table instead of clocking the register,
-  /// then reseats the register where the walk ended.
-  void set_state(std::uint32_t state) noexcept {
-    state_ = state & mask_;
-    if (state_ == 0) state_ = 1;
-  }
-
   /// The feedback tap mask for a width (primitive polynomial, XAPP052 set).
   /// \throws std::invalid_argument on a width outside kLfsrWidths.
   [[nodiscard]] static std::uint32_t taps_for_width(unsigned width);

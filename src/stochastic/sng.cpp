@@ -64,12 +64,6 @@ LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt,
 
 }  // namespace detail
 
-bool RandomSource::fill_comparator_words(std::uint64_t /*threshold*/,
-                                         std::size_t /*length*/,
-                                         std::uint64_t* /*words*/) {
-  return false;  // no bulk path; the caller runs the per-bit loop
-}
-
 LfsrSource::LfsrSource(unsigned width, std::uint32_t seed,
                        std::uint64_t scramble)
     : lfsr_(width, seed),  // validates the width
@@ -80,18 +74,6 @@ unsigned LfsrSource::width() const noexcept { return lfsr_.width(); }
 
 std::uint64_t LfsrSource::next() {
   return (static_cast<std::uint64_t>(lfsr_.step()) * scramble_) & mask_;
-}
-
-bool LfsrSource::fill_comparator_words(std::uint64_t threshold,
-                                       std::size_t length,
-                                       std::uint64_t* words) {
-  if (length == 0) return true;
-  const detail::LfsrCycle& cycle = detail::lfsr_cycle(lfsr_.width());
-  const std::size_t phase0 = first_phase(cycle, lfsr_.state());
-  detail::fill_lfsr_words(cycle, phase0, scramble_, mask_, threshold, length,
-                          words);
-  lfsr_.set_state(cycle.state((phase0 + length - 1) % cycle.period()));
-  return true;
 }
 
 CounterSource::CounterSource(unsigned width, std::uint64_t start)
@@ -107,15 +89,6 @@ std::uint64_t CounterSource::next() {
   const std::uint64_t v = state_ & ((1ULL << width_) - 1ULL);
   ++state_;
   return v;
-}
-
-bool CounterSource::fill_comparator_words(std::uint64_t threshold,
-                                          std::size_t length,
-                                          std::uint64_t* words) {
-  detail::fill_counter_words(state_, (1ULL << width_) - 1ULL, threshold,
-                             length, words);
-  state_ += length;
-  return true;
 }
 
 VanDerCorputSource::VanDerCorputSource(unsigned width, std::uint64_t start)
@@ -164,18 +137,6 @@ bool Sng::next_bit(double p) { return source_->next() < threshold_for(p); }
 
 Bitstream Sng::generate(double p, std::size_t length) {
   const std::uint64_t threshold = threshold_for(p);
-  std::vector<std::uint64_t> words((length + 63) / 64, 0);
-  // Sources with a word-parallel path fill whole packed words per call
-  // (bit-identical to the reference loop below, by contract and by the
-  // equivalence suite); the rest take one virtual next() per bit.
-  if (source_->fill_comparator_words(threshold, length, words.data())) {
-    return Bitstream::from_words(std::move(words), length);
-  }
-  return generate_reference(p, length);
-}
-
-Bitstream Sng::generate_reference(double p, std::size_t length) {
-  const std::uint64_t threshold = threshold_for(p);
   // Pack comparator decisions 64 at a time into whole words: the batch
   // engine consumes streams word-wise, and building words locally avoids a
   // bounds-checked set_bit per bit.
@@ -213,8 +174,6 @@ std::unique_ptr<RandomSource> make_source(SourceKind kind, unsigned width,
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                  double p, std::size_t length, std::uint64_t* words) {
   if (kind == SourceKind::kLfsr) {
-    // The table walk LfsrSource::fill_comparator_words makes, started
-    // straight from the seeded register state; nothing is left to reseat.
     const detail::LfsrCycle& cycle = detail::lfsr_cycle(width);
     const detail::LfsrStart start = detail::lfsr_start(cycle, salt);
     detail::fill_lfsr_words(cycle, start.index, start.scramble,
@@ -222,9 +181,7 @@ void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,
                             comparator_threshold(p, width), length, words);
     return;
   }
-  const Bitstream stream =
-      Sng(make_source(kind, width, salt)).generate(p, length);
-  std::copy_n(stream.words_data(), stream.word_count(), words);
+  fill_set_streams(kind, width, salt, {&p, 1}, length, &words);
 }
 
 void fill_set_streams(SourceKind kind, unsigned width, std::uint64_t salt,

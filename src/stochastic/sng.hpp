@@ -25,15 +25,6 @@ class RandomSource {
   [[nodiscard]] virtual unsigned width() const noexcept = 0;
   /// Next raw value.
   virtual std::uint64_t next() = 0;
-
-  /// Bulk comparator fill: pack `length` decisions next() < threshold
-  /// into `words` (ceil(length/64) entries, stream bit t = bit t%64 of
-  /// word t/64, padding past `length` zero) and advance the source by
-  /// `length` steps. Returns false when the source has no word-parallel
-  /// path (the caller falls back to the per-bit loop); implementations
-  /// that return true must be bit-identical to that loop.
-  virtual bool fill_comparator_words(std::uint64_t threshold,
-                                     std::size_t length, std::uint64_t* words);
 };
 
 /// LFSR-state source - the conventional hardware SNG, of a width in
@@ -50,13 +41,6 @@ class LfsrSource final : public RandomSource {
   [[nodiscard]] unsigned width() const noexcept override;
   std::uint64_t next() override;
 
-  /// Word-parallel fill via the canonical cycle table. Walks the
-  /// precomputed state cycle from this source's phase - scalar or AVX2
-  /// per the active `oscs::simd_backend()` - then reseats the register,
-  /// so interleaving with next() stays exact.
-  bool fill_comparator_words(std::uint64_t threshold, std::size_t length,
-                             std::uint64_t* words) override;
-
  private:
   Lfsr lfsr_;
   std::uint64_t scramble_;
@@ -70,11 +54,6 @@ class CounterSource final : public RandomSource {
   explicit CounterSource(unsigned width, std::uint64_t start = 0);
   [[nodiscard]] unsigned width() const noexcept override;
   std::uint64_t next() override;
-
-  /// Word-parallel fill: the counter is pure arithmetic, so the bulk
-  /// comparator loop devirtualizes trivially.
-  bool fill_comparator_words(std::uint64_t threshold, std::size_t length,
-                             std::uint64_t* words) override;
 
  private:
   unsigned width_;
@@ -119,16 +98,11 @@ class Sng {
   /// One stream bit encoding probability p.
   [[nodiscard]] bool next_bit(double p);
 
-  /// A full stream of `length` bits encoding probability p. Uses the
-  /// source's bulk word-parallel fill when it has one (LFSR via the
-  /// canonical cycle table, counter; scalar or AVX2 per the active
-  /// `oscs::simd_backend()`), else the per-bit reference loop - the
-  /// output is bit-identical either way.
+  /// A full stream of `length` bits encoding probability p: one next()
+  /// per bit against the threshold. It evaluates the comparator on the
+  /// source itself, so the equivalence suite pins every stream fill
+  /// against it.
   [[nodiscard]] Bitstream generate(double p, std::size_t length);
-
-  /// The per-bit reference loop (one virtual next() per bit). Exposed so
-  /// the equivalence suite can pin every bulk fill against it.
-  [[nodiscard]] Bitstream generate_reference(double p, std::size_t length);
 
   [[nodiscard]] unsigned width() const noexcept { return source_->width(); }
 
@@ -156,9 +130,9 @@ enum class SourceKind { kLfsr, kCounter, kVanDerCorput, kChaoticLaser };
 /// Fill one SNG stream into caller memory: `words` (ceil(length/64)
 /// entries) receives exactly the words of
 /// Sng(make_source(kind, width, salt)).generate(p, length). An LFSR
-/// starts the bulk cycle-table fill at its seeded register's phase - no
-/// source object, no register reseat - so that path never allocates;
-/// other kinds generate through make_source and copy.
+/// walks the cycle table (sng_fill.hpp) from its seeded register's phase
+/// - no source object - so that path never allocates; other kinds draw
+/// their source's values 64 at a time, as fill_set_streams does.
 /// \throws std::invalid_argument on a width the source kind cannot run
 ///         (an LFSR outside kLfsrWidths).
 void fill_stream(SourceKind kind, unsigned width, std::uint64_t salt,

@@ -40,7 +40,7 @@ LfsrCycle build_cycle(unsigned width) {
     while (clock >= period) clock -= period;
   }
   // Maximal-length taps close the cycle back at the start state; a table
-  // that does not would silently desynchronize the bulk fill from the
+  // that does not would silently desynchronize the table fill from the
   // clocked register.
   if (state != 1) {
     throw std::logic_error("lfsr_cycle: width " + std::to_string(width) +
@@ -88,24 +88,6 @@ void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,
 #endif
   fill_lfsr_words_scalar(cycle, phase0, scramble, mask, threshold, length,
                          words, walk);
-}
-
-void fill_counter_words(std::uint64_t start, std::uint64_t mask,
-                        std::uint64_t threshold, std::size_t length,
-                        std::uint64_t* words) {
-  const std::size_t nwords = (length + 63) / 64;
-  std::size_t bit = 0;
-  std::uint64_t state = start;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    std::uint64_t word = 0;
-    const std::size_t limit = length - bit < 64 ? length - bit : 64;
-    for (std::size_t i = 0; i < limit; ++i) {
-      word |= static_cast<std::uint64_t>((state & mask) < threshold) << i;
-      ++state;
-    }
-    words[w] = word;
-    bit += limit;
-  }
 }
 
 }  // namespace oscs::stochastic::detail

@@ -1,10 +1,11 @@
 #pragma once
 /// \file sng_fill.hpp
-/// \brief Bulk comparator fill for SNG stream generation: the stimulus of
-///        the materialized path (v1 rows, v2 set rows) and the Sng bulk
-///        API. It replaces a per-bit virtual RandomSource::next() loop.
-///        Served evaluations draw no fill: the lane loop
-///        (engine/simd_kernel.hpp) walks the same biased rows directly.
+/// \brief Word-parallel LFSR comparator fill: the LFSR streams of the
+///        materialized path (v1 rows, v2 set rows) and of fill_stream,
+///        drawn from a cycle table instead of a per-bit
+///        RandomSource::next() loop. Served evaluations draw no fill: the
+///        lane loop (engine/simd_kernel.hpp) walks the same biased rows
+///        directly.
 ///
 /// Four ideas make the LFSR path word-parallel:
 ///
@@ -62,9 +63,9 @@
 /// The fill is one source (sng_lanes.hpp, which also holds the comparator
 /// step the lane loop shares) compiled twice: 8-lane vectors in the
 /// baseline translation unit, 16-lane ones in the -mavx2 one. Both are
-/// bit-identical to the per-bit reference loop (`Sng::generate_reference`),
-/// which evaluates the original formula on the clocked register and so
-/// checks the identity independently; the equivalence suite pins that
+/// bit-identical to the per-bit comparator loop (`Sng::generate`), which
+/// evaluates the original formula on the clocked register and so checks
+/// the identity independently; the equivalence suite pins that
 /// across widths, thresholds, scrambles, phases and tail lengths. The
 /// active instantiation follows `oscs::simd_backend()` (see
 /// common/simd.hpp).
@@ -178,12 +179,5 @@ void fill_lfsr_words(const LfsrCycle& cycle, std::size_t phase0,
   return static_cast<std::int16_t>(
       static_cast<std::uint16_t>((below << (16 - width)) ^ 0x8000u));
 }
-
-/// Bulk comparator fill for the counter source: bit t is
-/// ((start + t) & mask) < threshold. Scalar on every backend (the
-/// counter is a test/diagnostic source, not the serving default).
-void fill_counter_words(std::uint64_t start, std::uint64_t mask,
-                        std::uint64_t threshold, std::size_t length,
-                        std::uint64_t* words);
 
 }  // namespace oscs::stochastic::detail

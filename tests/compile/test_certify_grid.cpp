@@ -41,19 +41,23 @@ TEST(CertifyAt, ExplicitOperatingPointDrivesTheRun) {
   oscs::OperatingPoint op =
       program->design_point().with_stream_length(2048);
   op.ber = 0.05;  // a deliberately noisy synthetic point
-  const Certification noisy = certify_at(*program, fn->f, op, options);
+  const PointReference reference = [fn](const std::vector<double>& p) {
+    return fn->f(p[0]);
+  };
+  const Certification noisy =
+      certify_program_at(*program, reference, op, options);
   EXPECT_EQ(noisy.op, op);
   EXPECT_EQ(noisy.stream_length, 2048u);
   EXPECT_TRUE(noisy.noise_enabled);
 
   const Certification clean =
-      certify_at(*program, fn->f, op.noiseless(), options);
+      certify_program_at(*program, reference, op.noiseless(), options);
   // A 5% flip rate must cost measurable accuracy against the noiseless run.
   EXPECT_GT(noisy.mc_mae, clean.mc_mae);
 
   oscs::OperatingPoint bad = op;
   bad.stream_length = 0;
-  EXPECT_THROW((void)certify_at(*program, fn->f, bad, options),
+  EXPECT_THROW((void)certify_program_at(*program, reference, bad, options),
                std::invalid_argument);
 }
 

@@ -62,7 +62,7 @@ const BatchRunner& runner2() {
 /// each (mirroring the univariate test_batch_validation suite).
 using Entry = BatchSummary (*)(const BatchRequest&);
 BatchSummary run_entry(const BatchRequest& req) {
-  return runner2().run(req, /*threads=*/1);
+  return runner2().run_nd(req, /*threads=*/1);
 }
 BatchSummary run_fused_entry(const BatchRequest& req) {
   return runner2().run_fused(req, /*threads=*/1);
@@ -136,7 +136,7 @@ TEST_P(BivariateBatchValidationTest, RejectsArityKernelMismatch) {
   // ...and a bivariate request on a univariate runner.
   static const BatchRunner uni_runner{
       optsc::OpticalScCircuit(optsc::paper_defaults(1))};
-  EXPECT_THROW((void)uni_runner.run(valid_request2(), /*threads=*/1),
+  EXPECT_THROW((void)uni_runner.run_nd(valid_request2(), /*threads=*/1),
                std::invalid_argument);
 }
 
@@ -154,7 +154,7 @@ TEST(BivariateBatchTest, EstimatesTrackTheSurface) {
   req.ys = {0.7, 0.5, 0.1};
   req.stream_lengths = {4096};
   req.repeats = 8;
-  const BatchSummary summary = runner2().run(req, /*threads=*/2);
+  const BatchSummary summary = runner2().run_nd(req, /*threads=*/2);
   ASSERT_EQ(summary.cells.size(), 6u);
   for (const BatchCell& cell : summary.cells) {
     EXPECT_NEAR(cell.optical_mean, cell.expected, 0.03)
@@ -167,8 +167,8 @@ TEST(BivariateBatchTest, EstimatesTrackTheSurface) {
 TEST(BivariateBatchTest, DeterministicAcrossThreadCounts) {
   BatchRequest req = valid_request2();
   req.repeats = 4;
-  const BatchSummary one = runner2().run(req, /*threads=*/1);
-  const BatchSummary many = runner2().run(req, /*threads=*/4);
+  const BatchSummary one = runner2().run_nd(req, /*threads=*/1);
+  const BatchSummary many = runner2().run_nd(req, /*threads=*/4);
   ASSERT_EQ(one.cells.size(), many.cells.size());
   for (std::size_t i = 0; i < one.cells.size(); ++i) {
     EXPECT_DOUBLE_EQ(one.cells[i].optical_mean, many.cells[i].optical_mean);
@@ -178,7 +178,7 @@ TEST(BivariateBatchTest, DeterministicAcrossThreadCounts) {
 TEST(BivariateBatchTest, FusedMatchesUnfusedForOneProgram) {
   BatchRequest req = valid_request2();
   req.repeats = 4;
-  const BatchSummary unfused = runner2().run(req, /*threads=*/2);
+  const BatchSummary unfused = runner2().run_nd(req, /*threads=*/2);
   const BatchSummary fused = runner2().run_fused(req, /*threads=*/2);
   ASSERT_EQ(unfused.cells.size(), fused.cells.size());
   for (std::size_t i = 0; i < unfused.cells.size(); ++i) {

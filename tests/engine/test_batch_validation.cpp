@@ -45,7 +45,7 @@ std::uint64_t pool_tasks_run() {
 /// request through each.
 using Entry = BatchSummary (*)(const BatchRequest&);
 BatchSummary run_entry(const BatchRequest& req) {
-  return runner().run(req, /*threads=*/1);
+  return runner().run_nd(req, /*threads=*/1);
 }
 BatchSummary run_fused_entry(const BatchRequest& req) {
   return runner().run_fused(req, /*threads=*/1);

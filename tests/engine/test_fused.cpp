@@ -160,7 +160,7 @@ TEST(FusedBatch, CellsMatchRunOrderAndAgreeStatistically) {
   req.repeats = 6;
   req.seed = 9;
 
-  const BatchSummary unfused = runner.run(req, std::size_t{2});
+  const BatchSummary unfused = runner.run_nd(req, std::size_t{2});
   const BatchSummary fused = runner.run_fused(req, std::size_t{2});
   ASSERT_EQ(fused.cells.size(), unfused.cells.size());
   EXPECT_EQ(fused.tasks, req.xs.size() * req.stream_lengths.size() *

@@ -140,14 +140,16 @@ TEST(NoiseFlips, FlipMaskStatisticsMatchTheOperatingPointBer) {
   const std::size_t length = 1 << 16;
   sc::Bitstream stream(length);  // all zeros: flips == ones afterwards
   oscs::Xoshiro256 rng(99);
-  const std::size_t flips = apply_noise_flips(stream, p, rng);
+  const std::vector<std::size_t> sampled =
+      sample_flip_positions(length, p, rng);
+  flip_positions(stream, sampled);
+  const std::size_t flips = sampled.size();
   EXPECT_EQ(stream.count_ones(), flips);
   const double mean = p * static_cast<double>(length);
   const double sigma = std::sqrt(mean * (1.0 - p));
   EXPECT_NEAR(static_cast<double>(flips), mean, 5.0 * sigma);
 
-  // Deterministic for a fixed RNG seed, and identical to the two-step
-  // sample + apply pass the fused mode uses.
+  // Deterministic for a fixed RNG seed.
   sc::Bitstream again(length);
   oscs::Xoshiro256 rng2(99);
   const std::vector<std::size_t> positions =

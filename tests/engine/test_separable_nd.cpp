@@ -211,7 +211,7 @@ sc::SeparableProgram rank3_cubic() {
 
 /// The per-factor estimator, written with public calls: every factor
 /// draws its own stimulus (make_sc_inputs, in the kernel's layout) and its
-/// own receiver flips (apply_noise_flips) from independent seeds, the
+/// own receiver flips (sample_flip_positions) from independent seeds, the
 /// factor streams of a term are ANDed, and the weighted term densities are
 /// summed.
 double per_factor_estimate(const PackedKernel& kernel,
@@ -230,7 +230,7 @@ double per_factor_estimate(const PackedKernel& kernel,
           kernel.stimulus_layout());
       sc::Bitstream stream = kernel.evaluate(inputs).optical;
       oscs::Xoshiro256 rng(seeds.next());
-      (void)apply_noise_flips(stream, ber, rng);
+      flip_positions(stream, sample_flip_positions(stream.size(), ber, rng));
       product = product.empty() ? std::move(stream) : product & stream;
     }
     estimate += term.weight * product.probability();
@@ -328,7 +328,7 @@ TEST(SeparableBatchRunNd, DenseWrappedBatchMatchesLegacyRun) {
   nd.repeats = legacy.repeats;
   nd.seed = legacy.seed;
 
-  const BatchSummary a = runner.run(legacy, /*threads=*/2);
+  const BatchSummary a = runner.run_nd(legacy, /*threads=*/2);
   const BatchSummary b = runner.run_nd(nd, /*threads=*/2);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
@@ -370,7 +370,7 @@ TEST(SeparableBatchRunNd, WordsCounterChargesOnePassPerFactorAxis) {
   dense.stream_lengths = {100, 256};
   dense.repeats = 3;
   before = words.value();
-  (void)runner.run(dense, 1);
+  (void)runner.run_nd(dense, 1);
   EXPECT_EQ(words.value() - before, 2 * kWordsPerPass);
   before = words.value();
   (void)runner.run_fused(dense, 1);

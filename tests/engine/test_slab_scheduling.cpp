@@ -69,12 +69,12 @@ void expect_grain_invariance(const BatchRunner& runner, BatchRequest req,
 
   req.slab_tasks = 1;
   const BatchSummary baseline =
-      fused ? runner.run_fused(req, /*threads=*/1) : runner.run(req, 1);
+      fused ? runner.run_fused(req, /*threads=*/1) : runner.run_nd(req, 1);
   for (std::size_t threads : {1u, 3u}) {
     for (std::size_t slab_tasks : {0u, 1u, 3u, 7u, 1000u}) {
       req.slab_tasks = slab_tasks;
       const BatchSummary got = fused ? runner.run_fused(req, threads)
-                                     : runner.run(req, threads);
+                                     : runner.run_nd(req, threads);
       SCOPED_TRACE("threads " + std::to_string(threads) + " slab " +
                    std::to_string(slab_tasks) +
                    (fused ? " fused" : " unfused"));
@@ -161,7 +161,7 @@ TEST(SlabScheduling, SlabKnobDoesNotChangeTaskAccounting) {
   req.repeats = 5;
   for (std::size_t slab_tasks : {0u, 2u, 100u}) {
     req.slab_tasks = slab_tasks;
-    const BatchSummary summary = runner.run(req, 2);
+    const BatchSummary summary = runner.run_nd(req, 2);
     EXPECT_EQ(summary.tasks, req.tasks());
     EXPECT_EQ(summary.total_bits, 5u * 128u);
   }

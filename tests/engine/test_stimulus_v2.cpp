@@ -48,7 +48,8 @@ double v1_estimate(const PackedKernel& kernel,
   const sc::StimulusLayout v1 = sc::StimulusLayout::kPerCell;
   const auto flipped = [&](sc::Bitstream stream, std::uint64_t seed) {
     oscs::Xoshiro256 rng(seed);
-    (void)apply_noise_flips(stream, cfg.op.ber, rng);
+    flip_positions(stream,
+                   sample_flip_positions(stream.size(), cfg.op.ber, rng));
     return stream;
   };
   if (program.has_dense1() || program.has_dense2()) {

@@ -74,7 +74,7 @@ TEST(OperatingPointEquivalence,
   req.repeats = 1;
   req.seed = 31;
   req.op = runner.design_point().noiseless();
-  const eng::BatchSummary summary = runner.run(req, std::size_t{1});
+  const eng::BatchSummary summary = runner.run_nd(req, std::size_t{1});
 
   SimulationConfig cfg;
   cfg.stream_length = 1000;
@@ -110,7 +110,7 @@ TEST(OperatingPointEquivalence, InjectedFlipRateMatchesTheLinkBudgetBer) {
   req.stream_lengths = {1 << 14};
   req.repeats = 16;
   req.seed = 77;
-  const eng::BatchSummary summary = runner.run(req, std::size_t{2});
+  const eng::BatchSummary summary = runner.run_nd(req, std::size_t{2});
 
   // mux-exact circuit: every transmission flip is an injected noise flip.
   const double bits =

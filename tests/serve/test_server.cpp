@@ -85,7 +85,7 @@ TEST(ProgramServerTest, RawCoefficientsMatchDirectEngineRun) {
          req.stream_lengths = {1024};
          req.repeats = 3;
          req.seed = 42;
-         return engine::BatchRunner(fallback(2)).run(req, /*threads=*/1);
+         return engine::BatchRunner(fallback(2)).run_nd(req, /*threads=*/1);
        }},
       {"raw 2D grid",
        R"({"coefficients": [[0.1, 0.6], [0.8, 0.3], [0.5, 0.9]],
@@ -100,7 +100,7 @@ TEST(ProgramServerTest, RawCoefficientsMatchDirectEngineRun) {
          req.stream_lengths = {512, 1024};
          req.repeats = 3;
          req.seed = 7;
-         return engine::BatchRunner(fallback(2), 2, 1).run(req, 1);
+         return engine::BatchRunner(fallback(2), 2, 1).run_nd(req, 1);
        }},
       {"fused 1D raw, mixed degrees",
        R"({"programs": [{"coefficients": [0.2, 0.9, 0.4]},
@@ -567,6 +567,13 @@ TEST(ProgramServerTest, TypedHandleRejectsMalformedRequestsWithServeError) {
     ServeRequest req = base;
     req.repeats = 0;
     expect_400(req, "zero repeats");
+  }
+  {
+    // The wire answers 400 to a request carrying both; the typed path
+    // must not serve it at the explicit point and drop the probe power.
+    ServeRequest req = base;
+    req.operating_point = oscs::OperatingPoint{}.with_stream_length(256);
+    expect_400(req, "both operating_point and probe_power_mw");
   }
 }
 

@@ -1,8 +1,7 @@
 /// \file test_sng_fill.cpp
-/// \brief Equivalence suite for the bulk comparator fills: every
-///        word-parallel path (scalar table walk, AVX2 comparator) must be
-///        bit-identical to the per-bit reference loop, and interleaving
-///        bulk fills with per-bit clocking must stay exact.
+/// \brief Equivalence suite for the stream fills: every word-parallel
+///        path (scalar table walk, AVX2 comparator, set fills) must be
+///        bit-identical to the per-bit comparator loop of Sng::generate.
 
 #include "stochastic/sng_fill.hpp"
 
@@ -39,65 +38,6 @@ bool avx2_available() {
 }
 
 const std::vector<std::size_t> kLengths = {1, 63, 64, 65, 1000};
-const std::vector<double> kProbabilities = {0.0, 0.25, 0.3, 0.5, 1.0};
-
-/// generate() through the active backend vs the per-bit reference loop on
-/// an identically seeded twin source.
-void expect_generate_matches_reference(SourceKind kind, unsigned width) {
-  for (double p : kProbabilities) {
-    for (std::size_t length : kLengths) {
-      Sng bulk(make_source(kind, width, /*salt=*/7));
-      Sng reference(make_source(kind, width, /*salt=*/7));
-      const Bitstream got = bulk.generate(p, length);
-      const Bitstream want = reference.generate_reference(p, length);
-      ASSERT_EQ(got, want) << "kind " << static_cast<int>(kind) << " width "
-                           << width << " p " << p << " length " << length;
-    }
-  }
-}
-
-TEST(SngFill, ScalarBulkFillMatchesReferenceLoop) {
-  ScopedBackend scalar(oscs::SimdBackend::kScalar);
-  for (unsigned width : {3u, 8u, 16u}) {
-    expect_generate_matches_reference(SourceKind::kLfsr, width);
-    expect_generate_matches_reference(SourceKind::kCounter, width);
-  }
-  // Van der Corput has no bulk path; generate() must fall back cleanly.
-  expect_generate_matches_reference(SourceKind::kVanDerCorput, 8);
-}
-
-TEST(SngFill, Avx2BulkFillMatchesReferenceLoop) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 backend not available";
-  ScopedBackend avx2(oscs::SimdBackend::kAvx2);
-  for (unsigned width : {3u, 4u, 5u, 8u, 16u}) {
-    expect_generate_matches_reference(SourceKind::kLfsr, width);
-    expect_generate_matches_reference(SourceKind::kCounter, width);
-  }
-}
-
-TEST(SngFill, Avx2AndScalarStreamsAreBitIdentical) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 backend not available";
-  for (unsigned width : {3u, 8u, 16u}) {
-    for (double p : kProbabilities) {
-      for (std::size_t length : kLengths) {
-        Bitstream scalar_stream;
-        Bitstream avx2_stream;
-        {
-          ScopedBackend scalar(oscs::SimdBackend::kScalar);
-          Sng sng(make_source(SourceKind::kLfsr, width, 11));
-          scalar_stream = sng.generate(p, length);
-        }
-        {
-          ScopedBackend avx2(oscs::SimdBackend::kAvx2);
-          Sng sng(make_source(SourceKind::kLfsr, width, 11));
-          avx2_stream = sng.generate(p, length);
-        }
-        ASSERT_EQ(scalar_stream, avx2_stream)
-            << "width " << width << " p " << p << " length " << length;
-      }
-    }
-  }
-}
 
 /// The AVX2 fill against the scalar reference across the cycle wrap.
 /// Phases just short of the period make a 64-state word straddle the wrap
@@ -213,22 +153,6 @@ TEST(SngFill, BiasedRowMatchesReferenceAtEveryWidth) {
         }
       }
     }
-  }
-}
-
-TEST(SngFill, BulkFillReseatsTheRegisterExactly) {
-  // A bulk fill must leave the source exactly where `length` per-bit
-  // steps would have, so generate() and next_bit() interleave exactly.
-  for (std::size_t length : kLengths) {
-    Sng bulk(make_source(SourceKind::kLfsr, 16, 3));
-    Sng reference(make_source(SourceKind::kLfsr, 16, 3));
-    ASSERT_EQ(bulk.generate(0.3, length),
-              reference.generate_reference(0.3, length));
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_EQ(bulk.next_bit(0.7), reference.next_bit(0.7))
-          << "bit " << i << " after a bulk fill of " << length;
-    }
-    ASSERT_EQ(bulk.generate(0.9, 77), reference.generate_reference(0.9, 77));
   }
 }
 
@@ -371,7 +295,8 @@ std::vector<oscs::SimdBackend> available_backends() {
 
 /// fill_stream computes the LFSR start phase itself instead of building a
 /// source; every kind and width must still produce exactly the words of
-/// Sng(make_source(...)).generate, writing nothing past the last word.
+/// the per-bit loop Sng(make_source(...)).generate, under every backend,
+/// writing nothing past the last word.
 TEST(FillStream, MatchesSngGenerate) {
   constexpr std::uint64_t kGuard = 0x3C3C3C3C3C3C3C3CULL;
   struct Case {
@@ -391,8 +316,8 @@ TEST(FillStream, MatchesSngGenerate) {
     ScopedBackend scope(backend);
     for (const Case& c : cases) {
       for (std::uint64_t salt : {0u, 1u, 7u, 123456789u}) {
-        for (double p : {0.0, 0.3, 0.5, 0.77, 1.0}) {
-          for (std::size_t length : {0u, 1u, 63u, 64u, 65u, 4096u}) {
+        for (double p : {0.0, 0.25, 0.3, 0.5, 0.77, 1.0}) {
+          for (std::size_t length : {0u, 1u, 63u, 64u, 65u, 1000u, 4096u}) {
             const Bitstream want =
                 Sng(make_source(c.kind, c.width, salt)).generate(p, length);
             std::vector<std::uint64_t> got(want.word_count() + 1, kGuard);
