@@ -13,7 +13,7 @@ namespace oscs::stochastic {
 namespace {
 
 /// Register seed and odd scramble multiplier an LFSR source's salt
-/// expands to (SplitMix64), shared by make_source and fill_stream.
+/// expands to (SplitMix64), shared by make_source and detail::lfsr_start.
 struct LfsrSeed {
   std::uint32_t seed;
   std::uint64_t scramble;
@@ -24,14 +24,6 @@ LfsrSeed lfsr_seed(std::uint64_t salt) {
   const auto seed = static_cast<std::uint32_t>(sm.next());
   const std::uint64_t scramble = sm.next() | 1ULL;
   return {seed == 0 ? 1u : seed, scramble};
-}
-
-/// Cycle phase of the first value an LFSR at register `state` emits:
-/// next() emits the state AFTER each clock, so one phase past the state.
-std::size_t first_phase(const detail::LfsrCycle& cycle,
-                        std::uint32_t state) noexcept {
-  const std::size_t phase = cycle.phase[state] + std::size_t{1};
-  return phase == cycle.period() ? 0 : phase;
 }
 
 }  // namespace
@@ -57,7 +49,10 @@ LfsrStart lfsr_start(const LfsrCycle& cycle, std::uint64_t salt,
   // the all-zero fixed point moved to 1.
   const auto state =
       static_cast<std::uint32_t>(s.seed & cycle.period());
-  const std::size_t phase = first_phase(cycle, state == 0 ? 1 : state);
+  // next() emits the state AFTER each clock: the first value sits one
+  // phase past the start state.
+  std::size_t phase = cycle.phase[state == 0 ? 1 : state] + std::size_t{1};
+  if (phase == cycle.period()) phase = 0;
   return {walk == LfsrWalk::kClock ? phase : cycle.leap_index(phase),
           s.scramble};
 }
@@ -132,8 +127,6 @@ Sng::Sng(std::unique_ptr<RandomSource> source) : source_(std::move(source)) {
 std::uint64_t Sng::threshold_for(double p) const noexcept {
   return comparator_threshold(p, source_->width());
 }
-
-bool Sng::next_bit(double p) { return source_->next() < threshold_for(p); }
 
 Bitstream Sng::generate(double p, std::size_t length) {
   const std::uint64_t threshold = threshold_for(p);

@@ -95,9 +95,6 @@ class Sng {
   /// Quantized comparator threshold for probability p (clamped to [0,1]).
   [[nodiscard]] std::uint64_t threshold_for(double p) const noexcept;
 
-  /// One stream bit encoding probability p.
-  [[nodiscard]] bool next_bit(double p);
-
   /// A full stream of `length` bits encoding probability p: one next()
   /// per bit against the threshold. It evaluates the comparator on the
   /// source itself, so the equivalence suite pins every stream fill

@@ -307,7 +307,7 @@ TEST(SeparableRunNdGeneral, RejectsMalformedRequests) {
 }
 
 /// BatchRunner::run_nd on a dense-wrapped program list over the legacy
-/// point grid must reproduce BatchRunner::run on the raw polynomials
+/// point grid must reproduce run_nd on the raw polynomials spelling
 /// cell for cell (same task lattice, same derived seeds).
 TEST(SeparableBatchRunNd, DenseWrappedBatchMatchesLegacyRun) {
   const optsc::OpticalScCircuit circuit(optsc::paper_defaults(3));
