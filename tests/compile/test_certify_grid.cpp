@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "compile/autotune.hpp"
 #include "compile/compiler.hpp"
@@ -96,6 +97,49 @@ TEST(CertifyGrid, CoversEveryProbeLengthCellWithLinkBudgetBers) {
   EXPECT_LE(grid.best_mc_mae(), grid.worst_mc_mae());
   EXPECT_LT(grid.best_cell, grid.cells.size());
   EXPECT_LT(grid.worst_cell, grid.cells.size());
+}
+
+TEST(CertifyGrid, EachCellIsTheCertificateAtItsOperatingPoint) {
+  // A grid cell is certify_program_at at the cell's link-budget point,
+  // run with the grid's repeats, lattice and seed.
+  const RegistryFunction* fn = find_function("sin");
+  ASSERT_NE(fn, nullptr);
+  const auto program =
+      compile_function(fn->id, fn->f, no_cert_options(fn->degree));
+  GridCertificationOptions options = quick_grid();
+  options.probe_scales = {0.5, 2.0};
+  options.seed = 0x5EED;
+  const GridCertification grid = certify_grid(*program, fn->f, options);
+  ASSERT_EQ(grid.cells.size(), 2u * 2u);
+
+  CertificationOptions cell_options;
+  cell_options.repeats = options.repeats;
+  cell_options.grid_points = options.grid_points;
+  cell_options.seed = options.seed;
+  const PointReference reference = [fn](const std::vector<double>& p) {
+    return fn->f(p[0]);
+  };
+  for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+    const GridCell& cell = grid.cells[i];
+    const Certification want =
+        certify_program_at(*program, reference, cell.op, cell_options);
+    EXPECT_EQ(cell.cert.op, want.op) << "cell " << i;
+    EXPECT_EQ(cell.cert.repeats, options.repeats) << "cell " << i;
+    EXPECT_EQ(cell.cert.grid_points, options.grid_points) << "cell " << i;
+    EXPECT_EQ(cell.cert.noise_enabled, want.noise_enabled) << "cell " << i;
+    EXPECT_EQ(cell.cert.mc_mae, want.mc_mae) << "cell " << i;
+    EXPECT_EQ(cell.cert.mc_mae_ci, want.mc_mae_ci) << "cell " << i;
+    EXPECT_EQ(cell.cert.mc_worst, want.mc_worst) << "cell " << i;
+    EXPECT_EQ(cell.cert.electronic_mae, want.electronic_mae) << "cell " << i;
+    EXPECT_EQ(cell.cert.approx_max_error, want.approx_max_error)
+        << "cell " << i;
+  }
+  // The seed reaches the cells: the default one draws other streams.
+  cell_options.seed = GridCertificationOptions{}.seed;
+  EXPECT_NE(grid.cells[0].cert.mc_mae,
+            certify_program_at(*program, reference, grid.cells[0].op,
+                               cell_options)
+                .mc_mae);
 }
 
 // Acceptance criterion: certify_grid certifies all 9 registry functions

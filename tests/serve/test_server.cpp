@@ -577,6 +577,38 @@ TEST(ProgramServerTest, TypedHandleRejectsMalformedRequestsWithServeError) {
   }
 }
 
+TEST(ProgramServerTest, TypedAndWireRejectBothOperatingPointFormsAlike) {
+  // One rule answers a request that carries both an explicit operating
+  // point and a probe power, whichever entry point it arrives on: the
+  // same status, reason and message, and nothing is served.
+  ProgramServer server(fast_options());
+  const JsonValue wire = json_parse(server.handle_json(
+      R"({"coefficients": [0.2, 0.8], "xs": [0.5], "stream_lengths": [256],)"
+      R"( "operating_point": {"stream_length": 256}, "probe_power_mw": 0.03})"));
+  ASSERT_FALSE(wire.find("ok")->as_bool());
+  const JsonValue* error = wire.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->find("status")->as_number(), 400.0);
+
+  ServeRequest typed;
+  ProgramSpec spec;
+  spec.coefficients = {0.2, 0.8};
+  typed.programs.push_back(spec);
+  typed.xs = {0.5};
+  typed.stream_lengths = {256};
+  typed.operating_point = oscs::OperatingPoint{}.with_stream_length(256);
+  typed.probe_power_mw = 0.03;
+  try {
+    (void)server.handle(typed);
+    FAIL() << "typed handle served a request carrying both forms";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.status(), 400);
+    EXPECT_EQ(e.reason(), error->find("reason")->as_string());
+    EXPECT_EQ(std::string(e.what()), error->find("message")->as_string());
+  }
+  EXPECT_EQ(server.metrics().completed, 0u);
+}
+
 TEST(ProgramServerTest, OversizedRequestsAreRejectedBeforeExecution) {
   // One absurd repeats value must not wedge an in-flight slot: the
   // evaluate-cost gate answers 413 before any work starts.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 
 namespace oscs::stochastic {
@@ -103,6 +106,30 @@ TEST(SngTest, ChaoticSourceConvergesStatistically) {
   Sng sng(std::make_unique<ChaoticLaserSource>(20, 99));
   const Bitstream s = sng.generate(0.7, 100000);
   EXPECT_NEAR(s.probability(), 0.7, 0.005);
+}
+
+TEST(SngTest, ConsecutiveGeneratesContinueTheSource) {
+  // generate() draws exactly one source value per bit - none for an empty
+  // stream, none extra at a word boundary - so back-to-back streams from
+  // one SNG continue the source's sequence where the last one stopped.
+  const double ps[] = {0.3, 0.0, 0.77, 1.0, 0.5, 0.125};
+  const std::size_t lengths[] = {65, 0, 64, 1, 63, 1000};
+  for (SourceKind kind : {SourceKind::kLfsr, SourceKind::kCounter,
+                          SourceKind::kVanDerCorput,
+                          SourceKind::kChaoticLaser}) {
+    Sng sng(make_source(kind, 10, 3));
+    const std::unique_ptr<RandomSource> twin = make_source(kind, 10, 3);
+    for (std::size_t call = 0; call < std::size(lengths); ++call) {
+      const Bitstream s = sng.generate(ps[call], lengths[call]);
+      ASSERT_EQ(s.size(), lengths[call]);
+      const std::uint64_t threshold = sng.threshold_for(ps[call]);
+      for (std::size_t t = 0; t < lengths[call]; ++t) {
+        ASSERT_EQ(s.bit(t), twin->next() < threshold)
+            << "kind " << static_cast<int>(kind) << " call " << call
+            << " bit " << t;
+      }
+    }
+  }
 }
 
 TEST(MakeSource, SaltDecorrelatesStreams) {

@@ -341,6 +341,36 @@ TEST(FillStream, MatchesSngGenerate) {
                std::invalid_argument);
 }
 
+/// Counter, Van der Corput and chaotic sources run registers wider than
+/// the LFSR cycle table (up to 63 bits), and the stimulus fill hands
+/// their data banks to fill_stream at those widths. fill_stream passes
+/// them to the one-cell set loop, which must still give the words of
+/// Sng::generate, thresholds near 2^63 included.
+TEST(FillStream, WideRegistersOfOtherSourcesMatchSngGenerate) {
+  constexpr std::uint64_t kGuard = 0x3C3C3C3C3C3C3C3CULL;
+  for (SourceKind kind : {SourceKind::kCounter, SourceKind::kVanDerCorput,
+                          SourceKind::kChaoticLaser}) {
+    for (unsigned width : {17u, 24u, 32u, 48u, 63u}) {
+      for (std::uint64_t salt : {0u, 5u}) {
+        for (double p : {0.0, 0.3, 0.5, 1.0 - 0x1p-40, 1.0}) {
+          for (std::size_t length : {1u, 64u, 65u, 1000u}) {
+            const Bitstream want =
+                Sng(make_source(kind, width, salt)).generate(p, length);
+            std::vector<std::uint64_t> got(want.word_count() + 1, kGuard);
+            fill_stream(kind, width, salt, p, length, got.data());
+            std::vector<std::uint64_t> expected(
+                want.words_data(), want.words_data() + want.word_count());
+            expected.push_back(kGuard);
+            ASSERT_EQ(got, expected)
+                << "kind " << static_cast<int>(kind) << " width " << width
+                << " salt " << salt << " p " << p << " length " << length;
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The comparator threshold is round(clamp01(p) * 2^w) with halves
 /// rounded away from zero - llround's rule - at every grid point and
 /// half point of every table width.
